@@ -12,21 +12,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from . import forms as forms_mod
 from .forms import (CuspFormBasis, QuadratureDomain, delta_form, load_forms,
                     model_basis, orthonormal_basis, petersson_gram, save_forms)
 from .groups import DEFAULT_C_GAMMA, group_by_name
-from .kernel import bergman_kernel_diagonal, cx_constant, parabolic_term_bound
-from .metric import (BasisSource, DerivativeMethod, PoincareSource,
+from .kernel import bergman_kernel_diagonal, parabolic_term_bound
+from .metric import (BasisSource, PoincareSource,
                      RATIO_LIMIT, bergman_metric_ratio, fd_log_ratio,
                      grid_points, kernel_derivatives, ratio_scan)
-from .symprod import (Divisor, fs_form_direct_oracle, fs_form_formula,
-                      volume_ratio_scan)
+from .symprod import fs_form_direct_oracle, fs_form_formula, volume_ratio_scan
 from .uhp import DomainError, UhpPoint
 
 FMT = "%.12g"
@@ -103,10 +101,13 @@ class RunConfig:
         if not os.path.exists(self.forms):
             raise ConfigError(f"forms file not found: {self.forms}")
         raw = CuspFormBasis(forms=load_forms(self.forms))
-        domain = QuadratureDomain() if self.domain == "modular" else \
-            QuadratureDomain(kind="strip", y0=0.8)
-        raw.gram = petersson_gram(raw, domain)
+        raw.gram = petersson_gram(raw, self.quadrature_domain())
         return orthonormal_basis(raw)
+
+    def quadrature_domain(self) -> QuadratureDomain:
+        if self.domain == "modular":
+            return QuadratureDomain()
+        return QuadratureDomain(kind="strip", y0=0.8)
 
 
 def _emit(text: str, path: Optional[str]):
@@ -176,9 +177,7 @@ def cmd_gram(cfg: RunConfig) -> int:
     if cfg.forms is None or not os.path.exists(cfg.forms or ""):
         raise ConfigError(f"forms file not found: {cfg.forms}")
     raw = CuspFormBasis(forms=load_forms(cfg.forms))
-    domain = QuadratureDomain() if cfg.domain == "modular" else \
-        QuadratureDomain(kind="strip", y0=0.8)
-    gram = petersson_gram(raw, domain)
+    gram = petersson_gram(raw, cfg.quadrature_domain())
     rows = []
     for i, fi in enumerate(raw.forms):
         for j, fj in enumerate(raw.forms):

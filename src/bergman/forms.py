@@ -6,7 +6,6 @@ Bergman kernel, and JSON-lines ingestion.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -44,7 +43,7 @@ class QExpansionForm:
         if len(self.coefficients) < 1:
             raise DomainError("need at least one coefficient")
         if self.weight < 2 or self.weight % 2:
-            raise DomainError("weight must be an even integer >= 4")
+            raise DomainError("weight must be an even integer >= 2")
         if any(not (math.isfinite(c.real) and math.isfinite(c.imag))
                for c in map(complex, self.coefficients)):
             raise DomainError("coefficients must be finite")
@@ -57,20 +56,11 @@ class QExpansionForm:
     def truncation_length(self) -> int:
         return len(self.coefficients)
 
-    def coefficient_array(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=complex)
-
 
 def evaluate_q_expansion(form: QExpansionForm, z: UhpPoint,
                          deriv_order: int = 0) -> complex:
     """Sum a_m q^m, or its deriv_order-th z-derivative (factor (2 pi i m)^r)."""
-    q = cmath.exp(2j * math.pi * z.z)
-    a = form.coefficient_array()
-    m = np.arange(1, len(a) + 1)
-    if deriv_order:
-        a = a * (2j * math.pi * m) ** deriv_order
-    powers = q ** m
-    return complex(np.sum(a * powers))
+    return complex(CuspFormBasis(forms=[form]).values(z, deriv_order)[0])
 
 
 def evaluation_truncation_bound(form: QExpansionForm, z: UhpPoint) -> float:
@@ -94,12 +84,20 @@ class CuspFormBasis:
     forms: list
     gram: Optional[np.ndarray] = None
     orthonormal_flag: bool = False
-    change_of_basis: Optional[np.ndarray] = None
+    # n x M coefficients a_{j,m}, zero-padded, and the factors 2 pi i m of
+    # one z-derivative; built from the forms once, when the basis is built
+    coefficients: np.ndarray = field(init=False, repr=False)
+    derivative_factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         weights = {f.weight for f in self.forms}
         if len(weights) > 1:
             raise DomainError("mixed weights in basis")
+        m_max = max((f.truncation_length for f in self.forms), default=0)
+        self.coefficients = np.zeros((len(self.forms), m_max), dtype=complex)
+        for i, f in enumerate(self.forms):
+            self.coefficients[i, : f.truncation_length] = f.coefficients
+        self.derivative_factors = 2j * math.pi * np.arange(1, m_max + 1)
 
     @property
     def weight(self) -> int:
@@ -113,22 +111,21 @@ class CuspFormBasis:
     def size(self) -> int:
         return len(self.forms)
 
-    def coefficient_matrix(self) -> np.ndarray:
-        m_max = max(f.truncation_length for f in self.forms)
-        mat = np.zeros((len(self.forms), m_max), dtype=complex)
-        for i, f in enumerate(self.forms):
-            mat[i, : f.truncation_length] = f.coefficient_array()
-        return mat
-
-    def values(self, z: UhpPoint, deriv_order: int = 0) -> np.ndarray:
-        """Vector (f_1(z), ..., f_n(z)) or its z-derivatives."""
-        mat = self.coefficient_matrix()
-        m = np.arange(1, mat.shape[1] + 1)
-        q = cmath.exp(2j * math.pi * z.z)
-        powers = q ** m
+    def evaluate(self, z: np.ndarray, deriv_order: int = 0) -> np.ndarray:
+        """Rows (f_1, ..., f_n) or their z-derivatives at the complex z[i]."""
+        coef = self.coefficients
         if deriv_order:
-            powers = powers * (2j * math.pi * m) ** deriv_order
-        return mat @ powers
+            coef = coef * self.derivative_factors ** deriv_order
+        # rows q, q^2, ..., q^M for q = exp(2 pi i z), by a running product
+        powers = np.repeat(np.exp(2j * math.pi * z)[:, None], coef.shape[1], 1)
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        return powers @ coef.T
+
+    def values(self, z, deriv_order: int = 0) -> np.ndarray:
+        """Vector (f_1(z), ..., f_n(z)) or its z-derivatives; rows for a list."""
+        if isinstance(z, UhpPoint):
+            return self.evaluate(np.array([z.z]), deriv_order)[0]
+        return self.evaluate(np.array([p.z for p in z], complex), deriv_order)
 
 
 def model_basis(weight: int, coefficient_rows: Sequence[Sequence[complex]],
@@ -224,63 +221,64 @@ class QuadratureDomain:
             return (-0.5, 0.5)
         return (self.x0, self.x1)
 
-    def y_lower(self, x: float) -> float:
+    def y_lower(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "modular":
-            return math.sqrt(max(1.0 - x * x, 0.0))
-        return self.y0
+            return np.sqrt(np.maximum(1.0 - x * x, 0.0))
+        return np.full_like(x, self.y0)
 
     def full_period(self) -> bool:
         lo, hi = self.x_range()
         return abs((hi - lo) - 1.0) < 1e-12
 
 
-def _upper_incomplete(s: float, a: float, lower: float) -> float:
-    """Integral of y^(s-1) e^(-a y) over [lower, inf)."""
-    # Gamma(s) * gammaincc(s, a*lower) / a^s, in log form for stability
-    g = gammaincc(s, a * lower)
-    if g <= 0.0:
-        return 0.0
-    return math.exp(gammaln(s) + math.log(g) - s * math.log(a))
-
-
 def _tail_gram(basis: CuspFormBasis, cutoff: float) -> np.ndarray:
-    """Analytic contribution above the cutoff height (full period in x)."""
-    mat = basis.coefficient_matrix()
-    n, m_max = mat.shape
-    k = basis.k
-    tail = np.zeros((n, n), dtype=complex)
-    for m in range(1, m_max + 1):
-        integral = _upper_incomplete(2 * k - 1, 4.0 * math.pi * m, cutoff)
-        if integral == 0.0:
-            continue
-        col = mat[:, m - 1]
-        tail += np.outer(col, col.conj()) * integral
-    return tail
+    """Analytic contribution above the cutoff height (full period in x).
+
+    Index m weighs a_m conj(a'_m) by the integral of y^(s-1) e^(-a y)
+    over [cutoff, inf), s = 2k-1, a = 4 pi m: Gamma(s) Q(s, a cutoff) / a^s
+    in log form; where Q underflows to 0 the integral is exp(-inf) = 0.
+    """
+    mat = basis.coefficients
+    s, a = 2 * basis.k - 1, 4.0 * math.pi * np.arange(1, mat.shape[1] + 1)
+    with np.errstate(divide="ignore"):
+        integral = np.exp(gammaln(s) + np.log(gammaincc(s, a * cutoff))
+                          - s * np.log(a))
+    return (mat * integral) @ mat.conj().T
+
+
+# Nodes per contraction block: caps the q-power temporary at GRAM_CHUNK x M
+GRAM_CHUNK = 256
 
 
 def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
                x_panels: int, y_panels: int, nodes: int) -> np.ndarray:
+    """Quadrature Gram V diag(w) V^H over Gauss-Legendre nodes, plus the tail.
+
+    Panels of equal width in x and, above each x node, of equal height
+    from the domain's lower edge up to the cutoff.
+    """
     k = basis.k
     cutoff = domain.cutoff or max(4.0, 3.0 * (2 * k) / (4.0 * math.pi))
-    xn, xw = roots_legendre(nodes)
-    n = basis.size
-    gram = np.zeros((n, n), dtype=complex)
+    t, w = roots_legendre(nodes)
     xlo, xhi = domain.x_range()
-    for px in range(x_panels):
-        a = xlo + (xhi - xlo) * px / x_panels
-        b = xlo + (xhi - xlo) * (px + 1) / x_panels
-        xs = 0.5 * (b - a) * xn + 0.5 * (a + b)
-        for x, wx in zip(xs, xw * 0.5 * (b - a)):
-            ylo = domain.y_lower(x)
-            if ylo >= cutoff:
-                continue
-            for py in range(y_panels):
-                ya = ylo + (cutoff - ylo) * py / y_panels
-                yb = ylo + (cutoff - ylo) * (py + 1) / y_panels
-                ys = 0.5 * (yb - ya) * xn + 0.5 * (ya + yb)
-                for y, wy in zip(ys, xw * 0.5 * (yb - ya)):
-                    v = basis.values(UhpPoint(x, y))
-                    gram += np.outer(v, v.conj()) * (wx * wy * y ** (2 * k - 2))
+    xe = xlo + (xhi - xlo) * np.arange(x_panels + 1) / x_panels
+    a, b = xe[:-1, None], xe[1:, None]
+    xs = (0.5 * (b - a) * t + 0.5 * (a + b)).ravel()
+    wx = (w * 0.5 * (b - a)).ravel()
+    ylo = domain.y_lower(xs)
+    keep = ylo < cutoff
+    # axes: x node, y panel, y node
+    xs, wx, ylo = (v[keep, None, None] for v in (xs, wx, ylo))
+    py = np.arange(y_panels)[:, None]
+    ya = ylo + (cutoff - ylo) * py / y_panels
+    yb = ylo + (cutoff - ylo) * (py + 1) / y_panels
+    ys = 0.5 * (yb - ya) * t + 0.5 * (ya + yb)
+    zs = (xs + 1j * ys).ravel()
+    ws = (wx * (w * 0.5 * (yb - ya)) * ys ** (2 * k - 2)).ravel()
+    gram = np.zeros((basis.size, basis.size), dtype=complex)
+    for lo in range(0, len(zs), GRAM_CHUNK):
+        v = basis.evaluate(zs[lo:lo + GRAM_CHUNK])
+        gram += v.T @ (ws[lo:lo + GRAM_CHUNK, None] * v.conj())
     if domain.full_period():
         gram += _tail_gram(basis, cutoff)
     return gram
@@ -315,14 +313,14 @@ def orthonormal_basis(basis: CuspFormBasis,
     lower = cholesky(g, lower=True)
     # rows of A give the new forms: A G A^H = I for A = L^{-1}
     a = solve_triangular(lower, np.eye(basis.size, dtype=complex), lower=True)
-    mat = a @ basis.coefficient_matrix()
+    mat = a @ basis.coefficients
     forms = [
         replace(basis.forms[i], label=basis.forms[i].label + "*",
                 coefficients=tuple(mat[i]))
         for i in range(basis.size)
     ]
     return CuspFormBasis(forms=forms, gram=np.eye(basis.size, dtype=complex),
-                         orthonormal_flag=True, change_of_basis=a)
+                         orthonormal_flag=True)
 
 
 def bergman_from_basis(basis: CuspFormBasis, z: UhpPoint) -> float:

@@ -6,10 +6,9 @@ injectivity-radius estimate.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 

@@ -15,14 +15,14 @@ from typing import Optional, Sequence
 from .forms import CuspFormBasis, basis_weight0_bundle, first_coefficient_mass
 from .groups import (
     DEFAULT_C_GAMMA,
+    BudgetExceeded,
     FuchsianGroup,
-    Region,
+    OrbitEnumeration,
     RegionTag,
     classify_region,
     enumerate_group_elements,
 )
 from .kernel import (
-    cx_constant,
     identity_term,
     gamma_ratio,
     kernel_diagonal_from_elements,
@@ -115,29 +115,35 @@ class PoincareSource:
         self.budget = budget
         self._cache = {}
 
-    def _elements(self, z: UhpPoint):
+    def _enumeration(self, z: UhpPoint) -> OrbitEnumeration:
         key = (round(z.x, 6), round(z.y, 6))
-        for (kx, ky), elems in self._cache.items():
+        for (kx, ky), enum in self._cache.items():
             if abs(kx - key[0]) < 0.05 and abs(ky - key[1]) < 0.05:
-                return elems
+                return enum
         enum = enumerate_group_elements(
             self.group, z, self.displacement_bound, budget=self.budget)
-        self._cache[key] = enum.elements
+        self._cache[key] = enum
         if len(self._cache) > 8:
             self._cache.pop(next(iter(self._cache)))
-        return enum.elements
+        return enum
 
     def evaluation(self, z: UhpPoint):
-        elems = self._elements(z)
+        enum = self._enumeration(z)
         return kernel_diagonal_from_elements(
-            elems, z, self.k, self.displacement_bound, True)
+            enum.elements, z, self.k, self.displacement_bound,
+            enum.exhaustive_flag, enum.frontier_count)
 
     def weight0_value(self, z: UhpPoint) -> float:
         ev = self.evaluation(z)
         return ev.value_diagonal / z.y ** (2 * self.k)
 
     def weight0_bundle(self, z: UhpPoint):
-        return poincare_weight0_bundle(self._elements(z), z, self.k)
+        """Termwise bundle; refuses an orbit the budget cut short."""
+        enum = self._enumeration(z)
+        if not enum.exhaustive_flag:
+            raise BudgetExceeded(
+                f"orbit at z={z.z} stopped at {self.budget} expansions")
+        return poincare_weight0_bundle(enum.elements, z, self.k)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ volume scan compares sup fs_volume_ratio / k^(2d) against (26/pi)^d.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,11 +86,10 @@ class SubspaceFrame:
 
 def evaluation_matrix(basis: CuspFormBasis, divisor: Divisor) -> np.ndarray:
     """d x n matrix of the functionals f -> (d/dz)^j f(z_i), j < mult_i."""
-    rows = []
-    for z, mult in divisor.points:
-        for j in range(mult):
-            rows.append(basis.values(z, deriv_order=j))
-    return np.array(rows)
+    zs, mults = zip(*divisor.points)
+    by_order = [basis.values(zs, deriv_order=j) for j in range(max(mults))]
+    return np.array([by_order[j][i] for i, mult in enumerate(mults)
+                     for j in range(mult)])
 
 
 def vanishing_subspace(basis: CuspFormBasis, divisor: Divisor) -> SubspaceFrame:
@@ -133,7 +131,7 @@ def subspace_kernel_diagonal(frame: SubspaceFrame, basis: CuspFormBasis,
 
 def two_point_gram(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> np.ndarray:
     """Matrix M_ij = sum_l f_l(z_i) conj(f_l(z_j)) of weight-0 kernels."""
-    vals = np.array([basis.values(z) for z in zs])
+    vals = basis.values(zs)
     return vals @ vals.conj().T
 
 
@@ -280,7 +278,7 @@ def _projector(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> np.ndarray:
     Gauge-invariant: any frame choice for the span yields the same
     projector, so no column alignment across stencil points is needed.
     """
-    vmat = np.array([basis.values(z) for z in zs]).conj().T  # n x d
+    vmat = basis.values(zs).conj().T  # n x d
     q, r = np.linalg.qr(vmat)
     diag = np.abs(np.diag(r))
     if np.min(diag) < 1e-12 * max(np.max(diag), 1e-300):

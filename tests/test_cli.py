@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -105,6 +106,24 @@ def test_ratio_scan_csv_and_threads_determinism(tmp_path):
     assert header == ("k,x,y,region,route,ratio,ratio_over_k2,bound,"
                       "bound_ok,error")
     assert "route" in header and ",basis," in outs[0].decode()
+
+
+def test_ratio_scan_flags_budget_cut_orbit(tmp_path):
+    # a budget of 50 expansions cuts the orbit at z=i short: the row
+    # carries the error instead of a ratio from the truncated sum
+    rows = {}
+    for budget in ("50", "200000"):
+        out = tmp_path / f"scan{budget}.csv"
+        main(["ratio-scan", "--group", "modular", "--k", "6",
+              "--grid=0,0,1,1,1,1", "--bound", "20", "--budget", budget,
+              "--out", str(out)])
+        rows[budget] = out.read_text().splitlines()[1].split(",")
+    cut = rows["50"]
+    assert cut[5] == "nan" and cut[8] == "0"
+    assert cut[9].startswith("BudgetExceeded: ")
+    full = rows["200000"]
+    assert full[9] == "" and full[8] == "1"
+    assert float(full[5]) == pytest.approx(6 / (2 * math.pi), rel=1e-8)
 
 
 def test_sym_scan_with_tuple_file(tmp_path):

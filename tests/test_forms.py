@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaincc, gammaln, roots_legendre
 
 from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
-                           QuadratureDomain, bergman_from_basis, delta_form,
+                           QuadratureDomain, _gram_once, bergman_from_basis,
+                           basis_weight0_bundle, delta_form,
                            evaluate_q_expansion, evaluation_truncation_bound,
                            first_coefficient_mass, load_forms, model_basis,
                            modularity_defect, orthonormal_basis,
@@ -17,8 +19,9 @@ from bergman.uhp import DomainError, MoebiusTransform, UhpPoint
 
 
 def test_form_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="even integer >= 2"):
         QExpansionForm("f", 11, (1.0,))
+    assert QExpansionForm("f", 2, (1.0,)).k == 1
     with pytest.raises(DomainError):
         QExpansionForm("f", 12, ())
     with pytest.raises(DomainError):
@@ -70,6 +73,93 @@ def test_delta_modularity_defect_small():
         assert modularity_defect(form, gamma, z) < 1e-8 * max(scale, 1e-30)
 
 
+def _three_form_basis():
+    rng = np.random.default_rng(11)
+    coef = rng.normal(size=(3, 60)) + 1j * rng.normal(size=(3, 60))
+    return model_basis(12, coef.tolist(), orthonormal=False)
+
+
+def _power_formula(basis, z, deriv_order=0):
+    """Per-point reference: the coefficient matrix times q**m."""
+    mat = np.zeros((basis.size, max(f.truncation_length for f in basis.forms)),
+                   dtype=complex)
+    for i, f in enumerate(basis.forms):
+        mat[i, : f.truncation_length] = np.asarray(f.coefficients, dtype=complex)
+    m = np.arange(1, mat.shape[1] + 1)
+    powers = cmath.exp(2j * math.pi * z.z) ** m
+    if deriv_order:
+        powers = powers * (2j * math.pi * m) ** deriv_order
+    return mat @ powers
+
+
+@pytest.mark.parametrize("y", [0.4, 5.0])
+@pytest.mark.parametrize("make", [lambda: CuspFormBasis(forms=[delta_form(200)]),
+                                  _three_form_basis], ids=["delta", "three"])
+def test_batched_evaluator_matches_power_formula(make, y):
+    basis = make()
+    zs = [UhpPoint(x, y) for x in np.linspace(-0.5, 0.5, 9)]
+    for r in (0, 1):
+        batch = basis.values(zs, deriv_order=r)
+        assert batch.shape == (len(zs), basis.size)
+        for z, row in zip(zs, batch):
+            ref = _power_formula(basis, z, r)
+            for got in (row, basis.values(z, deriv_order=r)):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _node_accumulation(basis, domain, x_panels, y_panels, nodes):
+    """Per-node reference Gram: one outer product per quadrature node."""
+    k = basis.k
+    cutoff = domain.cutoff or max(4.0, 3.0 * (2 * k) / (4.0 * math.pi))
+    xn, xw = roots_legendre(nodes)
+    gram = np.zeros((basis.size, basis.size), dtype=complex)
+    xlo, xhi = domain.x_range()
+    for px in range(x_panels):
+        a = xlo + (xhi - xlo) * px / x_panels
+        b = xlo + (xhi - xlo) * (px + 1) / x_panels
+        xs = 0.5 * (b - a) * xn + 0.5 * (a + b)
+        for x, wx in zip(xs, xw * 0.5 * (b - a)):
+            ylo = (math.sqrt(max(1.0 - x * x, 0.0)) if domain.kind == "modular"
+                   else domain.y0)
+            if ylo >= cutoff:
+                continue
+            for py in range(y_panels):
+                ya = ylo + (cutoff - ylo) * py / y_panels
+                yb = ylo + (cutoff - ylo) * (py + 1) / y_panels
+                ys = 0.5 * (yb - ya) * xn + 0.5 * (ya + yb)
+                for y, wy in zip(ys, xw * 0.5 * (yb - ya)):
+                    v = _power_formula(basis, UhpPoint(x, y))
+                    gram += np.outer(v, v.conj()) * (wx * wy * y ** (2 * k - 2))
+    if domain.full_period():
+        for m, col in enumerate(basis.coefficients.T, start=1):
+            a = 4.0 * math.pi * m
+            tail = (math.exp(gammaln(2 * k - 1) - (2 * k - 1) * math.log(a))
+                    * gammaincc(2 * k - 1, a * cutoff))
+            gram += np.outer(col, col.conj()) * tail
+    return gram
+
+
+@pytest.mark.parametrize("domain", [QuadratureDomain(),
+                                    QuadratureDomain(kind="strip", y0=0.8)],
+                         ids=["modular", "strip"])
+@pytest.mark.parametrize("make", [lambda: CuspFormBasis(forms=[delta_form(200)]),
+                                  _three_form_basis], ids=["delta", "three"])
+def test_gram_contraction_matches_node_accumulation(make, domain):
+    basis = make()
+    got = _gram_once(basis, domain, 2, 3, 6)
+    ref = _node_accumulation(basis, domain, 2, 3, 6)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_empty_basis_evaluates():
+    basis = CuspFormBasis(forms=[])
+    z = UhpPoint(0.1, 1.2)
+    assert basis.values(z).shape == (0,)
+    assert basis.values([z, z], deriv_order=1).shape == (2, 0)
+    assert bergman_from_basis(basis, z) == 0.0
+    assert basis_weight0_bundle(basis, z) == (0.0, 0j, 0.0)
+
+
 def test_mixed_weight_basis_rejected():
     f1 = QExpansionForm("a", 12, (1.0,))
     f2 = QExpansionForm("b", 16, (1.0,))
@@ -81,7 +171,7 @@ def test_petersson_norm_of_delta_frozen():
     raw = CuspFormBasis(forms=[delta_form(200)])
     gram = petersson_gram(raw, QuadratureDomain())
     # frozen quadrature oracle for <Delta, Delta> over the modular domain
-    assert gram[0, 0].real == pytest.approx(1.0353620568043114e-06, rel=1e-7)
+    assert gram[0, 0].real == pytest.approx(1.0353620568043e-6, rel=1e-12)
     assert abs(gram[0, 0].imag) < 1e-18
 
 
