@@ -373,7 +373,7 @@ def suite_sym(cfg: RunConfig):
         a = fs_form_formula(basis, zs, k).fs_volume_ratio
         b = fs_form_direct_oracle(basis, zs, k).fs_volume_ratio
         worst = max(worst, abs(a - b) / max(abs(a), 1e-12))
-    return worst <= 1e-3, {"max_two_route_rel": worst}, {"rel": 1e-3}
+    return worst <= 1e-8, {"max_two_route_rel": worst}, {"rel": 1e-8}
 
 
 SUITES = {

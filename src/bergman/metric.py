@@ -127,22 +127,24 @@ class PoincareSource:
             self._cache.pop(next(iter(self._cache)))
         return enum
 
-    def evaluation(self, z: UhpPoint):
-        enum = self._enumeration(z)
-        return kernel_diagonal_from_elements(
-            enum.elements, z, self.k, self.displacement_bound,
-            enum.exhaustive_flag, enum.frontier_count)
-
-    def weight0_value(self, z: UhpPoint) -> float:
-        ev = self.evaluation(z)
-        return ev.value_diagonal / z.y ** (2 * self.k)
-
-    def weight0_bundle(self, z: UhpPoint):
-        """Termwise bundle; refuses an orbit the budget cut short."""
+    def _complete_enumeration(self, z: UhpPoint) -> OrbitEnumeration:
+        """The orbit at z; refuses one the budget cut short."""
         enum = self._enumeration(z)
         if not enum.exhaustive_flag:
             raise BudgetExceeded(
                 f"orbit at z={z.z} stopped at {self.budget} expansions")
+        return enum
+
+    def weight0_value(self, z: UhpPoint) -> float:
+        enum = self._complete_enumeration(z)
+        ev = kernel_diagonal_from_elements(
+            enum.elements, z, self.k, self.displacement_bound,
+            enum.exhaustive_flag, enum.frontier_count)
+        return ev.value_diagonal / z.y ** (2 * self.k)
+
+    def weight0_bundle(self, z: UhpPoint):
+        """Termwise bundle from the complete orbit."""
+        enum = self._complete_enumeration(z)
         return poincare_weight0_bundle(enum.elements, z, self.k)
 
 
@@ -378,8 +380,10 @@ def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
                 ratio_over_k2=over, bound=bound,
                 bound_satisfied=abs(sample.ratio) <= bound,
             ))
+        # a weight whose rows are all flagged has no sup to pass
         summaries.append(ScanSummary(
             k=k, sup_ratio_over_k2=sup_val, limit=RATIO_LIMIT,
-            within_limit=sup_val <= RATIO_LIMIT, sup_point=sup_point,
+            within_limit=-math.inf < sup_val <= RATIO_LIMIT,
+            sup_point=sup_point,
         ))
     return rows, summaries

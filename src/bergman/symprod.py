@@ -2,10 +2,12 @@
 
 A degree-d divisor determines the subspace of forms vanishing on it;
 the divisor-to-subspace map into the Grassmannian pulls back the
-Fubini-Study metric.  Two independent routes compute the same d x d
-Hermitian form: the formula route finite-differences the scalar
-potential built from nested subspace kernels, the oracle route
-finite-differences the orthogonal projector and takes traces.  The
+Fubini-Study metric, whose d x d Hermitian form is the Levi form of
+log det M, M the two-point kernel matrix.  The production (formula)
+route evaluates that Levi form in closed form from one QR
+factorization; the oracle route finite-differences the orthogonal
+projector and takes traces.  The nested-subspace potential equals
+log det M by Schur telescoping and serves as a check on it.  The
 volume scan compares sup fs_volume_ratio / k^(2d) against (26/pi)^d.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import svd
 
 from .forms import CuspFormBasis, bergman_from_basis
 from .metric import RATIO_LIMIT
@@ -100,12 +102,16 @@ def vanishing_subspace(basis: CuspFormBasis, divisor: Divisor) -> SubspaceFrame:
     scale = np.max(np.abs(ev))
     if scale > 0:
         ev = ev / scale
-    rank = np.linalg.matrix_rank(ev, tol=1e-10)
+    # one SVD serves the rank warning (absolute cutoff) and the frame
+    # (cutoff relative to the largest singular value, as null_space)
+    _, s, vh = svd(ev, full_matrices=True)
+    rank = int(np.sum(s > 1e-10))
     if rank < divisor.degree:
         warnings.warn(
             f"evaluation rank {rank} < degree {divisor.degree}",
             DegenerateDivisor)
-    frame = null_space(ev, rcond=1e-10)
+    num = int(np.sum(s > 1e-10 * np.max(s, initial=0.0)))
+    frame = vh[num:].conj().T
     return SubspaceFrame(ambient_dim=basis.size, coefficients=frame,
                          divisor=divisor)
 
@@ -175,54 +181,6 @@ def _guard_tuple(zs: Sequence[UhpPoint]):
             raise NearDiagonal(f"min pairwise distance {dmin:.2e}")
 
 
-def _mixed_hessian(phi, zs: Sequence[UhpPoint], steps) -> np.ndarray:
-    """Matrix of second Wirtinger derivatives d/dz_l d/dzbar_m of phi.
-
-    Coordinates per slot are (x, y); dz dzbar = (1/4)(D_xx + D_yy
-    + i (D_xy - D_yx)) with central differences.
-    """
-    d = len(zs)
-    base = [(z.x, z.y) for z in zs]
-
-    def at(deltas):
-        pts = [UhpPoint(x + dx, y + dy)
-               for (x, y), (dx, dy) in zip(base, deltas)]
-        return phi(pts)
-
-    zero = [(0.0, 0.0)] * d
-    center = at(zero)
-    out = np.zeros((d, d), dtype=complex)
-    for l in range(d):
-        hl = steps[l]
-        # diagonal: quarter Laplacian in slot l
-        acc = 0.0
-        for dx, dy in ((hl, 0.0), (-hl, 0.0), (0.0, hl), (0.0, -hl)):
-            deltas = list(zero)
-            deltas[l] = (dx, dy)
-            acc += at(deltas)
-        out[l, l] = (acc - 4.0 * center) / (4.0 * hl * hl)
-        for m in range(l + 1, d):
-            hm = steps[m]
-
-            def cross(al, am):
-                acc = 0.0
-                for sl in (1.0, -1.0):
-                    for sm in (1.0, -1.0):
-                        deltas = list(zero)
-                        deltas[l] = (sl * hl * al[0], sl * hl * al[1])
-                        deltas[m] = (sm * hm * am[0], sm * hm * am[1])
-                        acc += sl * sm * at(deltas)
-                return acc / (4.0 * hl * hm)
-
-            dxx = cross((1, 0), (1, 0))
-            dyy = cross((0, 1), (0, 1))
-            dxy = cross((1, 0), (0, 1))
-            dyx = cross((0, 1), (1, 0))
-            out[l, m] = 0.25 * (dxx + dyy + 1j * (dxy - dyx))
-            out[m, l] = np.conj(out[l, m])
-    return out
-
-
 def _assemble_sample(zs, k, hessian_phi, route, degenerate=False):
     """Deliverable form G and volume ratio from the potential Hessian.
 
@@ -255,17 +213,41 @@ def _fd_steps(zs, step: Optional[float]):
     return [step or max(1e-4, 1e-4 * z.y) for z in zs]
 
 
-def fs_form_formula(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
-                    step: Optional[float] = None) -> FSVolumeSample:
-    """Fubini-Study pullback through the nested-subspace potential."""
+def _covector_qr(basis: CuspFormBasis, zs: Sequence[UhpPoint]):
+    """Complete QR factors of V^H, rows of V the values f(z_i).
+
+    Returns the n x n unitary Q and the top d x d block R_1 of R, so
+    that M = V V^H = R_1^H R_1.  Refuses nearly dependent covectors,
+    for which M is numerically singular.
+    """
+    q, r = np.linalg.qr(basis.values(zs).conj().T, mode="complete")
+    diag = np.abs(np.diag(r))
+    if np.min(diag) < 1e-12 * max(np.max(diag), 1e-300):
+        raise DomainError("evaluation covectors nearly dependent")
+    return q, r[:len(zs)]
+
+
+def fs_form_formula(basis: CuspFormBasis, zs: Sequence[UhpPoint],
+                    k: int) -> FSVolumeSample:
+    """Fubini-Study pullback from the closed-form Levi form of log det M.
+
+    With D the rows f'(z_i), d_l dbar_m log det M = (D P D^H)_lm
+    (M^-1)_ml, P the projector onto the orthogonal complement of the
+    evaluation covectors.  From V^H = QR, D P D^H = W W^H with
+    W = D Q_perp (Q_perp the last n - d columns of Q, empty when
+    n = d) and M^-1 = R_1^-1 R_1^-H.
+    """
     _guard_tuple(zs)
-    if basis.size < len(zs):
-        return _product_fallback(basis, zs, k, "formula", step)
-
-    def phi(points):
-        return nested_log_potential(basis, points)
-
-    hess = _mixed_hessian(phi, zs, _fd_steps(zs, step))
+    if not basis.orthonormal_flag:
+        raise DomainError("basis must be orthonormal")
+    d = len(zs)
+    if basis.size < d:
+        return _product_fallback(
+            zs, k, "formula", lambda z: fs_form_formula(basis, [z], k))
+    q, r1 = _covector_qr(basis, zs)
+    w = basis.values(zs, deriv_order=1) @ q[:, d:]
+    rinv = np.linalg.inv(r1)
+    hess = (w @ w.conj().T) * (rinv @ rinv.conj().T).T
     return _assemble_sample(zs, k, hess, "formula")
 
 
@@ -278,12 +260,8 @@ def _projector(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> np.ndarray:
     Gauge-invariant: any frame choice for the span yields the same
     projector, so no column alignment across stencil points is needed.
     """
-    vmat = basis.values(zs).conj().T  # n x d
-    q, r = np.linalg.qr(vmat)
-    diag = np.abs(np.diag(r))
-    if np.min(diag) < 1e-12 * max(np.max(diag), 1e-300):
-        raise DomainError("evaluation covectors nearly dependent")
-    return q @ q.conj().T
+    q1 = _covector_qr(basis, zs)[0][:, :len(zs)]
+    return q1 @ q1.conj().T
 
 
 def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
@@ -298,7 +276,9 @@ def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
     _guard_tuple(zs)
     d = len(zs)
     if basis.size < d:
-        return _product_fallback(basis, zs, k, "oracle", step)
+        return _product_fallback(
+            zs, k, "oracle",
+            lambda z: fs_form_direct_oracle(basis, [z], k, step))
     steps = _fd_steps(zs, step)
     base = [(z.x, z.y) for z in zs]
 
@@ -336,20 +316,14 @@ def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
 # ---------------------------------------------------------------------------
 # Degenerate fallback and asymptotics
 
-def _product_fallback(basis, zs, k, route, step):
-    """Product of independent one-slot ratios when n <= d.
+def _product_fallback(zs, k, route, one_slot):
+    """Product of independent one-slot ratios when n < d.
 
     The two-point kernel matrix is singular (fewer forms than slots),
-    so the genuine d-slot form degenerates; the per-slot product is
-    reported with the degenerate flag set.
+    so the genuine d-slot form degenerates; the per-slot product of
+    ``one_slot(z)`` ratios is reported with the degenerate flag set.
     """
-    samples = []
-    for z in zs:
-        if route == "formula":
-            s = fs_form_formula(basis, [z], k, step)
-        else:
-            s = fs_form_direct_oracle(basis, [z], k, step)
-        samples.append(s.fs_volume_ratio)
+    samples = [one_slot(z).fs_volume_ratio for z in zs]
     d = len(zs)
     form = np.diag([samples[l] / (2.0 * zs[l].y ** 2) for l in range(d)])
     return FSVolumeSample(
@@ -451,7 +425,8 @@ def volume_ratio_scan(basis_by_k, tuples: Sequence[Sequence[UhpPoint]],
             if err is None and over > sup:
                 sup = over
         limit = RATIO_LIMIT ** d
+        # a weight whose rows are all flagged has no sup to pass
         summaries.append(SymScanSummary(
             k=k, d=d, sup_ratio_over_k2d=sup, limit=limit,
-            within_limit=sup <= limit))
+            within_limit=-math.inf < sup <= limit))
     return rows, summaries

@@ -202,7 +202,7 @@ def test_09_fs_two_routes():
         worst = max(worst, abs(a - b) / abs(a))
     elapsed = time.monotonic() - start
     report(9, "FS two-route equality",
-           worst <= 1e-3 and elapsed <= 300.0,
+           worst <= 1e-6 and elapsed <= 300.0,
            f"max rel {worst:.3e} over 20 instances, {elapsed:.1f}s")
 
 

@@ -126,6 +126,17 @@ def test_ratio_scan_flags_budget_cut_orbit(tmp_path):
     assert float(full[5]) == pytest.approx(6 / (2 * math.pi), rel=1e-8)
 
 
+def test_ratio_scan_all_flagged_weight_fails(tmp_path):
+    # every row of the weight is flagged, so there is no sup to pass
+    out = tmp_path / "scan.csv"
+    code = main(["ratio-scan", "--group", "modular", "--k", "6",
+                 "--grid=0,0,1,1,1,1", "--budget", "50", "--out", str(out)])
+    assert code == 1
+    summary = out.read_text().splitlines()[-1]
+    assert "sup_ratio_over_k2=-inf" in summary
+    assert summary.endswith("within=False")
+
+
 def test_sym_scan_with_tuple_file(tmp_path):
     tuples = tmp_path / "tuples.jsonl"
     tuples.write_text('[[0.1,0.9],[-0.2,1.4]]\n[[0.0,1.2],[0.3,0.8]]\n')

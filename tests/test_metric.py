@@ -5,7 +5,7 @@ import pytest
 
 from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
                            model_basis, orthonormal_basis, petersson_gram)
-from bergman.groups import modular_group
+from bergman.groups import BudgetExceeded, modular_group
 from bergman.metric import (BasisSource, DerivativeMethod, FirstCoefficientZero,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
                             bergman_metric_ratio, bound_ledger,
@@ -96,6 +96,17 @@ def test_two_route_equality_poincare():
     r1 = bergman_metric_ratio(kernel_derivatives(src, z, 6), z, 6).ratio
     r2 = fd_log_ratio(src, z, 6)
     assert r2 == pytest.approx(r1, rel=1e-5)
+
+
+def test_finite_difference_routes_refuse_budget_cut_orbit():
+    # 50 expansions cut the orbit at z=i short; a value from the
+    # truncated sum (6e-5 off) must not reach the stencils
+    src = PoincareSource(modular_group(), 6, budget=50)
+    z = UhpPoint(0.0, 1.0)
+    with pytest.raises(BudgetExceeded):
+        fd_log_ratio(src, z, 6)
+    with pytest.raises(BudgetExceeded):
+        kernel_derivatives(src, z, 6, DerivativeMethod.FINITE_DIFFERENCE)
 
 
 def test_poincare_and_basis_routes_agree(delta_basis):

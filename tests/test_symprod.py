@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from bergman.forms import bergman_from_basis, model_basis
 from bergman.metric import BasisSource, bergman_metric_ratio, kernel_derivatives
+from scipy.linalg import null_space
+
 from bergman.symprod import (DegenerateDivisor, Divisor, HypothesisViolated,
                              NearDiagonal, RATIO_LIMIT, SubspaceFrame,
-                             dimensions, evaluation_matrix,
+                             _covector_qr, dimensions, evaluation_matrix,
                              fs_form_direct_oracle, fs_form_formula,
                              full_frame, ma_asymptotic_check,
                              nested_log_potential, subspace_kernel_diagonal,
@@ -101,6 +103,25 @@ def test_rank_dimension_against_null_space():
         assert np.max(np.abs(gram - np.eye(frame.rank))) < 1e-10
 
 
+@pytest.mark.filterwarnings("ignore::bergman.symprod.DegenerateDivisor")
+def test_vanishing_frame_matches_null_space():
+    # high q-powers make some draws numerically rank-deficient, so the
+    # comparison covers kernels larger than n - d as well
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        n = int(rng.integers(2, 9))
+        d = int(rng.integers(1, n + 1))
+        basis = random_basis(int(rng.integers(0, 1 << 30)), n=n, m=8)
+        zs = [UhpPoint(float(rng.uniform(-0.4, 0.4)),
+                       float(rng.uniform(0.6, 1.5))) for _ in range(d)]
+        divisor = Divisor.simple(zs)
+        ev = evaluation_matrix(basis, divisor)
+        ref = null_space(ev / np.max(np.abs(ev)), rcond=1e-10)
+        frame = vanishing_subspace(basis, divisor).coefficients
+        assert frame.shape == ref.shape
+        assert np.max(np.abs(frame - ref), initial=0.0) < 1e-14
+
+
 def test_degenerate_divisor_warns():
     # two forms proportional on evaluation: duplicate column pattern
     basis = model_basis(8, [[1, 0], [0, 1], [0, 0]])
@@ -139,6 +160,10 @@ def test_schur_telescoping_identity():
     # the Gram determinant is ~e^-73; agreement of the logs to 1e-3 is
     # the numerically meaningful form of the telescoping identity
     assert phi == pytest.approx(logdet, abs=1e-3)
+    # the closed-form route's factor: M = R_1^H R_1
+    _, r1 = _covector_qr(basis, zs)
+    assert phi == pytest.approx(2 * np.sum(np.log(np.abs(np.diag(r1)))),
+                                abs=1e-3)
 
 
 def test_fs_d1_matches_metric_ratio():
@@ -156,11 +181,11 @@ def test_fs_two_route_equality_d1_and_d2():
     z1, z2 = UhpPoint(0.1, 0.9), UhpPoint(-0.25, 1.35)
     a1 = fs_form_formula(basis, [z1], 4)
     b1 = fs_form_direct_oracle(basis, [z1], 4)
-    assert b1.fs_volume_ratio == pytest.approx(a1.fs_volume_ratio, rel=1e-4)
+    assert b1.fs_volume_ratio == pytest.approx(a1.fs_volume_ratio, rel=1e-8)
     a2 = fs_form_formula(basis, [z1, z2], 4)
     b2 = fs_form_direct_oracle(basis, [z1, z2], 4)
-    assert b2.fs_volume_ratio == pytest.approx(a2.fs_volume_ratio, rel=1e-3)
-    assert np.max(np.abs(a2.hermitian_form - b2.hermitian_form)) < 1e-4
+    assert b2.fs_volume_ratio == pytest.approx(a2.fs_volume_ratio, rel=1e-8)
+    assert np.max(np.abs(a2.hermitian_form - b2.hermitian_form)) < 1e-9
 
 
 def test_fs_permutation_invariance():
@@ -168,7 +193,20 @@ def test_fs_permutation_invariance():
     zs = [UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4)]
     a = fs_form_formula(basis, zs, 4).fs_volume_ratio
     b = fs_form_formula(basis, zs[::-1], 4).fs_volume_ratio
-    assert b == pytest.approx(a, rel=1e-4)
+    assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_fs_full_rank_tuple_is_flat():
+    # n = d: det V is holomorphic, so log det M = log |det V|^2 is
+    # pluriharmonic and only the k-term remains, (k/2pi)^d exactly;
+    # heights from a benchmark tuple on which the stencil route failed
+    zs = [UhpPoint(0.229523, 1.57301), UhpPoint(0.317285, 0.977214),
+          UhpPoint(-0.093446, 0.623858)]
+    k = 18
+    for seed in range(20):
+        basis = random_basis(seed, n=3, k=k)
+        ratio = fs_form_formula(basis, zs, k).fs_volume_ratio
+        assert ratio == pytest.approx((k / (2 * math.pi)) ** 3, rel=1e-12)
 
 
 def test_fs_near_diagonal_guard():
@@ -247,3 +285,18 @@ def test_volume_scan_reports_errors_inline():
     assert rows[0].error is not None and "NearDiagonal" in rows[0].error
     assert rows[1].error is None
     assert summ[0].within_limit
+
+
+def test_volume_scan_refuses_dependent_covectors():
+    # two proportional forms: M is singular at every tuple
+    basis = model_basis(8, [[1.0, 0.5], [2.0, 1.0]])
+
+    def basis_by_k(k):
+        return basis
+
+    rows, summ = volume_ratio_scan(
+        basis_by_k, [(UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4))], [4])
+    assert math.isnan(rows[0].ratio)
+    assert rows[0].error == \
+        "DomainError: evaluation covectors nearly dependent"
+    assert not summ[0].within_limit
