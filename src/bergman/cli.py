@@ -201,10 +201,11 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         route = "poincare"
 
         def factory(k):
-            return PoincareSource(group, k, cfg.bound, cfg.budget)
+            return PoincareSource(group, k, cfg.budget)
 
     rows, summaries = ratio_scan(factory, cfg.k_values(), grid,
-                                 cfg.c_gamma, cfg.c_x, threads=cfg.threads)
+                                 cfg.c_gamma, cfg.c_x, threads=cfg.threads,
+                                 tol=cfg.tol)
     table = [(r.k, r.z.x, r.z.y, r.region.tag.value, route, r.ratio,
               r.ratio_over_k2, r.bound, int(r.bound_satisfied),
               r.error or "") for r in rows]

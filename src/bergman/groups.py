@@ -1,13 +1,15 @@
 """Generator-driven Fuchsian groups with cusp at i*infinity of width 1.
 
-Orbit enumeration by displacement (the truncation device for the kernel
-series), the compact-part / cusp-neighborhood split, and a sampled
-injectivity-radius estimate.
+The walk over the cosets Gamma_inf\\Gamma above a height (the classes the
+coset-summed kernel series runs over), orbit enumeration by
+displacement (the element-by-element oracle), the compact-part /
+cusp-neighborhood split, and a sampled injectivity-radius estimate.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -45,6 +47,12 @@ class FuchsianGroup:
         """
         return any(g.is_cusp_translation() and abs(g.b - 1.0) < 1e-9
                    for g in self.generators)
+
+    @property
+    def is_integral(self) -> bool:
+        """Whether every generator has integer entries (Gamma in SL(2, Z))."""
+        return all(abs(v - round(v)) < 1e-9 for g in self.generators
+                   for v in (g.a, g.b, g.c, g.d))
 
     def symmetrized_generators(self) -> list:
         """Generators together with their inverses, deduplicated."""
@@ -207,9 +215,110 @@ def enumerate_group_elements(
         elements=results,
         displacement_bound=displacement_bound,
         exhaustive_flag=exhaustive,
-        frontier_count=max(frontier_count, 1),
+        frontier_count=frontier_count,
         expanded=expanded,
     )
+
+
+@dataclass
+class CosetList:
+    """Representatives of the classes Gamma_inf\\Gamma a kernel series sums.
+
+    With the unit translation in the group each representative stands
+    for its coset {T^n gamma}, whose translates are summed in closed form
+    (``translates`` true).  Without it the stabilizer of the cusp is
+    trivial and each representative is one element.  Every class with
+    |cz+d|^2 <= ``norm_bound`` at ``base_point`` is listed.
+    """
+    base_point: UhpPoint
+    norm_bound: float
+    representatives: list
+    translates: bool
+    expanded: int = 0
+
+    def __len__(self):
+        return len(self.representatives)
+
+
+def _coset_key(c: float, d: float) -> tuple:
+    """Hashable form of the bottom row +-(c, d) shared by a coset.
+
+    Rounded to 1e-9, the quantum of ``MoebiusTransform.key``.
+    """
+    if c < 0.0 or (c == 0.0 and d < 0.0):
+        c, d = -c, -d
+    return round(c * 1e9), round(d * 1e9)
+
+
+def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
+                budget: int = 200_000) -> CosetList:
+    """Cosets Gamma_inf gamma with Im(gamma z) >= h = y / norm_bound.
+
+    Equivalently |cz+d|^2 <= norm_bound.  Breadth-first over cosets, one
+    representative each (the one with Re(gamma z) in [-1/2, 1/2)), keyed
+    on +-(c, d): a coset gamma moves to s T^n gamma for each
+    non-translation generator s or inverse and each integer n with
+    Im(s(gamma z + n)) >= h.  Reducing an orbit point to a Ford domain
+    raises its height at every step, so when the generators pair that
+    domain's sides, as every preset's do, each coset above h is reached
+    through cosets above h.  Every expansion is a new coset; the budget
+    caps expansions and raises ``BudgetExceeded``.
+    """
+    if not group.has_cusp_translation:
+        raise DomainError("the coset walk needs the unit translation")
+    if norm_bound < 1.0:
+        raise DomainError("norm bound must be >= 1")
+    if budget <= 0:
+        raise DomainError("budget must be positive")
+    steps = []
+    for s in group.symmetrized_generators():
+        if s.is_cusp_translation():
+            continue
+        if s.c == 0.0:
+            raise DomainError(f"generator {s} fixes the cusp but is not "
+                              "a translation")
+        steps.append((s.a, s.b, s.c, s.d))
+    zc = z.z
+    h = z.y / norm_bound
+
+    def reduced(a, b, c, d):
+        """The coset's representative with Re(gamma z) in [-1/2, 1/2)."""
+        w = (a * zc + b) / (c * zc + d)
+        n = math.floor(w.real + 0.5)
+        return MoebiusTransform(a - n * c, b - n * d, c, d), w.real - n, w.imag
+
+    first = reduced(1.0, 0.0, 0.0, 1.0)
+    seen = {_coset_key(0.0, 1.0)}
+    reps = [first[0]]
+    queue = deque([first])
+    expanded = 0
+    while queue:
+        if expanded >= budget:
+            raise BudgetExceeded(
+                f"coset walk at z={zc} stopped at {budget} expansions")
+        g, u, v = queue.popleft()
+        expanded += 1
+        for sa, sb, sc, sd in steps:
+            # Im(s w) >= h  <=>  (u + n + d_s/c_s)^2 <= v/(h c_s^2) - v^2
+            rad = v / (h * sc * sc) - v * v
+            if rad < 0.0:
+                continue
+            r = math.sqrt(rad) + 1e-9
+            centre = -sd / sc - u
+            for n in range(math.ceil(centre - r), math.floor(centre + r) + 1):
+                a, b = g.a + n * g.c, g.b + n * g.d  # top row of T^n g
+                c2 = sc * a + sd * g.c
+                d2 = sc * b + sd * g.d
+                key = _coset_key(c2, d2)
+                if key in seen or abs(c2 * zc + d2) ** 2 > norm_bound:
+                    continue
+                seen.add(key)
+                nxt = reduced(sa * a + sb * g.c, sa * b + sb * g.d, c2, d2)
+                reps.append(nxt[0])
+                queue.append(nxt)
+    return CosetList(base_point=z, norm_bound=norm_bound,
+                     representatives=reps, translates=True,
+                     expanded=expanded)
 
 
 class Region(Enum):

@@ -1,6 +1,12 @@
 """Truncated Poincare-series evaluation of the weight-2k Bergman kernel.
 
-Each orbit term is (2k-1)/(4*pi) * u(gamma, z)^(2k) with
+The coset route sums over Gamma_inf\\Gamma: the translates T^n gamma of a
+coset add up in closed form by the Lipschitz formula, and one
+vectorized evaluator returns B, dB/dz and d2B/dz dzbar with absolute
+error bounds (coset tail, q-series cut-off, rounding).
+
+The orbit route, the element-by-element oracle: each orbit term is
+(2k-1)/(4*pi) * u(gamma, z)^(2k) with
 u = 2iy / ((z - conj(gamma z)) * conj(c z + d)); the magnitude of u is
 1/cosh(d(z, gamma z)/2), so terms are stored in log-magnitude/phase
 form and reduced by compensated summation after rescaling.  The series
@@ -12,14 +18,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
+import numpy as np
 from scipy.special import gammaln
 
-from .groups import FuchsianGroup, OrbitEnumeration, enumerate_group_elements
+from .groups import CosetList, FuchsianGroup, enumerate_group_elements
 from .uhp import DomainError, MoebiusTransform, UhpPoint, apply_moebius
 
 TWO_PI = 2.0 * math.pi
+EPS = 2.0 ** -52
+# cap on the coset walk's norm bound per unit height (see coset_norm_bound)
+NORM_CAP = 32768.0
 
 
 class NumericUnderflow(RuntimeError):
@@ -121,22 +130,25 @@ def _reduce_log_terms(terms) -> complex:
     return math.exp(top) * complex(re, im)
 
 
-def kernel_diagonal_from_elements(
-    elements,
+def bergman_kernel_diagonal(
+    group: FuchsianGroup,
     z: UhpPoint,
     k: int,
-    displacement_bound: float,
-    exhaustive: bool,
-    frontier_count: int = 1,
+    displacement_bound: float = 100.0,
+    budget: int = 200_000,
 ) -> KernelEvaluation:
-    """Bucketed diagonal sum over an explicit, deterministic element list."""
+    """Diagonal Petersson norm of the kernel by truncated orbit summation.
+
+    The orbit is bucketed into identity, cusp stabilizer and the rest.
+    """
+    if k < 2:
+        raise DomainError("k must be >= 2")
+    enum = enumerate_group_elements(group, z, displacement_bound,
+                                    budget=budget)
     id_coeff = identity_term(k)
     par_terms, rest_terms = [], []
-    n_terms = 0
     min_rest = math.inf
-    for item in elements:
-        gamma = item[0] if isinstance(item, tuple) else item
-        n_terms += 1
+    for gamma in enum.transforms():
         if gamma.is_identity():
             continue
         lg_ph = term_log_phase(gamma, z, k)
@@ -149,8 +161,9 @@ def kernel_diagonal_from_elements(
     parabolic = id_coeff * _reduce_log_terms(par_terms)
     rest = id_coeff * _reduce_log_terms(rest_terms)
     value = id_coeff + parabolic.real + rest.real
-    tail = id_coeff * max(frontier_count, 1) * displacement_bound ** (-(k - 2)) \
-        if exhaustive else math.inf
+    tail = (id_coeff * max(enum.frontier_count, 1)
+            * displacement_bound ** (-(k - 2))
+            if enum.exhaustive_flag else math.inf)
     return KernelEvaluation(
         value_diagonal=value,
         identity_part=id_coeff,
@@ -158,33 +171,12 @@ def kernel_diagonal_from_elements(
         rest_part=rest,
         truncation=TruncationReport(
             displacement_bound=displacement_bound,
-            terms_used=n_terms,
+            terms_used=len(enum.elements),
             tail_estimate=tail,
-            exhaustive=exhaustive,
+            exhaustive=enum.exhaustive_flag,
         ),
         imag_residual=abs(parabolic.imag + rest.imag),
         min_nonparabolic_cosh2=min_rest,
-    )
-
-
-def bergman_kernel_diagonal(
-    group: FuchsianGroup,
-    z: UhpPoint,
-    k: int,
-    displacement_bound: float = 100.0,
-    budget: int = 200_000,
-    enumeration: Optional[OrbitEnumeration] = None,
-) -> KernelEvaluation:
-    """Diagonal Petersson norm of the kernel by truncated orbit summation."""
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    enum = enumeration or enumerate_group_elements(
-        group, z, displacement_bound, budget=budget)
-    return kernel_diagonal_from_elements(
-        enum.elements, z, k,
-        displacement_bound=enum.displacement_bound,
-        exhaustive=enum.exhaustive_flag,
-        frontier_count=enum.frontier_count,
     )
 
 
@@ -223,32 +215,171 @@ def bergman_kernel_offdiag(
     return coeff * total
 
 
-def poincare_weight0_bundle(elements, z: UhpPoint, k: int):
-    """Weight-0 kernel B(z) and its Wirtinger derivatives, term by term.
+def _log_weights(s, m):
+    """log of (2 pi)^s m^(s-1) / (s-1)!, the m-th Lipschitz weight of L_s."""
+    return s * math.log(TWO_PI) + (s - 1) * np.log(m) - gammaln(s)
 
-    Differentiates the two-variable series analytically and restricts
-    to the diagonal.  Returns (B, dB/dz, d2B/dz dzbar); dB/dzbar is the
-    conjugate of dB/dz.
+
+def _series_tail(r, s: int, terms: int):
+    """Bound on sum_{m > terms} m^(s-1) r^m, inf while the terms still grow.
+
+    Elementwise in r.
     """
-    coeff = (2 * k - 1) * (2j) ** (2 * k) / (4.0 * math.pi)
-    vals, d1s, d2s = [], [], []
-    for item in elements:
-        gamma = item[0] if isinstance(item, tuple) else item
-        gz = apply_moebius(gamma, z)
-        s = z.z - complex(gz.x, -gz.y)
-        mu = (gamma.c * z.z + gamma.d).conjugate()
-        b = 1.0 / (s * mu)
-        b2k = b ** (2 * k)
-        vals.append(b2k)
-        d1s.append(-2 * k * b2k * b * mu)
-        d2s.append(-2 * k * (2 * k + 1) * b2k * b * b
-                   + 4 * k * k * gamma.c * b2k * b)
-    value = coeff * _csum(vals)
-    d1 = coeff * _csum(d1s)
-    d2 = coeff * _csum(d2s)
-    return value.real, d1, d2
+    rho = ((terms + 2) / (terms + 1)) ** (s - 1) * r
+    head = (terms + 1.0) ** (s - 1) * r ** (terms + 1)
+    return np.where(rho < 1.0, head / np.maximum(1.0 - rho, EPS), np.inf)
 
 
-def _csum(values) -> complex:
-    return complex(math.fsum(v.real for v in values),
-                   math.fsum(v.imag for v in values))
+def _series_length(r: float, s: int) -> int:
+    """Fewest q-terms whose cut-off stays below EPS times the first term."""
+    terms = 1
+    while _series_tail(r, s, terms) > EPS * r:
+        terms += 1
+    return terms
+
+
+def _lipschitz_majorant(y: float, s: int) -> float:
+    """Lambda_s(y) = (2 pi)^s/(s-1)! sum_m m^(s-1) e^(-2 pi m y).
+
+    Bounds |L_s(tau)| for every Im(tau) >= y.
+    """
+    r = math.exp(-TWO_PI * y)
+    terms = _series_length(r, s)
+    m = np.arange(1, terms + 1, dtype=float)
+    head = math.fsum(np.exp(_log_weights(s, m) + m * math.log(r)))
+    return head + math.exp(_log_weights(s, 1.0)) * float(
+        _series_tail(r, s, terms))
+
+
+def coset_tail_sum(norm_bound: float, y: float, p: int) -> float:
+    """Bound on sum |cz+d|^(-2p) over integer pairs +-(c, d) beyond norm_bound.
+
+    At most 2X/y + (1 + 1/y) sqrt(X) pairs have |cz+d|^2 <= X (for each
+    0 <= c <= sqrt(X)/y, at most 2 sqrt(X) + 1 values of d).  Summing
+    that count over the dyadic shells (2^j N, 2^(j+1) N] gives two
+    geometric series.  Bottom rows of an integral group are such pairs,
+    one per coset.  Needs p > 1.
+    """
+    if norm_bound <= 0.0:
+        return math.inf
+    n = norm_bound
+    return (4.0 / y * n ** (1 - p) / (1.0 - 2.0 ** (1 - p))
+            + math.sqrt(2.0) * (1.0 + 1.0 / y) * n ** (0.5 - p)
+            / (1.0 - 2.0 ** (0.5 - p)))
+
+
+def coset_norm_bound(y: float, k: int) -> float:
+    """Norm bound N of the coset walk for the weight-2k series at height y.
+
+    N is the smallest (to 10%) whose coset tail on B, Lambda_2k(y) times
+    ``coset_tail_sum(N, y, k)``, is at most EPS times the largest coset
+    term: the identity coset's Lambda_2k(2y), or for c >= 1, where
+    R = |cz+d|^2 >= y^2 and Im(tau) = y + y/R, the maximum over R of
+    Lambda_2k(y) R^(-k) e^(-2 pi y/R).  The tail is then of the size of
+    double rounding on that term.  For small k that N would list
+    millions of cosets (about 3N/(pi y) on the modular group), so it is
+    capped at NORM_CAP y, where the tail, still reported, is larger.
+    """
+    if k < 2:
+        raise DomainError("k must be >= 2")
+    lam = _lipschitz_majorant(y, 2 * k)
+    r_top = max(y * y, TWO_PI * y / k)
+    target = EPS * max(_lipschitz_majorant(2.0 * y, 2 * k) / lam,
+                       r_top ** (-k) * math.exp(-TWO_PI * y / r_top))
+    n = max(1.0, (4.0 / y / (1.0 - 2.0 ** (1 - k)) / target) ** (1.0 / (k - 1)))
+    while coset_tail_sum(n, y, k) > target and n < NORM_CAP * y:
+        n *= 1.1
+    return min(n, NORM_CAP * y)
+
+
+def poincare_weight0_bundle(elements: CosetList, z: UhpPoint, k: int):
+    """Weight-0 kernel B(z), dB/dz and d2B/dz dzbar over a coset list.
+
+    With tau = z - conj(gamma z), mu = conj(cz+d), C = (2k-1)(2i)^(2k)/(4 pi)
+    and L_s(tau) = sum_n (tau+n)^(-s), each representative adds
+
+        B     += C mu^(-2k) L_2k
+        dB    += C (-2k) mu^(-2k) L_2k+1
+        d2B   += C [4k^2 c mu^(-2k-1) L_2k+1 - 2k(2k+1) mu^(-2k-2) L_2k+2]
+
+    L_s is the Lipschitz series (-2 pi i)^s/(s-1)! sum_m m^(s-1) q^m,
+    q = e^(2 pi i tau), for a list of cosets, and the single term
+    tau^(-s) for a list of elements.  Returns (B, dB, d2B, errors):
+    dB/dzbar is the conjugate of dB, and errors bounds the absolute
+    error of each of the three by the sum of the coset tail beyond the
+    list, the cut-off of the q-series and rounding.
+    """
+    if k < 2:
+        raise DomainError("k must be >= 2")
+    rows = np.array([(g.a, g.b, g.c, g.d) for g in elements.representatives],
+                    dtype=float).reshape(-1, 4)
+    a, b, c, d = rows.T
+    zc = z.z
+    den = c * zc + d
+    gz = (a * zc + b) / den
+    tau = zc - np.conj(gz)
+    inv_mu = 1.0 / np.conj(den)
+    s = np.array([2 * k, 2 * k + 1, 2 * k + 2])
+    # first-order rounding of each elementary term, in units of EPS: cz+d
+    # and gamma z lose at most ``cond`` each, tau at most ``dtau``
+    cond = 1.0 + 2.0 * abs(zc) / z.y
+    dtau = abs(zc) + np.abs(gz) * (2.0 + 2.0 * cond)
+    beta = (2 * k + 2) * (2.0 * cond + 1.0) + 8.0
+    if elements.translates:
+        q = np.exp(2j * math.pi * tau)
+        r = float(np.max(np.abs(q)))
+        terms = _series_length(r, 2 * k + 2)
+        m = np.arange(1, terms + 1, dtype=float)
+        w = np.exp(_log_weights(s[None, :], m[:, None]))
+        powers = np.cumprod(np.broadcast_to(q[:, None], (len(q), terms)),
+                            axis=1)
+        series = (powers @ w) * np.array([1, -1j, -1, 1j])[s % 4]
+        mags = np.abs(powers)
+        rel = ((beta + terms) * (mags @ w)
+               + (TWO_PI * dtau + 3.0)[:, None] * (mags @ (w * m[:, None])))
+        cut = np.exp(_log_weights(s, 1.0)) * np.stack(
+            [_series_tail(np.abs(q), si, terms) for si in s], axis=1)
+    else:
+        series = tau[:, None] ** (-s)
+        rel = np.abs(series) * (beta + s * (dtau / np.abs(tau))[:, None])
+        cut = np.zeros_like(rel)
+
+    coeff = (2 * k - 1) * (-4.0) ** k / (4.0 * math.pi)
+    p0 = inv_mu ** (2 * k)
+    p1 = p0 * inv_mu
+    p2 = p1 * inv_mu
+    # (prefactor, series column) of each sum: B, dB, d2B, each without C
+    sums = (((p0, 0),),
+            ((-2 * k * p0, 1),),
+            ((4 * k * k * c * p1, 1), (-2 * k * (2 * k + 1) * p2, 2)))
+    values, errors = [], []
+    for parts, tail in zip(sums, _coset_tails(elements, z, k)):
+        total = sum(pre * series[:, j] for pre, j in parts)
+        values.append(coeff * complex(math.fsum(total.real),
+                                      math.fsum(total.imag)))
+        slack = math.fsum(np.concatenate(
+            [np.abs(pre) * (EPS * rel[:, j] + cut[:, j]) for pre, j in parts]))
+        errors.append(abs(coeff) * (slack + tail))
+    return values[0].real, values[1], values[2], tuple(errors)
+
+
+def _coset_tails(elements: CosetList, z: UhpPoint, k: int):
+    """Bounds on B, dB and d2B (without C) from the classes off the list.
+
+    A class off the list has |c z0 + d|^2 > N at the base point z0, so
+    |cz+d|^2 > N (1 - |z - z0|/y0)^2 at z; |L_s| <= Lambda_s(y) and
+    |c| <= |cz+d|/y.
+    """
+    if not elements.translates:
+        tail = 0.0 if math.isinf(elements.norm_bound) else math.inf
+        return tail, tail, tail
+    z0 = elements.base_point
+    shrink = 1.0 - abs(z.z - z0.z) / z0.y
+    n = elements.norm_bound * shrink * shrink if shrink > 0.0 else 0.0
+    y = z.y
+    lam0, lam1, lam2 = (_lipschitz_majorant(y, s) for s in (2 * k, 2 * k + 1,
+                                                             2 * k + 2))
+    rows = coset_tail_sum(n, y, k)
+    return (lam0 * rows, 2 * k * lam1 * rows,
+            4 * k * k / y * lam1 * rows
+            + 2 * k * (2 * k + 1) * lam2 * coset_tail_sum(n, y, k + 1))

@@ -16,26 +16,35 @@ from .forms import CuspFormBasis, basis_weight0_bundle, first_coefficient_mass
 from .groups import (
     DEFAULT_C_GAMMA,
     BudgetExceeded,
+    CosetList,
     FuchsianGroup,
-    OrbitEnumeration,
     RegionTag,
     classify_region,
     enumerate_group_elements,
+    walk_cosets,
 )
 from .kernel import (
+    EPS,
     identity_term,
+    coset_norm_bound,
     gamma_ratio,
-    kernel_diagonal_from_elements,
     parabolic_term_bound,
     poincare_weight0_bundle,
 )
 from .uhp import DomainError, UhpPoint
 
 RATIO_LIMIT = 26.0 / math.pi
+# displacement bound (cosh^2 units) of the orbit of a group without the
+# unit translation; only a finite orbit, closed below it, is summed
+ORBIT_BOUND = 150.0
 
 
 class KernelVanishes(RuntimeError):
     pass
+
+
+class ErrorBoundExceeded(RuntimeError):
+    """The ratio's error bound exceeds the requested tolerance."""
 
 
 class FirstCoefficientZero(RuntimeError):
@@ -50,11 +59,13 @@ class DerivativeMethod(Enum):
 @dataclass
 class DerivativeBundle:
     value: float            # weight-0 kernel B(z)
-    dz: complex             # dB/dz
-    dz_conj: complex        # dB/dzbar = conj(dz)
+    dz: complex             # dB/dz; dB/dzbar is its conjugate
     dzdzbar: complex        # mixed second derivative, real on the diagonal
     method: DerivativeMethod
     step: Optional[float] = None
+    # absolute error bounds of value, dz and dzdzbar; zero where the
+    # source reports none
+    errors: tuple = (0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -65,12 +76,12 @@ class RatioSample:
     identity_part: float
     correction: float
     region: RegionTag
+    error_bound: float = 0.0
 
 
 @dataclass
 class BoundLedger:
     lemma5: float
-    lemma6: float
     lemma7: float
     prop8: float
     y: float
@@ -96,69 +107,67 @@ class BasisSource:
         return basis_weight0_bundle(self.basis, z)[0]
 
     def weight0_bundle(self, z: UhpPoint):
-        return basis_weight0_bundle(self.basis, z)
+        return basis_weight0_bundle(self.basis, z) + ((0.0, 0.0, 0.0),)
+
+    def value_near(self, z: UhpPoint):
+        """B as a function of points near z, for finite-difference stencils."""
+        return self.weight0_value
 
 
 class PoincareSource:
-    """Weight-0 kernel from the truncated orbit series.
+    """Weight-0 kernel from the Poincare series over Gamma_inf\\Gamma.
 
-    The orbit is enumerated once at a center point and the element list
-    is reused at nearby stencil points, so finite-difference stencils
-    see one smooth truncated function.
+    Each point walks its own cosets, so a value depends on the point
+    alone; a finite-difference stencil sums its centre's coset list.
     """
 
-    def __init__(self, group: FuchsianGroup, k: int,
-                 displacement_bound: float = 100.0, budget: int = 200_000):
+    def __init__(self, group: FuchsianGroup, k: int, budget: int = 200_000):
         self.group = group
         self.k = k
-        self.displacement_bound = displacement_bound
         self.budget = budget
-        self._cache = {}
 
-    def _enumeration(self, z: UhpPoint) -> OrbitEnumeration:
-        key = (round(z.x, 6), round(z.y, 6))
-        for (kx, ky), enum in self._cache.items():
-            if abs(kx - key[0]) < 0.05 and abs(ky - key[1]) < 0.05:
-                return enum
-        enum = enumerate_group_elements(
-            self.group, z, self.displacement_bound, budget=self.budget)
-        self._cache[key] = enum
-        if len(self._cache) > 8:
-            self._cache.pop(next(iter(self._cache)))
-        return enum
-
-    def _complete_enumeration(self, z: UhpPoint) -> OrbitEnumeration:
-        """The orbit at z; refuses one the budget cut short."""
-        enum = self._enumeration(z)
+    def cosets(self, z: UhpPoint) -> CosetList:
+        """Classes of the series at z; refuses a walk the budget cut short."""
+        if self.group.has_cusp_translation:
+            if not self.group.is_integral:
+                raise DomainError(
+                    f"group {self.group.label} is not integral: the coset "
+                    "tail bound counts integer bottom rows")
+            return walk_cosets(self.group, z, coset_norm_bound(z.y, self.k),
+                               self.budget)
+        enum = enumerate_group_elements(self.group, z, ORBIT_BOUND,
+                                        budget=self.budget)
         if not enum.exhaustive_flag:
             raise BudgetExceeded(
                 f"orbit at z={z.z} stopped at {self.budget} expansions")
-        return enum
+        if enum.frontier_count:
+            raise DomainError(
+                f"group {self.group.label} has no unit translation and an "
+                "orbit beyond the enumeration bound: no tail bound")
+        return CosetList(base_point=z, norm_bound=math.inf,
+                         representatives=enum.transforms(), translates=False,
+                         expanded=enum.expanded)
 
     def weight0_value(self, z: UhpPoint) -> float:
-        enum = self._complete_enumeration(z)
-        ev = kernel_diagonal_from_elements(
-            enum.elements, z, self.k, self.displacement_bound,
-            enum.exhaustive_flag, enum.frontier_count)
-        return ev.value_diagonal / z.y ** (2 * self.k)
+        return self.weight0_bundle(z)[0]
 
     def weight0_bundle(self, z: UhpPoint):
-        """Termwise bundle from the complete orbit."""
-        enum = self._complete_enumeration(z)
-        return poincare_weight0_bundle(enum.elements, z, self.k)
+        return poincare_weight0_bundle(self.cosets(z), z, self.k)
+
+    def value_near(self, z: UhpPoint):
+        """B as a function of points near z, summed over z's cosets."""
+        cosets = self.cosets(z)
+        return lambda w: poincare_weight0_bundle(cosets, w, self.k)[0]
 
 
 # ---------------------------------------------------------------------------
 # Derivatives
 
-def _fd_bundle(source, z: UhpPoint, k: int, h: float):
-    def f(x, y):
-        return source.weight0_value(UhpPoint(x, y))
-
+def _fd_bundle(f, z: UhpPoint, h: float):
     x, y = z.x, z.y
-    b0 = f(x, y)
-    fxp, fxm = f(x + h, y), f(x - h, y)
-    fyp, fym = f(x, y + h), f(x, y - h)
+    b0 = f(z)
+    fxp, fxm = f(UhpPoint(x + h, y)), f(UhpPoint(x - h, y))
+    fyp, fym = f(UhpPoint(x, y + h)), f(UhpPoint(x, y - h))
     dx = (fxp - fxm) / (2 * h)
     dy = (fyp - fym) / (2 * h)
     dxx = (fxp - 2 * b0 + fxm) / (h * h)
@@ -173,18 +182,39 @@ def kernel_derivatives(source, z: UhpPoint, k: int,
                        step: Optional[float] = None) -> DerivativeBundle:
     """Weight-0 kernel value and Wirtinger derivatives from either source."""
     if method is DerivativeMethod.SERIES_TERMWISE:
-        value, d1, d2 = source.weight0_bundle(z)
-        return DerivativeBundle(value=value, dz=d1, dz_conj=d1.conjugate(),
-                                dzdzbar=complex(d2), method=method)
+        value, d1, d2, errors = source.weight0_bundle(z)
+        return DerivativeBundle(value=value, dz=d1, dzdzbar=complex(d2),
+                                method=method, errors=errors)
     h = step or max(1e-5, 1e-4 * z.y)
-    b_h = _fd_bundle(source, z, k, h)
-    b_h2 = _fd_bundle(source, z, k, h / 2)
+    f = source.value_near(z)
+    b_h = _fd_bundle(f, z, h)
+    b_h2 = _fd_bundle(f, z, h / 2)
     # one Richardson extrapolation step for the O(h^2) stencils
     value = b_h2[0]
     d1 = (4 * b_h2[1] - b_h[1]) / 3
     d2 = (4 * b_h2[2] - b_h[2]) / 3
-    return DerivativeBundle(value=value, dz=d1, dz_conj=d1.conjugate(),
-                            dzdzbar=complex(d2), method=method, step=h)
+    return DerivativeBundle(value=value, dz=d1, dzdzbar=complex(d2),
+                            method=method, step=h)
+
+
+def ratio_error_bound(bundle: DerivativeBundle, z: UhpPoint) -> float:
+    """Absolute error bound of the ratio from the bundle's error bounds.
+
+    With B off by at most e0 (and B - e0 > 0), dB by e1 and d2B by e2,
+    |dB|^2/B^2 moves by at most (2|dB| + e1) e1/(B - e0)^2
+    + |dB|^2 (1/(B - e0)^2 - 1/B^2) and d2B/B by at most e2/(B - e0)
+    + |d2B| (1/(B - e0) - 1/B); forming their difference adds 4 EPS
+    of each.
+    """
+    b, a, d = bundle.value, abs(bundle.dz), abs(bundle.dzdzbar.real)
+    e0, e1, e2 = bundle.errors
+    lo = b - e0
+    if lo <= 0.0:
+        return math.inf
+    grad = (2 * a + e1) * e1 / lo ** 2 + a * a * (1 / lo ** 2 - 1 / b ** 2)
+    hess = e2 / lo + d * (1 / lo - 1 / b)
+    arith = 4 * EPS * (a * a / (b * b) + d / b)
+    return z.y ** 2 / math.pi * (grad + hess + arith)
 
 
 def bergman_metric_ratio(bundle: DerivativeBundle, z: UhpPoint, k: int,
@@ -194,7 +224,8 @@ def bergman_metric_ratio(bundle: DerivativeBundle, z: UhpPoint, k: int,
         raise KernelVanishes(f"kernel value {bundle.value} at {z}")
     b = bundle.value
     corr = (z.y ** 2 / math.pi) * (
-        (bundle.dz * bundle.dz_conj).real / (b * b) - bundle.dzdzbar.real / b
+        (bundle.dz * bundle.dz.conjugate()).real / (b * b)
+        - bundle.dzdzbar.real / b
     )
     return RatioSample(
         z=z, k=k,
@@ -202,6 +233,7 @@ def bergman_metric_ratio(bundle: DerivativeBundle, z: UhpPoint, k: int,
         identity_part=k / (2.0 * math.pi),
         correction=corr,
         region=classify_region(z, k, c_gamma),
+        error_bound=ratio_error_bound(bundle, z),
     )
 
 
@@ -211,8 +243,10 @@ def fd_log_ratio(source, z: UhpPoint, k: int, step: Optional[float] = None) -> f
     Five-point finite-difference Laplacian of the log of the diagonal
     Petersson norm, Richardson-extrapolated once.
     """
+    f = source.value_near(z)
+
     def g(x, y):
-        return 2 * k * math.log(y) + math.log(source.weight0_value(UhpPoint(x, y)))
+        return 2 * k * math.log(y) + math.log(f(UhpPoint(x, y)))
 
     def lap(h):
         return (
@@ -253,7 +287,7 @@ def bound_ledger(y: float, k: int, kernel_lower: float, c_x: float,
         + 4.0 * k * k / (math.pi * kernel_lower ** 2) * paren_star ** 2
         + k * k / (math.pi * kernel_lower) * paren_star * (5.0 + 1.0 / (2.0 * k))
     )
-    return BoundLedger(lemma5=lemma5, lemma6=lemma5, lemma7=lemma7,
+    return BoundLedger(lemma5=lemma5, lemma7=lemma7,
                        prop8=prop8, y=y, k=k, c_gamma=c_gamma, c_x=c_x,
                        kernel_lower=kernel_lower)
 
@@ -267,7 +301,7 @@ def kernel_lower_surrogate(k: int, measured_min: float) -> float:
     asymptotic = (2 * k - 1) / (8.0 * math.pi)
     if measured_min <= 0:
         return asymptotic
-    return max(min(asymptotic, measured_min), min(measured_min, asymptotic))
+    return min(asymptotic, measured_min)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +367,14 @@ def grid_points(x0: float, x1: float, y0: float, y1: float,
 
 def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
                c_gamma: float = DEFAULT_C_GAMMA, c_x: float = 0.0,
-               threads: int = 1):
+               threads: int = 1, tol: float = 1e-5):
     """Per-(k, z) ratio table plus per-k sup |ratio|/k^2 summaries.
 
     ``source_factory(k)`` returns a kernel source for each weight; grid
-    points are evaluated independently and assembled in grid order.
+    points are evaluated independently and assembled in grid order.  A
+    point whose ratio error bound exceeds ``tol`` times |ratio| (or
+    times k/(2 pi), when the ratio is smaller) is refused inline, like
+    any other failed point.
     """
     rows, summaries = [], []
     for k in k_list:
@@ -348,6 +385,11 @@ def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
                 bundle = kernel_derivatives(source, z, k,
                                             DerivativeMethod.SERIES_TERMWISE)
                 sample = bergman_metric_ratio(bundle, z, k, c_gamma)
+                scale = max(abs(sample.ratio), sample.identity_part)
+                if not sample.error_bound <= tol * scale:
+                    raise ErrorBoundExceeded(
+                        f"ratio {sample.ratio:.12g} +- "
+                        f"{sample.error_bound:.3g} exceeds tol {tol:g}")
                 return sample, bundle.value * z.y ** (2 * k), None
             except Exception as exc:  # recorded inline, scan continues
                 return None, None, f"{type(exc).__name__}: {exc}"

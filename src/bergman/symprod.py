@@ -240,6 +240,8 @@ def fs_form_formula(basis: CuspFormBasis, zs: Sequence[UhpPoint],
     _guard_tuple(zs)
     if not basis.orthonormal_flag:
         raise DomainError("basis must be orthonormal")
+    if basis.size == 0:
+        raise DomainError("basis has no forms")
     d = len(zs)
     if basis.size < d:
         return _product_fallback(
@@ -274,6 +276,8 @@ def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
     equality FS_lm = d_l dbar_m log det M, checked in tests.
     """
     _guard_tuple(zs)
+    if basis.size == 0:
+        raise DomainError("basis has no forms")
     d = len(zs)
     if basis.size < d:
         return _product_fallback(

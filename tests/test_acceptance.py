@@ -84,7 +84,7 @@ def test_03_lemma4_two_routes(delta_basis):
         r2 = fd_log_ratio(bsrc, z, 6)
         worst_basis = max(worst_basis, abs(r1 - r2) / abs(r1))
     worst_poincare = 0.0
-    psrc = PoincareSource(modular_group(), 6, displacement_bound=60.0)
+    psrc = PoincareSource(modular_group(), 6)
     for z in grid[::10]:  # one column; each point shares one truncation
         r1 = bergman_metric_ratio(kernel_derivatives(psrc, z, 6), z, 6).ratio
         r2 = fd_log_ratio(psrc, z, 6)

@@ -157,3 +157,29 @@ def test_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_poincare_scan_byte_identical_across_threads(tmp_path):
+    # points 0.04 apart once shared whichever cached orbit was computed
+    # first, so the output depended on the thread count
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"scan{threads}.csv"
+        code = main(["ratio-scan", "--group", "modular", "--k", "6",
+                     "--grid=-0.06,0.06,1.0,1.12,4,4", "--threads", threads,
+                     "--out", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_ratio_scan_refuses_row_beyond_tolerance(tmp_path):
+    # at y = 8 the coset terms cancel by 1e11 and the sum misses k/(2 pi)
+    # by ~7e-2; its error bound exceeds tol |ratio|, so the row is refused
+    out = tmp_path / "scan.csv"
+    code = main(["ratio-scan", "--group", "modular", "--k", "6",
+                 "--grid=0.314368,0.314368,8,8,1,1", "--out", str(out)])
+    assert code == 1
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[5] == "nan" and row[8] == "0"
+    assert row[9].startswith("ErrorBoundExceeded: ")

@@ -8,7 +8,8 @@ from bergman.groups import (DEFAULT_C_GAMMA, BudgetExceeded, Region,
                             free_product_group, group_by_name,
                             injectivity_radius_estimate, modular_group,
                             stabilizer_elements, translation_group,
-                            trivial_group)
+                            trivial_group, walk_cosets)
+from bergman.kernel import coset_norm_bound
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, cosh2_half_distance)
 
@@ -133,3 +134,53 @@ def test_free2_group_enumeration_exhaustive():
                                     50.0)
     assert enum.exhaustive_flag
     assert len(enum.elements) > 5
+
+
+def _bottom_row(g):
+    c, d = round(g.c), round(g.d)
+    return (c, d) if c > 0 or (c == 0 and d > 0) else (-c, -d)
+
+
+@pytest.mark.parametrize("x", [-0.45, 0.0, 0.314368])
+@pytest.mark.parametrize("y", [0.6, 2.3, 4.0])
+def test_coset_walk_matches_coprime_pairs(x, y):
+    # the cosets of PSL(2, Z) are the coprime bottom rows +-(c, d)
+    z = UhpPoint(x, y)
+    bound = coset_norm_bound(y, 6)
+    walk = walk_cosets(modular_group(), z, bound)
+    got = [_bottom_row(g) for g in walk.representatives]
+    assert len(got) == len(set(got)) == walk.expanded
+    c_max = int(math.sqrt(bound) / y) + 1
+    d_max = int(c_max * abs(x) + math.sqrt(bound)) + 2
+    expected = {(c, d) for c in range(c_max + 1)
+                for d in range(-d_max, d_max + 1)
+                if math.gcd(c, d) == 1 and (c > 0 or d == 1)
+                and abs(c * z.z + d) ** 2 <= bound}
+    assert set(got) == expected
+    for g in walk.representatives:
+        assert -0.5 <= apply_moebius(g, z).x < 0.5
+
+
+def test_coset_walk_free2_matches_orbit_bottom_rows():
+    # every coset above the height has a representative displaced by at
+    # most (1/4 + (y + h)^2) / (4 y h), which the orbit BFS then reaches
+    z, bound = UhpPoint(0.1, 1.0), 200.0
+    h = z.y / bound
+    walk = walk_cosets(free_product_group(), z, bound)
+    enum = enumerate_group_elements(
+        free_product_group(), z, (0.25 + (z.y + h) ** 2) / (4 * z.y * h))
+    assert enum.exhaustive_flag
+    expected = {_bottom_row(g) for g in enum.transforms()
+                if abs(g.c * z.z + g.d) ** 2 <= bound}
+    got = [_bottom_row(g) for g in walk.representatives]
+    assert len(got) == len(set(got))
+    assert set(got) == expected and len(expected) > 20
+
+
+def test_coset_walk_budget_and_validation():
+    with pytest.raises(BudgetExceeded):
+        walk_cosets(modular_group(), UhpPoint(0.0, 1.0), 100.0, budget=5)
+    with pytest.raises(DomainError):
+        walk_cosets(trivial_group(), UhpPoint(0.0, 1.0), 100.0)
+    walk = walk_cosets(translation_group(), UhpPoint(0.3, 1.0), 100.0)
+    assert [_bottom_row(g) for g in walk.representatives] == [(0, 1)]

@@ -1,14 +1,20 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from bergman.groups import (enumerate_group_elements, modular_group,
-                            translation_group, trivial_group)
+from bergman.forms import (CuspFormBasis, QuadratureDomain,
+                           basis_weight0_bundle, delta_form, orthonormal_basis,
+                           petersson_gram)
+from bergman.groups import (CosetList, enumerate_group_elements,
+                            modular_group, translation_group, trivial_group,
+                            walk_cosets)
 from bergman.kernel import (bergman_kernel_diagonal, bergman_kernel_offdiag,
-                            cx_constant, gamma_ratio, identity_term,
-                            alpha_decomposition, parabolic_term_bound,
+                            coset_norm_bound, cx_constant, gamma_ratio,
+                            identity_term, alpha_decomposition,
+                            parabolic_term_bound, poincare_weight0_bundle,
                             term_log_phase, term_value)
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, hyp_distance)
@@ -156,3 +162,60 @@ def test_log_phase_representation_consistency():
                                         rel=1e-12)
     assert cmath.phase(direct) == pytest.approx(
         math.atan2(math.sin(ph), math.cos(ph)), abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def delta_basis():
+    raw = CuspFormBasis(forms=[delta_form(200)])
+    raw.gram = petersson_gram(raw, QuadratureDomain())
+    return orthonormal_basis(raw)
+
+
+def test_coset_route_matches_orbit_oracle_and_basis(delta_basis):
+    group = modular_group()
+    for z in (UhpPoint(0.0, 1.0), UhpPoint(0.5, math.sqrt(3) / 2),
+              UhpPoint(0.31, 0.97), UhpPoint(-0.3, 2.0)):
+        cosets = walk_cosets(group, z, coset_norm_bound(z.y, 6))
+        value, d1, d2, errors = poincare_weight0_bundle(cosets, z, 6)
+        orbit = bergman_kernel_diagonal(group, z, 6, displacement_bound=300.0)
+        assert value * z.y ** 12 == pytest.approx(orbit.value_diagonal,
+                                                  rel=1e-10)
+        ref = basis_weight0_bundle(delta_basis, z)
+        for got, want, err in zip((value, d1, d2), ref, errors):
+            assert abs(got - want) <= 1e-10 * abs(want)
+            assert err < 1e-10 * abs(want)
+
+
+def test_lipschitz_sum_matches_translates():
+    # the translation group is one coset; its closed-form sum equals
+    # (2k-1)/(4 pi) sum_n (2iy / (2iy - n))^(2k), summed term by term in
+    # 30-digit arithmetic (the terms cancel from 1 down to ~1e-4)
+    for k in (4, 6, 10):
+        for z in (UhpPoint(0.2, 0.7), UhpPoint(-0.4, 1.8)):
+            cosets = walk_cosets(translation_group(), z,
+                                 coset_norm_bound(z.y, k))
+            assert len(cosets) == 1
+            value, _, _, errors = poincare_weight0_bundle(cosets, z, k)
+            with mpmath.workdps(30):
+                iy2 = mpmath.mpc(0, 2 * z.y)
+                direct = float(identity_term(k) * mpmath.fsum(
+                    (iy2 / (iy2 - n)) ** (2 * k)
+                    for n in range(-2000, 2001)).real)
+            scale = z.y ** (2 * k)
+            assert value * scale == pytest.approx(direct, rel=1e-13)
+            assert abs(value * scale - direct) <= \
+                errors[0] * scale + 1e-14 * direct
+
+
+def test_element_list_sums_one_term_per_element():
+    # without the unit translation each listed class is one element
+    z = UhpPoint(0.2, 1.5)
+    enum = enumerate_group_elements(trivial_group(), z, 100.0)
+    elements = CosetList(base_point=z, norm_bound=math.inf,
+                         representatives=enum.transforms(), translates=False)
+    value, d1, d2, errors = poincare_weight0_bundle(elements, z, 4)
+    assert value * z.y ** 8 == pytest.approx(identity_term(4), rel=1e-14)
+    # B = C (2iy)^(-2k): dB/dz = -2k B/(2iy), d2B = 2k(2k+1) B/(4y^2)
+    assert d1 == pytest.approx(-8 * value / (2j * z.y), rel=1e-14)
+    assert d2.real == pytest.approx(72 * value / (4 * z.y ** 2), rel=1e-14)
+    assert max(errors) < 1e-13 * abs(d2)

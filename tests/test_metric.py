@@ -5,7 +5,9 @@ import pytest
 
 from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
                            model_basis, orthonormal_basis, petersson_gram)
-from bergman.groups import BudgetExceeded, modular_group
+from bergman.groups import (BudgetExceeded, free_product_group,
+                            group_by_name, modular_group, trivial_group)
+from bergman.kernel import NORM_CAP, coset_norm_bound
 from bergman.metric import (BasisSource, DerivativeMethod, FirstCoefficientZero,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
                             bergman_metric_ratio, bound_ledger,
@@ -32,8 +34,14 @@ def synthetic_basis():
 
 def test_derivative_bundle_invariants(synthetic_basis):
     src = BasisSource(synthetic_basis)
-    b = kernel_derivatives(src, UhpPoint(0.2, 1.1), 5)
-    assert b.dz_conj == b.dz.conjugate()
+    z, h = UhpPoint(0.2, 1.1), 1e-5
+    b = kernel_derivatives(src, z, 5)
+    # B is real, so dB/dzbar = (B_x + i B_y)/2 is the conjugate of dz
+    bx = (src.weight0_value(UhpPoint(z.x + h, z.y))
+          - src.weight0_value(UhpPoint(z.x - h, z.y))) / (2 * h)
+    by = (src.weight0_value(UhpPoint(z.x, z.y + h))
+          - src.weight0_value(UhpPoint(z.x, z.y - h))) / (2 * h)
+    assert abs(0.5 * complex(bx, by) - b.dz.conjugate()) < 1e-6 * abs(b.dz)
     assert abs(b.dzdzbar.imag) < 1e-10 * max(abs(b.dzdzbar), 1e-30)
     assert b.value > 0
 
@@ -58,7 +66,7 @@ def test_series_vs_finite_difference(synthetic_basis):
 
 
 def test_constant_kernel_fiction_gives_identity_ratio():
-    bundle = DerivativeBundle(value=1.0, dz=0j, dz_conj=0j, dzdzbar=0j,
+    bundle = DerivativeBundle(value=1.0, dz=0j, dzdzbar=0j,
                               method=DerivativeMethod.SERIES_TERMWISE)
     sample = bergman_metric_ratio(bundle, UhpPoint(0.1, 1.7), 7)
     assert sample.ratio == pytest.approx(7 / (2 * math.pi), rel=1e-15)
@@ -66,7 +74,7 @@ def test_constant_kernel_fiction_gives_identity_ratio():
 
 
 def test_vanishing_kernel_raises():
-    bundle = DerivativeBundle(value=0.0, dz=0j, dz_conj=0j, dzdzbar=0j,
+    bundle = DerivativeBundle(value=0.0, dz=0j, dzdzbar=0j,
                               method=DerivativeMethod.SERIES_TERMWISE)
     with pytest.raises(KernelVanishes):
         bergman_metric_ratio(bundle, UhpPoint(0.0, 1.0), 5)
@@ -91,7 +99,7 @@ def test_two_route_equality_basis(synthetic_basis):
 
 
 def test_two_route_equality_poincare():
-    src = PoincareSource(modular_group(), 6, displacement_bound=200.0)
+    src = PoincareSource(modular_group(), 6)
     z = UhpPoint(0.1, 1.3)
     r1 = bergman_metric_ratio(kernel_derivatives(src, z, 6), z, 6).ratio
     r2 = fd_log_ratio(src, z, 6)
@@ -110,7 +118,7 @@ def test_finite_difference_routes_refuse_budget_cut_orbit():
 
 
 def test_poincare_and_basis_routes_agree(delta_basis):
-    psrc = PoincareSource(modular_group(), 6, displacement_bound=250.0)
+    psrc = PoincareSource(modular_group(), 6)
     bsrc = BasisSource(delta_basis)
     z = UhpPoint(0.22, 1.4)
     rp = bergman_metric_ratio(kernel_derivatives(psrc, z, 6), z, 6).ratio
@@ -122,7 +130,6 @@ def test_bound_ledger_frozen_example():
     led = bound_ledger(1.0, 3, (2 * 3 - 1) / (8 * math.pi), 0.0)
     # 6 * (5/(4 pi) + 15/8), recomputed independently
     assert led.lemma5 == pytest.approx(13.637324146378429, rel=1e-12)
-    assert led.lemma6 == led.lemma5
     assert led.prop8 > 0
 
 
@@ -204,3 +211,71 @@ def test_ratio_scan_thread_count_invariance(delta_basis):
     rows1, _ = ratio_scan(factory, [6], grid, threads=1)
     rows4, _ = ratio_scan(factory, [6], grid, threads=4)
     assert [r.ratio for r in rows1] == [r.ratio for r in rows4]
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_coset_route_error_envelope(k):
+    # the weight-12 and weight-16 spaces are one-dimensional, so the
+    # ratio is exactly k/(2 pi); the reported bound must cover the miss
+    src = PoincareSource(modular_group(), k)
+    for y in (0.6, 1.0, 2.3, 4.0, 6.0, 8.0):
+        z = UhpPoint(0.314368, y)
+        sample = bergman_metric_ratio(kernel_derivatives(src, z, k), z, k)
+        assert abs(sample.ratio - k / (2 * math.pi)) <= sample.error_bound
+        if y <= 4.0:
+            assert sample.error_bound < 1e-7
+
+
+def test_translation_free_group_sums_single_elements():
+    # the trivial group's kernel is the identity term C (2iy)^(-2k) alone,
+    # whose ratio is k/(2 pi) - k/(2 pi) = 0
+    src = PoincareSource(trivial_group(), 6)
+    z = UhpPoint(0.2, 1.3)
+    cosets = src.cosets(z)
+    assert len(cosets) == 1 and not cosets.translates
+
+    def factory(k):
+        return PoincareSource(trivial_group(), k)
+
+    rows, _ = ratio_scan(factory, [6], grid_points(-0.2, 0.2, 0.8, 1.6, 2, 2))
+    assert all(r.error is None for r in rows)
+    assert all(abs(r.ratio) < 1e-12 for r in rows)
+
+
+def test_poincare_scan_walks_cosets_not_elements(monkeypatch):
+    import bergman.groups
+    import bergman.metric
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("element enumeration on a group with T")
+
+    monkeypatch.setattr(bergman.groups, "enumerate_group_elements", refuse)
+    monkeypatch.setattr(bergman.metric, "enumerate_group_elements", refuse)
+
+    def factory(k):
+        return PoincareSource(modular_group(), k)
+
+    rows, summaries = ratio_scan(factory, [6], [UhpPoint(0.1, 1.2)])
+    assert rows[0].error is None and summaries[0].within_limit
+    assert rows[0].ratio == pytest.approx(6 / (2 * math.pi), rel=1e-10)
+
+
+def test_non_integral_group_refused(tmp_path):
+    # the coset tail counts integer bottom rows, which needs Gamma in SL(2, Z)
+    path = tmp_path / "group.json"
+    path.write_text('{"generators": [[1, 1, 0, 1], [0.5, -2, 1, -2]]}')
+    group = group_by_name(f"file:{path}")
+    assert group.has_cusp_translation and not group.is_integral
+    assert modular_group().is_integral
+    with pytest.raises(DomainError, match="integral"):
+        PoincareSource(group, 6).cosets(UhpPoint(0.0, 1.0))
+
+
+def test_small_weight_walk_capped_and_bounded():
+    # weight 8 on free2 = Gamma_0(2): S_8 is one-dimensional, so the
+    # ratio is 4/(2 pi); the uncapped norm bound would list ~1e6 cosets
+    assert coset_norm_bound(1.0, 4) == NORM_CAP
+    src = PoincareSource(free_product_group(), 4)
+    z = UhpPoint(0.1, 1.0)
+    sample = bergman_metric_ratio(kernel_derivatives(src, z, 4), z, 4)
+    assert abs(sample.ratio - 4 / (2 * math.pi)) <= sample.error_bound < 1e-7

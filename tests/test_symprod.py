@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergman.forms import bergman_from_basis, model_basis
+from bergman.forms import CuspFormBasis, bergman_from_basis, model_basis
 from bergman.metric import BasisSource, bergman_metric_ratio, kernel_derivatives
 from scipy.linalg import null_space
 
@@ -223,6 +223,17 @@ def test_fs_degenerate_fallback_flagged():
     assert s.degenerate
     assert s.fs_volume_ratio == pytest.approx(
         math.prod(s.per_factor_ratios), rel=1e-12)
+
+
+def test_fs_empty_basis_refused():
+    # with no forms the one-slot fallback would call itself forever
+    basis = CuspFormBasis(forms=[], orthonormal_flag=True)
+    for d in (1, 2):
+        zs = [UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4)][:d]
+        with pytest.raises(DomainError, match="no forms"):
+            fs_form_formula(basis, zs, 4)
+        with pytest.raises(DomainError, match="no forms"):
+            fs_form_direct_oracle(basis, zs, 4)
 
 
 def test_ma_asymptotic_check():
