@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .uhp import (
     DomainError,
@@ -148,6 +149,11 @@ class OrbitEnumeration:
     def transforms(self):
         return [g for g, _ in self.elements]
 
+    def rows(self) -> np.ndarray:
+        """The elements as an (N, 4) array of rows (a, b, c, d)."""
+        return np.array([(g.a, g.b, g.c, g.d) for g, _ in self.elements],
+                        dtype=float).reshape(-1, 4)
+
 
 def enumerate_group_elements(
     group: FuchsianGroup,
@@ -224,101 +230,108 @@ def enumerate_group_elements(
 class CosetList:
     """Representatives of the classes Gamma_inf\\Gamma a kernel series sums.
 
-    With the unit translation in the group each representative stands
-    for its coset {T^n gamma}, whose translates are summed in closed form
-    (``translates`` true).  Without it the stabilizer of the cusp is
-    trivial and each representative is one element.  Every class with
-    |cz+d|^2 <= ``norm_bound`` at ``base_point`` is listed.
+    One representative (a, b, c, d), of either sign, per row of ``rows``.
+    With the unit translation in the group each stands for its coset
+    {T^n gamma}, whose translates are summed in closed form
+    (``translates`` true).  Without it the cusp stabilizer is trivial and
+    each is one element.  Every class with |cz+d|^2 <= ``norm_bound`` at
+    ``base_point`` is listed.
     """
     base_point: UhpPoint
     norm_bound: float
-    representatives: list
+    rows: np.ndarray
     translates: bool
     expanded: int = 0
 
     def __len__(self):
-        return len(self.representatives)
+        return len(self.rows)
 
 
-def _coset_key(c: float, d: float) -> tuple:
-    """Hashable form of the bottom row +-(c, d) shared by a coset.
+def _bottom_row_keys(rows: np.ndarray) -> np.ndarray:
+    """Exact int64 keys c 2^32 + d of the bottom rows +-(c, d), sign fixed.
 
-    Rounded to 1e-9, the quantum of ``MoebiusTransform.key``.
+    One-to-one for integer entries, held exactly in floats, below 2^31.
     """
-    if c < 0.0 or (c == 0.0 and d < 0.0):
-        c, d = -c, -d
-    return round(c * 1e9), round(d * 1e9)
+    if np.abs(rows[:, 2:]).max(initial=0.0) >= 2.0 ** 31:
+        raise DomainError("coset walk entries too large for exact keys")
+    c, d = rows[:, 2], rows[:, 3]
+    sign = np.where(c != 0.0, np.sign(c), np.sign(d))
+    return ((sign * c).astype(np.int64) << 32) + (sign * d).astype(np.int64)
 
 
 def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
                 budget: int = 200_000) -> CosetList:
     """Cosets Gamma_inf gamma with Im(gamma z) >= h = y / norm_bound.
 
-    Equivalently |cz+d|^2 <= norm_bound.  Breadth-first over cosets, one
-    representative each (the one with Re(gamma z) in [-1/2, 1/2)), keyed
-    on +-(c, d): a coset gamma moves to s T^n gamma for each
+    Equivalently |cz+d|^2 <= norm_bound.  Breadth-first over cosets,
+    one level at a time, one representative each (the one with
+    Re(gamma z) in [-1/2, 1/2)), keyed exactly on the integer bottom
+    row +-(c, d): a coset gamma moves to s T^n gamma for each
     non-translation generator s or inverse and each integer n with
     Im(s(gamma z + n)) >= h.  Reducing an orbit point to a Ford domain
     raises its height at every step, so when the generators pair that
     domain's sides, as every preset's do, each coset above h is reached
-    through cosets above h.  Every expansion is a new coset; the budget
-    caps expansions and raises ``BudgetExceeded``.
+    through cosets above h.  Needs an integral group; listing more than
+    ``budget`` cosets raises ``BudgetExceeded``.
     """
     if not group.has_cusp_translation:
         raise DomainError("the coset walk needs the unit translation")
+    if not group.is_integral:
+        raise DomainError(
+            f"group {group.label} is not integral: the coset walk and its "
+            "tail bound key cosets on integer bottom rows")
     if norm_bound < 1.0:
         raise DomainError("norm bound must be >= 1")
     if budget <= 0:
         raise DomainError("budget must be positive")
-    steps = []
-    for s in group.symmetrized_generators():
-        if s.is_cusp_translation():
-            continue
-        if s.c == 0.0:
-            raise DomainError(f"generator {s} fixes the cusp but is not "
-                              "a translation")
-        steps.append((s.a, s.b, s.c, s.d))
+    # exact integer steps; an integral generator with c = 0 is a translation
+    steps = [np.rint([[s.a, s.b], [s.c, s.d]])
+             for s in group.symmetrized_generators()
+             if not s.is_cusp_translation()]
     zc = z.z
     h = z.y / norm_bound
-
-    def reduced(a, b, c, d):
-        """The coset's representative with Re(gamma z) in [-1/2, 1/2)."""
+    new = np.array([[1.0, 0.0, 0.0, 1.0]])
+    seen = _bottom_row_keys(new)
+    levels = []
+    while len(new):
+        a, b, c, d = new.T
+        if np.any(np.abs(a * d - b * c - 1.0)
+                  > 1e-9 * np.maximum(1.0, (new * new).sum(axis=1))):
+            raise DomainError("coset walk met a non-unimodular matrix")
+        # each new coset's representative with Re(gamma z) in [-1/2, 1/2)
         w = (a * zc + b) / (c * zc + d)
-        n = math.floor(w.real + 0.5)
-        return MoebiusTransform(a - n * c, b - n * d, c, d), w.real - n, w.imag
-
-    first = reduced(1.0, 0.0, 0.0, 1.0)
-    seen = {_coset_key(0.0, 1.0)}
-    reps = [first[0]]
-    queue = deque([first])
-    expanded = 0
-    while queue:
-        if expanded >= budget:
+        n = np.floor(w.real + 0.5)
+        rows, u, v = (np.stack([a - n * c, b - n * d, c, d], axis=1),
+                      w.real - n, w.imag)
+        levels.append(rows)
+        if len(seen) > budget:
             raise BudgetExceeded(
-                f"coset walk at z={zc} stopped at {budget} expansions")
-        g, u, v = queue.popleft()
-        expanded += 1
-        for sa, sb, sc, sd in steps:
+                f"coset walk at z={zc} listed more than {budget} cosets")
+        found = [np.empty((0, 4))]
+        for step in steps:
+            sc, sd = step[1]
             # Im(s w) >= h  <=>  (u + n + d_s/c_s)^2 <= v/(h c_s^2) - v^2
             rad = v / (h * sc * sc) - v * v
-            if rad < 0.0:
-                continue
-            r = math.sqrt(rad) + 1e-9
-            centre = -sd / sc - u
-            for n in range(math.ceil(centre - r), math.floor(centre + r) + 1):
-                a, b = g.a + n * g.c, g.b + n * g.d  # top row of T^n g
-                c2 = sc * a + sd * g.c
-                d2 = sc * b + sd * g.d
-                key = _coset_key(c2, d2)
-                if key in seen or abs(c2 * zc + d2) ** 2 > norm_bound:
-                    continue
-                seen.add(key)
-                nxt = reduced(sa * a + sb * g.c, sa * b + sb * g.d, c2, d2)
-                reps.append(nxt[0])
-                queue.append(nxt)
-    return CosetList(base_point=z, norm_bound=norm_bound,
-                     representatives=reps, translates=True,
-                     expanded=expanded)
+            live = np.flatnonzero(rad >= 0.0)
+            r = np.sqrt(rad[live]) + 1e-9
+            lo = np.ceil(-sd / sc - u[live] - r)
+            count = (np.floor(-sd / sc - u[live] + r) - lo + 1).astype(int)
+            # n runs over lo, lo + 1, ..., lo + count - 1 for each parent
+            which = np.repeat(live, count)
+            n = (np.repeat(lo - np.cumsum(count) + count, count)
+                 + np.arange(len(which)))
+            g = rows[which].reshape(-1, 2, 2)
+            g[:, 0] += n[:, None] * g[:, 1]  # T^n g
+            found.append((step @ g).reshape(-1, 4))
+        cand = np.concatenate(found)
+        cand = cand[np.abs(cand[:, 2] * zc + cand[:, 3]) ** 2 <= norm_bound]
+        keys, first = np.unique(_bottom_row_keys(cand), return_index=True)
+        fresh = ~np.isin(keys, seen, assume_unique=True)
+        seen = np.concatenate([seen, keys[fresh]])
+        new = cand[first[fresh]]
+    rows = np.concatenate(levels)
+    return CosetList(base_point=z, norm_bound=norm_bound, rows=rows,
+                     translates=True, expanded=len(rows))
 
 
 class Region(Enum):

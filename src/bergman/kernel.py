@@ -23,16 +23,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .groups import CosetList, FuchsianGroup, enumerate_group_elements
-from .uhp import DomainError, MoebiusTransform, UhpPoint, apply_moebius
+from .uhp import (DomainError, MoebiusTransform, UhpPoint, apply_moebius,
+                  hyp_distance)
 
 TWO_PI = 2.0 * math.pi
 EPS = 2.0 ** -52
 # cap on the coset walk's norm bound per unit height (see coset_norm_bound)
 NORM_CAP = 32768.0
-
-
-class NumericUnderflow(RuntimeError):
-    """All non-identity terms underflowed double precision."""
 
 
 def identity_term(k: int) -> float:
@@ -199,20 +196,16 @@ def bergman_kernel_offdiag(
     is inflated by d(z, w) so that all terms down to the requested
     displacement of gamma w from z are present.
     """
-    from .uhp import hyp_distance
-
     d_target = 2.0 * math.acosh(math.sqrt(displacement_bound))
     d_infl = d_target + hyp_distance(z, w)
     bound = math.cosh(d_infl / 2.0) ** 2
-    enum = enumerate_group_elements(group, w, bound, budget=budget)
+    a, b, c, d = enumerate_group_elements(group, w, bound,
+                                          budget=budget).rows().T
     coeff = (2 * k - 1) * (2j) ** (2 * k) / (4.0 * math.pi)
-    total = 0j
-    for gamma, _ in enum.elements:
-        gw = apply_moebius(gamma, w)
-        s = z.z - complex(gw.x, -gw.y)
-        mu = (gamma.c * w.z + gamma.d).conjugate()
-        total += 1.0 / (s ** (2 * k) * mu ** (2 * k))
-    return coeff * total
+    den = c * w.z + d
+    s = z.z - np.conj((a * w.z + b) / den)
+    terms = 1.0 / (s ** (2 * k) * np.conj(den) ** (2 * k))
+    return coeff * complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def _log_weights(s, m):
@@ -311,9 +304,7 @@ def poincare_weight0_bundle(elements: CosetList, z: UhpPoint, k: int):
     """
     if k < 2:
         raise DomainError("k must be >= 2")
-    rows = np.array([(g.a, g.b, g.c, g.d) for g in elements.representatives],
-                    dtype=float).reshape(-1, 4)
-    a, b, c, d = rows.T
+    a, b, c, d = elements.rows.T
     zc = z.z
     den = c * zc + d
     gz = (a * zc + b) / den

@@ -129,10 +129,6 @@ class PoincareSource:
     def cosets(self, z: UhpPoint) -> CosetList:
         """Classes of the series at z; refuses a walk the budget cut short."""
         if self.group.has_cusp_translation:
-            if not self.group.is_integral:
-                raise DomainError(
-                    f"group {self.group.label} is not integral: the coset "
-                    "tail bound counts integer bottom rows")
             return walk_cosets(self.group, z, coset_norm_bound(z.y, self.k),
                                self.budget)
         enum = enumerate_group_elements(self.group, z, ORBIT_BOUND,
@@ -145,7 +141,7 @@ class PoincareSource:
                 f"group {self.group.label} has no unit translation and an "
                 "orbit beyond the enumeration bound: no tail bound")
         return CosetList(base_point=z, norm_bound=math.inf,
-                         representatives=enum.transforms(), translates=False,
+                         rows=enum.rows(), translates=False,
                          expanded=enum.expanded)
 
     def weight0_value(self, z: UhpPoint) -> float:

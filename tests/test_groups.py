@@ -136,8 +136,8 @@ def test_free2_group_enumeration_exhaustive():
     assert len(enum.elements) > 5
 
 
-def _bottom_row(g):
-    c, d = round(g.c), round(g.d)
+def _bottom_row(row):
+    c, d = round(row[2]), round(row[3])
     return (c, d) if c > 0 or (c == 0 and d > 0) else (-c, -d)
 
 
@@ -148,7 +148,7 @@ def test_coset_walk_matches_coprime_pairs(x, y):
     z = UhpPoint(x, y)
     bound = coset_norm_bound(y, 6)
     walk = walk_cosets(modular_group(), z, bound)
-    got = [_bottom_row(g) for g in walk.representatives]
+    got = [_bottom_row(row) for row in walk.rows]
     assert len(got) == len(set(got)) == walk.expanded
     c_max = int(math.sqrt(bound) / y) + 1
     d_max = int(c_max * abs(x) + math.sqrt(bound)) + 2
@@ -157,8 +157,8 @@ def test_coset_walk_matches_coprime_pairs(x, y):
                 if math.gcd(c, d) == 1 and (c > 0 or d == 1)
                 and abs(c * z.z + d) ** 2 <= bound}
     assert set(got) == expected
-    for g in walk.representatives:
-        assert -0.5 <= apply_moebius(g, z).x < 0.5
+    for row in walk.rows:
+        assert -0.5 <= apply_moebius(MoebiusTransform(*row), z).x < 0.5
 
 
 def test_coset_walk_free2_matches_orbit_bottom_rows():
@@ -170,9 +170,9 @@ def test_coset_walk_free2_matches_orbit_bottom_rows():
     enum = enumerate_group_elements(
         free_product_group(), z, (0.25 + (z.y + h) ** 2) / (4 * z.y * h))
     assert enum.exhaustive_flag
-    expected = {_bottom_row(g) for g in enum.transforms()
-                if abs(g.c * z.z + g.d) ** 2 <= bound}
-    got = [_bottom_row(g) for g in walk.representatives]
+    expected = {_bottom_row(row) for row in enum.rows()
+                if abs(row[2] * z.z + row[3]) ** 2 <= bound}
+    got = [_bottom_row(row) for row in walk.rows]
     assert len(got) == len(set(got))
     assert set(got) == expected and len(expected) > 20
 
@@ -183,4 +183,22 @@ def test_coset_walk_budget_and_validation():
     with pytest.raises(DomainError):
         walk_cosets(trivial_group(), UhpPoint(0.0, 1.0), 100.0)
     walk = walk_cosets(translation_group(), UhpPoint(0.3, 1.0), 100.0)
-    assert [_bottom_row(g) for g in walk.representatives] == [(0, 1)]
+    assert [_bottom_row(row) for row in walk.rows] == [(0, 1)]
+
+
+@pytest.mark.parametrize("z", [UhpPoint(0.0, 1.0), UhpPoint(0.314368, 4.0)])
+def test_coset_walk_budget_is_a_coset_count(z):
+    # --budget caps the number of cosets listed, not walk steps
+    bound = coset_norm_bound(z.y, 6)
+    size = len(walk_cosets(modular_group(), z, bound))
+    assert len(walk_cosets(modular_group(), z, bound, budget=size)) == size
+    with pytest.raises(BudgetExceeded):
+        walk_cosets(modular_group(), z, bound, budget=size - 1)
+
+
+def test_coset_walk_refuses_non_integral_group(tmp_path):
+    # cosets are keyed on exact integer bottom rows
+    path = tmp_path / "group.json"
+    path.write_text('{"generators": [[1, 1, 0, 1], [0.5, -2, 1, -2]]}')
+    with pytest.raises(DomainError, match="integral"):
+        walk_cosets(group_by_name(f"file:{path}"), UhpPoint(0.0, 1.0), 100.0)

@@ -153,6 +153,31 @@ def test_offdiag_reduces_to_diagonal():
                                                  rel=1e-6)
 
 
+def _offdiag_loop(group, z, w, k, displacement_bound):
+    # the per-element loop the vectorized evaluator replaced
+    d_infl = (2.0 * math.acosh(math.sqrt(displacement_bound))
+              + hyp_distance(z, w))
+    enum = enumerate_group_elements(group, w, math.cosh(d_infl / 2.0) ** 2)
+    total = 0j
+    for gamma in enum.transforms():
+        gw = apply_moebius(gamma, w)
+        s = z.z - complex(gw.x, -gw.y)
+        mu = (gamma.c * w.z + gamma.d).conjugate()
+        total += 1.0 / (s ** (2 * k) * mu ** (2 * k))
+    return (2 * k - 1) * (2j) ** (2 * k) / (4.0 * math.pi) * total
+
+
+@pytest.mark.parametrize("z, w", [
+    (UhpPoint(0.1, 1.1), UhpPoint(-0.2, 0.9)),
+    (UhpPoint(0.45, 0.8), UhpPoint(0.3, 1.6)),
+])
+def test_offdiag_matches_element_loop(z, w):
+    group = modular_group()
+    got = bergman_kernel_offdiag(group, z, w, 6, displacement_bound=100.0)
+    want = _offdiag_loop(group, z, w, 6, 100.0)
+    assert cmath.isclose(got, want, rel_tol=1e-13)
+
+
 def test_log_phase_representation_consistency():
     g = MoebiusTransform(1.0, 0.0, 2.0, 1.0)
     z = UhpPoint(0.4, 0.9)
@@ -212,10 +237,24 @@ def test_element_list_sums_one_term_per_element():
     z = UhpPoint(0.2, 1.5)
     enum = enumerate_group_elements(trivial_group(), z, 100.0)
     elements = CosetList(base_point=z, norm_bound=math.inf,
-                         representatives=enum.transforms(), translates=False)
+                         rows=enum.rows(), translates=False)
     value, d1, d2, errors = poincare_weight0_bundle(elements, z, 4)
     assert value * z.y ** 8 == pytest.approx(identity_term(4), rel=1e-14)
     # B = C (2iy)^(-2k): dB/dz = -2k B/(2iy), d2B = 2k(2k+1) B/(4y^2)
     assert d1 == pytest.approx(-8 * value / (2j * z.y), rel=1e-14)
     assert d2.real == pytest.approx(72 * value / (4 * z.y ** 2), rel=1e-14)
     assert max(errors) < 1e-13 * abs(d2)
+
+
+def test_coset_bundle_ignores_row_order_and_sign():
+    # the walk lists cosets level by level with free signs; the sums
+    # must not depend on either
+    z, k = UhpPoint(0.314368, 2.3), 6
+    cosets = walk_cosets(modular_group(), z, coset_norm_bound(z.y, k))
+    rng = np.random.default_rng(7)
+    rows = cosets.rows[rng.permutation(len(cosets))]
+    rows *= rng.choice([-1.0, 1.0], size=len(rows))[:, None]
+    shuffled = CosetList(base_point=z, norm_bound=cosets.norm_bound,
+                         rows=rows, translates=True)
+    assert (poincare_weight0_bundle(shuffled, z, k)
+            == poincare_weight0_bundle(cosets, z, k))
