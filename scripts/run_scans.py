@@ -21,25 +21,25 @@ from bergman.metric import bound_ledger
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="scan_results")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     forms = str(pathlib.Path(__file__).resolve().parents[1]
                 / "data" / "delta_weight12.jsonl")
 
-    cli_main(["ratio-scan", "--group", "modular", "--k", "6,8",
-              "--grid=-0.45,0.45,0.6,4.0,10,10",
-              "--threads", str(args.threads),
-              "--out", str(outdir / "ratio_modular.csv")])
-    cli_main(["ratio-scan", "--forms", forms, "--k", "6",
-              "--grid=-0.45,0.45,0.4,5.0,20,20",
-              "--threads", str(args.threads),
-              "--out", str(outdir / "ratio_delta.csv")])
-    cli_main(["sym-scan", "--forms", forms, "--k", "6", "--d", "2",
-              "--grid=-0.3,0.3,0.8,2.0,3,3",
-              "--threads", str(args.threads),
-              "--out", str(outdir / "sym_delta_d2.csv")])
+    calls = [
+        ["ratio-scan", "--group", "modular", "--k", "6,8",
+         "--grid=-0.45,0.45,0.6,4.0,10,10",
+         "--out", str(outdir / "ratio_modular.csv")],
+        ["ratio-scan", "--forms", forms, "--k", "6",
+         "--grid=-0.45,0.45,0.4,5.0,20,20",
+         "--out", str(outdir / "ratio_delta.csv")],
+        ["sym-scan", "--forms", forms, "--k", "6", "--d", "2",
+         "--grid=-0.3,0.3,0.8,2.0,3,3",
+         "--out", str(outdir / "sym_delta_d2.csv")],
+    ]
+    # a scan outside its limit or with a flagged row fails the experiment
+    failed = [argv[0] + " " + argv[-1] for argv in calls if cli_main(argv)]
 
     rows = ["y,k,lemma5,lemma7,prop8"]
     for k in (3, 6, 10, 20):
@@ -49,7 +49,11 @@ def main():
                         % (y, k, led.lemma5, led.lemma7, led.prop8))
     (outdir / "ledger.csv").write_text("\n".join(rows) + "\n")
     print(f"tables written to {outdir}/")
+    if failed:
+        print("failed: " + ", ".join(failed), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

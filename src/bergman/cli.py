@@ -1,9 +1,10 @@
 """Command-line surface: ingestion, kernel evaluation, scans, verification.
 
 Subcommands: ingest, kernel, gram, ratio-scan, sym-scan, verify.
-Exit codes: 0 pass, 1 suite failure, 2 usage/config error.  Tables are
-CSV with 12 significant digits; reports are JSON.  Scan parallelism is
-governed by --threads with thread-count-independent output.
+Exit codes: 0 pass, 1 suite failure (a scan summary outside its limit or
+a flagged row), 2 usage/config error.  Tables are CSV with 12
+significant digits; reports are JSON.  Scans run on one thread;
+--threads is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -49,8 +50,7 @@ class RunConfig:
     z: str = "0.0,1.0"
     domain: str = "modular"
     suite: Optional[str] = None
-    separable: bool = False
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: scans run on one thread
     out: Optional[str] = None
     tol: float = 1e-5
 
@@ -204,19 +204,28 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
             return PoincareSource(group, k, cfg.budget)
 
     rows, summaries = ratio_scan(factory, cfg.k_values(), grid,
-                                 cfg.c_gamma, cfg.c_x, threads=cfg.threads,
-                                 tol=cfg.tol)
+                                 cfg.c_gamma, cfg.c_x, tol=cfg.tol)
     table = [(r.k, r.z.x, r.z.y, r.region.tag.value, route, r.ratio,
               r.ratio_over_k2, r.bound, int(r.bound_satisfied),
               r.error or "") for r in rows]
     text = _csv(table, ["k", "x", "y", "region", "route", "ratio",
                         "ratio_over_k2", "bound", "bound_ok", "error"])
-    for s in summaries:
+    flagged = _flagged(rows, summaries)
+    for s, nf in zip(summaries, flagged):
         text += ("# k=%d sup_ratio_over_k2=" + FMT + " limit=" + FMT
-                 + " within=%s\n") % (s.k, s.sup_ratio_over_k2, s.limit,
-                                      s.within_limit)
+                 + " flagged=%d within=%s\n") % (
+                     s.k, s.sup_ratio_over_k2, s.limit, nf, s.within_limit)
     _emit(text, cfg.out)
-    return 0 if all(s.within_limit for s in summaries) else 1
+    ok = all(s.within_limit for s in summaries) and not any(flagged)
+    return 0 if ok else 1
+
+
+def _flagged(rows, summaries) -> list:
+    """Rows with an error, per summary; each weight's rows are one block."""
+    n = len(rows) // max(len(summaries), 1)
+    return [sum(r.error is not None for r in rows[i * n:(i + 1) * n])
+            for i in range(len(summaries))]
+
 
 
 def _load_tuples(cfg: RunConfig):
@@ -251,9 +260,7 @@ def cmd_sym_scan(cfg: RunConfig) -> int:
         return basis
 
     tuples = _load_tuples(cfg)
-    rows, summaries = volume_ratio_scan(basis_by_k, tuples, cfg.k_values(),
-                                        separable=cfg.separable,
-                                        threads=cfg.threads)
+    rows, summaries = volume_ratio_scan(basis_by_k, tuples, cfg.k_values())
     table = []
     for r in rows:
         coords = ";".join(FMT % p.x + "+" + FMT % p.y + "i" for p in r.z)
@@ -261,11 +268,15 @@ def cmd_sym_scan(cfg: RunConfig) -> int:
                       int(r.degenerate), r.error or ""))
     text = _csv(table, ["k", "tuple", "route", "ratio", "ratio_over_k2d",
                         "degenerate", "error"])
-    for s in summaries:
-        text += ("# k=%d d=%d sup=" + FMT + " limit=" + FMT + " within=%s\n") \
-            % (s.k, s.d, s.sup_ratio_over_k2d, s.limit, s.within_limit)
+    flagged = _flagged(rows, summaries)
+    for s, nf in zip(summaries, flagged):
+        text += ("# k=%d d=%d sup=" + FMT + " limit=" + FMT
+                 + " flagged=%d within=%s\n") % (
+                     s.k, s.d, s.sup_ratio_over_k2d, s.limit, nf,
+                     s.within_limit)
     _emit(text, cfg.out)
-    return 0 if all(s.within_limit for s in summaries) else 1
+    ok = all(s.within_limit for s in summaries) and not any(flagged)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +363,7 @@ def suite_thm10(cfg: RunConfig):
         return BasisSource(basis)
 
     grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
-    _, summaries = ratio_scan(factory, [k], grid, cfg.c_gamma, cfg.c_x,
-                              threads=cfg.threads)
+    _, summaries = ratio_scan(factory, [k], grid, cfg.c_gamma, cfg.c_x)
     s = summaries[0]
     return s.within_limit, \
         {"sup_ratio_over_k2": s.sup_ratio_over_k2,
@@ -432,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z")
         p.add_argument("--domain", choices=["modular", "strip"])
         p.add_argument("--suite")
-        p.add_argument("--separable", action="store_const", const=True)
         p.add_argument("--threads", type=int)
         p.add_argument("--out")
         p.add_argument("--tol", type=float)

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +35,6 @@ class BudgetExceeded(RuntimeError):
 class FuchsianGroup:
     label: str
     generators: tuple
-    cusp_width: float = 1.0
-    genus_hint: Optional[int] = None
-    cusp_count_hint: Optional[int] = None
 
     @property
     def has_cusp_translation(self) -> bool:
@@ -75,8 +72,6 @@ def modular_group() -> FuchsianGroup:
             MoebiusTransform.translation(1),
             MoebiusTransform(0.0, -1.0, 1.0, 0.0),
         ),
-        genus_hint=0,
-        cusp_count_hint=1,
     )
 
 
@@ -122,19 +117,7 @@ def load_group(path: str) -> FuchsianGroup:
     with open(path) as fh:
         doc = json.load(fh)
     gens = tuple(MoebiusTransform(*map(float, row)) for row in doc["generators"])
-    return FuchsianGroup(
-        label=doc.get("label", path),
-        generators=gens,
-        genus_hint=doc.get("genus"),
-        cusp_count_hint=doc.get("cusps"),
-    )
-
-
-def stabilizer_elements(n_min: int, n_max: int):
-    """Translations (1, n; 0, 1) for n_min <= n <= n_max."""
-    if n_min > n_max:
-        raise DomainError("n_min > n_max")
-    return [MoebiusTransform.translation(n) for n in range(n_min, n_max + 1)]
+    return FuchsianGroup(label=doc.get("label", path), generators=gens)
 
 
 @dataclass
@@ -241,7 +224,6 @@ class CosetList:
     norm_bound: float
     rows: np.ndarray
     translates: bool
-    expanded: int = 0
 
     def __len__(self):
         return len(self.rows)
@@ -329,9 +311,8 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
         fresh = ~np.isin(keys, seen, assume_unique=True)
         seen = np.concatenate([seen, keys[fresh]])
         new = cand[first[fresh]]
-    rows = np.concatenate(levels)
-    return CosetList(base_point=z, norm_bound=norm_bound, rows=rows,
-                     translates=True, expanded=len(rows))
+    return CosetList(base_point=z, norm_bound=norm_bound,
+                     rows=np.concatenate(levels), translates=True)
 
 
 class Region(Enum):

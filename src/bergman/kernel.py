@@ -83,7 +83,6 @@ def cx_constant(r_x: float, k: int) -> CXConstant:
 
 @dataclass
 class TruncationReport:
-    displacement_bound: float
     terms_used: int
     tail_estimate: float
     exhaustive: bool
@@ -97,7 +96,6 @@ class KernelEvaluation:
     rest_part: complex
     truncation: TruncationReport
     imag_residual: float = 0.0
-    min_nonparabolic_cosh2: float = math.inf
 
 
 def term_log_phase(gamma: MoebiusTransform, z: UhpPoint, k: int):
@@ -144,7 +142,6 @@ def bergman_kernel_diagonal(
                                     budget=budget)
     id_coeff = identity_term(k)
     par_terms, rest_terms = [], []
-    min_rest = math.inf
     for gamma in enum.transforms():
         if gamma.is_identity():
             continue
@@ -153,8 +150,6 @@ def bergman_kernel_diagonal(
             par_terms.append(lg_ph)
         else:
             rest_terms.append(lg_ph)
-            t = math.exp(-lg_ph[0] / k)  # cosh^2 of half displacement
-            min_rest = min(min_rest, t)
     parabolic = id_coeff * _reduce_log_terms(par_terms)
     rest = id_coeff * _reduce_log_terms(rest_terms)
     value = id_coeff + parabolic.real + rest.real
@@ -167,19 +162,12 @@ def bergman_kernel_diagonal(
         parabolic_part=parabolic,
         rest_part=rest,
         truncation=TruncationReport(
-            displacement_bound=displacement_bound,
             terms_used=len(enum.elements),
             tail_estimate=tail,
             exhaustive=enum.exhaustive_flag,
         ),
         imag_residual=abs(parabolic.imag + rest.imag),
-        min_nonparabolic_cosh2=min_rest,
     )
-
-
-def alpha_decomposition(evaluation: KernelEvaluation, k: int) -> float:
-    """alpha(z) = diagonal value minus the identity contribution."""
-    return evaluation.value_diagonal - identity_term(k)
 
 
 def bergman_kernel_offdiag(

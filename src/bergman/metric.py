@@ -61,8 +61,6 @@ class DerivativeBundle:
     value: float            # weight-0 kernel B(z)
     dz: complex             # dB/dz; dB/dzbar is its conjugate
     dzdzbar: complex        # mixed second derivative, real on the diagonal
-    method: DerivativeMethod
-    step: Optional[float] = None
     # absolute error bounds of value, dz and dzdzbar; zero where the
     # source reports none
     errors: tuple = (0.0, 0.0, 0.0)
@@ -141,8 +139,7 @@ class PoincareSource:
                 f"group {self.group.label} has no unit translation and an "
                 "orbit beyond the enumeration bound: no tail bound")
         return CosetList(base_point=z, norm_bound=math.inf,
-                         rows=enum.rows(), translates=False,
-                         expanded=enum.expanded)
+                         rows=enum.rows(), translates=False)
 
     def weight0_value(self, z: UhpPoint) -> float:
         return self.weight0_bundle(z)[0]
@@ -180,7 +177,7 @@ def kernel_derivatives(source, z: UhpPoint, k: int,
     if method is DerivativeMethod.SERIES_TERMWISE:
         value, d1, d2, errors = source.weight0_bundle(z)
         return DerivativeBundle(value=value, dz=d1, dzdzbar=complex(d2),
-                                method=method, errors=errors)
+                                errors=errors)
     h = step or max(1e-5, 1e-4 * z.y)
     f = source.value_near(z)
     b_h = _fd_bundle(f, z, h)
@@ -189,8 +186,7 @@ def kernel_derivatives(source, z: UhpPoint, k: int,
     value = b_h2[0]
     d1 = (4 * b_h2[1] - b_h[1]) / 3
     d2 = (4 * b_h2[2] - b_h[2]) / 3
-    return DerivativeBundle(value=value, dz=d1, dzdzbar=complex(d2),
-                            method=method, step=h)
+    return DerivativeBundle(value=value, dz=d1, dzdzbar=complex(d2))
 
 
 def ratio_error_bound(bundle: DerivativeBundle, z: UhpPoint) -> float:
@@ -313,23 +309,6 @@ def cusp_ratio_expansion(basis: CuspFormBasis, z: UhpPoint, k: int,
     return bergman_metric_ratio(bundle, z, k, c_gamma)
 
 
-def fit_beta_decay(samples: Sequence[RatioSample]):
-    """Single decay constant K with |beta| ~ K y^2 exp(-2 pi y).
-
-    Geometric-mean fit over the samples; returns (K, per-sample list of
-    |beta| / (y^2 exp(-2 pi y))).
-    """
-    ratios = []
-    for s in samples:
-        envelope = s.z.y ** 2 * math.exp(-2.0 * math.pi * s.z.y)
-        ratios.append(abs(s.correction) / envelope)
-    positive = [r for r in ratios if r > 0.0]
-    if not positive:
-        return 0.0, ratios
-    log_mean = math.fsum(math.log(r) for r in positive) / len(positive)
-    return math.exp(log_mean), ratios
-
-
 # ---------------------------------------------------------------------------
 # Scan
 
@@ -363,7 +342,7 @@ def grid_points(x0: float, x1: float, y0: float, y1: float,
 
 def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
                c_gamma: float = DEFAULT_C_GAMMA, c_x: float = 0.0,
-               threads: int = 1, tol: float = 1e-5):
+               tol: float = 1e-5):
     """Per-(k, z) ratio table plus per-k sup |ratio|/k^2 summaries.
 
     ``source_factory(k)`` returns a kernel source for each weight; grid
@@ -390,12 +369,7 @@ def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
             except Exception as exc:  # recorded inline, scan continues
                 return None, None, f"{type(exc).__name__}: {exc}"
 
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(eval_point, grid))
-        else:
-            results = [eval_point(z) for z in grid]
+        results = [eval_point(z) for z in grid]
 
         norms = [nrm for _, nrm, _ in results if nrm is not None]
         klower = kernel_lower_surrogate(k, min(norms) if norms else 0.0)

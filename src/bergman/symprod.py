@@ -77,9 +77,7 @@ class Divisor:
 
 @dataclass
 class SubspaceFrame:
-    ambient_dim: int
     coefficients: np.ndarray  # n x r, columns orthonormal
-    divisor: Optional[Divisor] = None
 
     @property
     def rank(self) -> int:
@@ -112,14 +110,12 @@ def vanishing_subspace(basis: CuspFormBasis, divisor: Divisor) -> SubspaceFrame:
             DegenerateDivisor)
     num = int(np.sum(s > 1e-10 * np.max(s, initial=0.0)))
     frame = vh[num:].conj().T
-    return SubspaceFrame(ambient_dim=basis.size, coefficients=frame,
-                         divisor=divisor)
+    return SubspaceFrame(coefficients=frame)
 
 
 def full_frame(basis: CuspFormBasis) -> SubspaceFrame:
     """Identity frame (empty divisor, internal use)."""
-    return SubspaceFrame(ambient_dim=basis.size,
-                         coefficients=np.eye(basis.size, dtype=complex))
+    return SubspaceFrame(coefficients=np.eye(basis.size, dtype=complex))
 
 
 def weight0_subspace_kernel(frame: SubspaceFrame, basis: CuspFormBasis,
@@ -133,12 +129,6 @@ def subspace_kernel_diagonal(frame: SubspaceFrame, basis: CuspFormBasis,
                              z: UhpPoint, k: int) -> float:
     """Diagonal reproducing kernel y^(2k) ||.||^2 of the vanishing subspace."""
     return z.y ** (2 * k) * weight0_subspace_kernel(frame, basis, z)
-
-
-def two_point_gram(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> np.ndarray:
-    """Matrix M_ij = sum_l f_l(z_i) conj(f_l(z_j)) of weight-0 kernels."""
-    vals = basis.values(zs)
-    return vals @ vals.conj().T
 
 
 def nested_log_potential(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> float:
@@ -169,7 +159,6 @@ class FSVolumeSample:
     per_factor_ratios: list
     hermitian_form: np.ndarray
     route: str
-    cross_term_magnitude: float = 0.0
     degenerate: bool = False
 
 
@@ -189,7 +178,6 @@ def _assemble_sample(zs, k, hessian_phi, route, degenerate=False):
     volume ratio multiplies det G by prod 2 y_j^2 (the inverse
     hyperbolic volume density).
     """
-    d = len(zs)
     g_mat = -hessian_phi / (2.0 * math.pi)
     for l, z in enumerate(zs):
         g_mat[l, l] += k / (4.0 * math.pi * z.y ** 2)
@@ -197,15 +185,10 @@ def _assemble_sample(zs, k, hessian_phi, route, degenerate=False):
                   for l, z in enumerate(zs)]
     det = float(np.real(np.linalg.det(g_mat)))
     volume = det * math.prod(2.0 * z.y ** 2 for z in zs)
-    off = 0.0
-    if d > 1:
-        off = float(max(abs(g_mat[l, m]) for l in range(d)
-                        for m in range(d) if l != m))
     return FSVolumeSample(
         z=list(zs), k=k, fs_volume_ratio=volume,
         per_factor_ratios=per_factor,
-        hermitian_form=g_mat, route=route,
-        cross_term_magnitude=off, degenerate=degenerate,
+        hermitian_form=g_mat, route=route, degenerate=degenerate,
     )
 
 
@@ -389,35 +372,20 @@ class SymScanSummary:
 
 
 def volume_ratio_scan(basis_by_k, tuples: Sequence[Sequence[UhpPoint]],
-                      k_list: Sequence[int], separable: bool = False,
-                      threads: int = 1):
-    """fs_volume_ratio / k^(2d) per tuple and per k, against (26/pi)^d.
-
-    In separable mode the ratio is defined as the product of per-slot
-    one-point ratios (the synthetic product model), which makes the
-    sup over a Cartesian grid factor exactly.
-    """
+                      k_list: Sequence[int]):
+    """fs_volume_ratio / k^(2d) per tuple and per k, against (26/pi)^d."""
     rows, summaries = [], []
     for k in k_list:
         basis = basis_by_k(k)
 
         def eval_tuple(zs, k=k, basis=basis):
             try:
-                if separable:
-                    parts = [fs_form_formula(basis, [z], k).fs_volume_ratio
-                             for z in zs]
-                    return math.prod(parts), "formula", False, None
                 s = fs_form_formula(basis, list(zs), k)
                 return s.fs_volume_ratio, s.route, s.degenerate, None
             except Exception as exc:
                 return math.nan, "formula", False, f"{type(exc).__name__}: {exc}"
 
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(eval_tuple, tuples))
-        else:
-            results = [eval_tuple(zs) for zs in tuples]
+        results = [eval_tuple(zs) for zs in tuples]
 
         d = len(tuples[0]) if tuples else 1
         sup = -math.inf

@@ -1,12 +1,10 @@
 """Exact-formula primitives of upper half-plane geometry.
 
 Points z = x + iy with y > 0, Moebius transforms acting by fractional
-linear maps, the hyperbolic distance through its cosh^2(d/2) form, and
-the cusp coordinate q(z) = exp(2*pi*i*z).
+linear maps, and the hyperbolic distance through its cosh^2(d/2) form.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,10 +29,6 @@ class UhpPoint:
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "UhpPoint":
-        return cls(z.real, z.imag)
 
     def __repr__(self):
         return f"UhpPoint({self.x!r}, {self.y!r})"
@@ -114,17 +108,6 @@ class MoebiusTransform:
         return f"MoebiusTransform({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-@dataclass(frozen=True)
-class CuspCoordinate:
-    """Value of exp(2*pi*i*z); |q| = exp(-2*pi*y) < 1."""
-
-    q: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.q)
-
-
 def apply_moebius(gamma: MoebiusTransform, z: UhpPoint) -> UhpPoint:
     """Fractional linear action (az+b)/(cz+d)."""
     denom = gamma.c * z.z + gamma.d
@@ -147,15 +130,3 @@ def hyp_distance(z: UhpPoint, w: UhpPoint) -> float:
     # guard tiny negative excursions of t-1 from roundoff at z ~ w
     return 2.0 * math.acosh(math.sqrt(max(t, 1.0)))
 
-
-def q_coordinate(z: UhpPoint) -> CuspCoordinate:
-    """Cusp coordinate q(z) = exp(2*pi*i*z)."""
-    return CuspCoordinate(cmath.exp(2j * math.pi * z.z))
-
-
-def transformed_height(gamma: MoebiusTransform, z: UhpPoint) -> float:
-    """Im(gamma z) = y / |cz+d|^2."""
-    denom = gamma.c * z.z + gamma.d
-    if abs(denom) < 1e-300:
-        raise DomainError("cz+d numerically zero")
-    return z.y / (denom.real * denom.real + denom.imag * denom.imag)

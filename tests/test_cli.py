@@ -183,3 +183,22 @@ def test_ratio_scan_refuses_row_beyond_tolerance(tmp_path):
     row = out.read_text().splitlines()[1].split(",")
     assert row[5] == "nan" and row[8] == "0"
     assert row[9].startswith("ErrorBoundExceeded: ")
+
+
+def test_ratio_scan_partly_refused_exits_nonzero(tmp_path):
+    # y = 6, 7 and 8 are refused with ErrorBoundExceeded while the sup
+    # over the other rows stays within the limit: the flagged rows alone
+    # must fail the command, and the summary counts them
+    out = tmp_path / "scan.csv"
+    code = main(["ratio-scan", "--group", "modular", "--k", "6",
+                 "--grid=0,0,1,8,1,8", "--out", str(out)])
+    assert code == 1
+    lines = out.read_text().splitlines()
+    rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("#")]
+    refused = {float(r[2]) for r in rows if r[9]}
+    assert refused == {6.0, 7.0, 8.0}
+    for r in rows:
+        if float(r[2]) in refused:
+            assert r[9].startswith("ErrorBoundExceeded: ")
+    summary = lines[-1]
+    assert " flagged=3 " in summary and summary.endswith("within=True")

@@ -7,8 +7,7 @@ from bergman.groups import (DEFAULT_C_GAMMA, BudgetExceeded, Region,
                             classify_region, enumerate_group_elements,
                             free_product_group, group_by_name,
                             injectivity_radius_estimate, modular_group,
-                            stabilizer_elements, translation_group,
-                            trivial_group, walk_cosets)
+                            translation_group, trivial_group, walk_cosets)
 from bergman.kernel import coset_norm_bound
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, cosh2_half_distance)
@@ -30,14 +29,6 @@ def test_file_group(tmp_path):
     assert g.label == "custom"
     assert len(g.generators) == 2
     assert g.has_cusp_translation
-
-
-def test_stabilizer_elements():
-    elems = stabilizer_elements(-2, 2)
-    assert len(elems) == 5
-    assert all(g.is_cusp_translation() for g in elems)
-    with pytest.raises(DomainError):
-        stabilizer_elements(1, 0)
 
 
 def test_enumeration_contains_exactly_bounded_orbit():
@@ -149,7 +140,7 @@ def test_coset_walk_matches_coprime_pairs(x, y):
     bound = coset_norm_bound(y, 6)
     walk = walk_cosets(modular_group(), z, bound)
     got = [_bottom_row(row) for row in walk.rows]
-    assert len(got) == len(set(got)) == walk.expanded
+    assert len(got) == len(set(got)) == len(walk)
     c_max = int(math.sqrt(bound) / y) + 1
     d_max = int(c_max * abs(x) + math.sqrt(bound)) + 2
     expected = {(c, d) for c in range(c_max + 1)

@@ -13,8 +13,7 @@ from bergman.groups import (CosetList, enumerate_group_elements,
                             walk_cosets)
 from bergman.kernel import (bergman_kernel_diagonal, bergman_kernel_offdiag,
                             coset_norm_bound, cx_constant, gamma_ratio,
-                            identity_term, alpha_decomposition,
-                            parabolic_term_bound, poincare_weight0_bundle,
+                            identity_term, parabolic_term_bound, poincare_weight0_bundle,
                             term_log_phase, term_value)
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, hyp_distance)
@@ -85,7 +84,7 @@ def test_identity_element_term_is_identity_coefficient():
 def test_trivial_group_kernel_is_identity_term():
     ev = bergman_kernel_diagonal(trivial_group(), UhpPoint(0.2, 1.5), 4)
     assert ev.value_diagonal == ev.identity_part
-    assert alpha_decomposition(ev, 4) == 0.0
+    assert ev.value_diagonal - ev.identity_part == 0.0
 
 
 def test_translation_group_alpha_within_parabolic_bound():
@@ -95,7 +94,7 @@ def test_translation_group_alpha_within_parabolic_bound():
             ev = bergman_kernel_diagonal(group, UhpPoint(0.2, y), k,
                                          displacement_bound=400.0)
             assert ev.truncation.exhaustive
-            alpha = alpha_decomposition(ev, k)
+            alpha = ev.value_diagonal - ev.identity_part
             assert abs(alpha) <= parabolic_term_bound(y, k)
             assert abs(ev.rest_part) == 0.0
 

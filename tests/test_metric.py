@@ -12,7 +12,7 @@ from bergman.metric import (BasisSource, DerivativeMethod, FirstCoefficientZero,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
                             bergman_metric_ratio, bound_ledger,
                             cusp_ratio_expansion, DerivativeBundle,
-                            fd_log_ratio, fit_beta_decay, grid_points,
+                            fd_log_ratio, grid_points,
                             kernel_derivatives, kernel_lower_surrogate,
                             ratio_scan)
 from bergman.uhp import DomainError, UhpPoint
@@ -66,16 +66,14 @@ def test_series_vs_finite_difference(synthetic_basis):
 
 
 def test_constant_kernel_fiction_gives_identity_ratio():
-    bundle = DerivativeBundle(value=1.0, dz=0j, dzdzbar=0j,
-                              method=DerivativeMethod.SERIES_TERMWISE)
+    bundle = DerivativeBundle(value=1.0, dz=0j, dzdzbar=0j)
     sample = bergman_metric_ratio(bundle, UhpPoint(0.1, 1.7), 7)
     assert sample.ratio == pytest.approx(7 / (2 * math.pi), rel=1e-15)
     assert sample.correction == 0.0
 
 
 def test_vanishing_kernel_raises():
-    bundle = DerivativeBundle(value=0.0, dz=0j, dzdzbar=0j,
-                              method=DerivativeMethod.SERIES_TERMWISE)
+    bundle = DerivativeBundle(value=0.0, dz=0j, dzdzbar=0j)
     with pytest.raises(KernelVanishes):
         bergman_metric_ratio(bundle, UhpPoint(0.0, 1.0), 5)
 
@@ -179,8 +177,9 @@ def test_beta_decay_synthetic_multiform():
                for y in heights]
     betas = [abs(s.correction) for s in samples]
     assert betas == sorted(betas, reverse=True)
-    K, quotients = fit_beta_decay(samples)
-    assert K > 0
+    quotients = [beta / (y * y * math.exp(-2 * math.pi * y))
+                 for beta, y in zip(betas, heights)]
+    assert min(quotients) > 0
     # decay at least as fast as the y^2 exp(-2 pi y) envelope: the
     # envelope quotients themselves decrease, so the largest quotient
     # is a valid single constant for every height
@@ -201,16 +200,6 @@ def test_ratio_scan_summary_and_rows(delta_basis):
     s = summaries[0]
     assert s.within_limit and s.sup_ratio_over_k2 <= RATIO_LIMIT
     assert s.sup_point is not None
-
-
-def test_ratio_scan_thread_count_invariance(delta_basis):
-    def factory(k):
-        return BasisSource(delta_basis)
-
-    grid = grid_points(-0.3, 0.3, 0.8, 2.5, 3, 3)
-    rows1, _ = ratio_scan(factory, [6], grid, threads=1)
-    rows4, _ = ratio_scan(factory, [6], grid, threads=4)
-    assert [r.ratio for r in rows1] == [r.ratio for r in rows4]
 
 
 @pytest.mark.parametrize("k", [6, 8])

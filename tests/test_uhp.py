@@ -1,12 +1,10 @@
-import cmath
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bergman.uhp import (CuspCoordinate, DomainError, MoebiusTransform,
-                         UhpPoint, apply_moebius, cosh2_half_distance,
-                         hyp_distance, q_coordinate, transformed_height)
+from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
+                         apply_moebius, cosh2_half_distance, hyp_distance)
 
 finite_x = st.floats(-10.0, 10.0, allow_nan=False)
 positive_y = st.floats(0.05, 10.0, allow_nan=False)
@@ -52,7 +50,8 @@ def test_action_preserves_upper_half_plane(g, z):
 @given(random_transforms(), points)
 def test_height_transformation_rule(g, z):
     w = apply_moebius(g, z)
-    assert w.y == pytest.approx(transformed_height(g, z), rel=1e-9)
+    # Im(gamma z) = y / |cz+d|^2
+    assert w.y == pytest.approx(z.y / abs(g.c * z.z + g.d) ** 2, rel=1e-9)
 
 
 @given(random_transforms(), random_transforms(), points)
@@ -86,19 +85,6 @@ def test_distance_oracle_imaginary_axis():
     # d(2i, i/2) = log 4 on the imaginary axis
     assert hyp_distance(UhpPoint(0, 2.0), UhpPoint(0, 0.5)) == \
         pytest.approx(math.log(4.0), rel=1e-14)
-
-
-@given(points)
-def test_q_coordinate_magnitude(z):
-    q = q_coordinate(z)
-    assert q.magnitude == pytest.approx(math.exp(-2 * math.pi * z.y), rel=1e-12)
-    assert q.magnitude < 1.0
-
-
-def test_q_coordinate_periodicity():
-    q1 = q_coordinate(UhpPoint(0.3, 1.1)).q
-    q2 = q_coordinate(UhpPoint(1.3, 1.1)).q
-    assert cmath.isclose(q1, q2, rel_tol=1e-12)
 
 
 def test_cusp_translation_predicate():
