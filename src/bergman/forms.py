@@ -1,7 +1,7 @@
 """Cusp forms given by truncated q-expansions.
 
 Evaluation, Petersson Gram matrices by Gauss-Legendre quadrature with
-an analytic exponential tail, orthonormalization, the basis-side
+a closed-form exponential tail, orthonormalization, the basis-side
 Bergman kernel, and JSON-lines ingestion.
 """
 from __future__ import annotations
@@ -13,9 +13,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cholesky, eigvalsh, solve_triangular
-from scipy.special import gammaincc, gammaln
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .uhp import DomainError, MoebiusTransform, UhpPoint, apply_moebius
 
@@ -201,10 +199,17 @@ def delta_form(m_max: int = 200) -> QExpansionForm:
 class QuadratureDomain:
     """Fundamental-domain description for the Petersson integral.
 
-    kind "modular": |x| <= 1/2, |z| >= 1 (the classical domain);
-    kind "strip": x in [x0, x1], y >= y0.  Above the cutoff height the
-    integral is completed analytically using the q-expansions, which is
-    exact when the x-width is a full period.
+    Above the cutoff height the integral is completed analytically from
+    the q-expansions (``_tail_gram``), which is exact when the x-width
+    is a full period; quadrature covers the rest.
+
+    kind "modular": |x| <= 1/2, |z| >= 1 (the classical domain).  Above
+    y = 1, the top of the arc, the domain is a full period, so the
+    cutoff defaults to 1 and the quadrature covers only the sliver
+    between |z| = 1 and y = 1: 2 x-panels, 1 y-panel, 12 nodes.
+    kind "strip": x in [x0, x1], y >= y0, with the cutoff at
+    max(4, 3k/2pi) and 4 x-panels, 8 y-panels, 16 nodes.
+    A cutoff or panel count given explicitly overrides the default.
     """
 
     kind: str = "modular"
@@ -212,9 +217,23 @@ class QuadratureDomain:
     x1: float = 0.5
     y0: float = 1.0
     cutoff: Optional[float] = None
-    x_panels: int = 4
-    y_panels: int = 8
-    nodes: int = 16
+    x_panels: Optional[int] = None
+    y_panels: Optional[int] = None
+    nodes: Optional[int] = None
+
+    def __post_init__(self):
+        arc = self.kind == "modular"
+        defaults = {"cutoff": 1.0 if arc else None,
+                    "x_panels": 2 if arc else 4,
+                    "y_panels": 1 if arc else 8,
+                    "nodes": 12 if arc else 16}
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+
+    def cutoff_height(self, k: int) -> float:
+        """Height above which the tail is taken analytically, for weight 2k."""
+        return self.cutoff or max(4.0, 3.0 * (2 * k) / (4.0 * math.pi))
 
     def x_range(self):
         if self.kind == "modular":
@@ -231,18 +250,34 @@ class QuadratureDomain:
         return abs((hi - lo) - 1.0) < 1e-12
 
 
+def scaled_upper_gamma(s: int, x: np.ndarray) -> np.ndarray:
+    """Gamma(s, x) / x^s for an integer s >= 1 and x > 0, elementwise.
+
+    Closed form: Gamma(s, x) = (s-1)! e^(-x) sum_{j<s} x^j / j!, so
+    Gamma(s, x) / x^s = e^(-x) / x * sum_{i<s} (s-1)!/(s-1-i)! x^(-i).
+    The sum has positive terms and runs by Horner's rule, so its
+    relative error is a few s ulp.  Where e^(-x) underflows the result
+    is exactly 0.
+    """
+    x = np.asarray(x, dtype=float)
+    total = np.ones_like(x)
+    for j in range(1, s):
+        total = 1.0 + total * (j / x)
+    return np.exp(-x) / x * total
+
+
 def _tail_gram(basis: CuspFormBasis, cutoff: float) -> np.ndarray:
     """Analytic contribution above the cutoff height (full period in x).
 
     Index m weighs a_m conj(a'_m) by the integral of y^(s-1) e^(-a y)
-    over [cutoff, inf), s = 2k-1, a = 4 pi m: Gamma(s) Q(s, a cutoff) / a^s
-    in log form; where Q underflows to 0 the integral is exp(-inf) = 0.
+    over [cutoff, inf), s = 2k-1, a = 4 pi m, which is
+    Gamma(s, a cutoff) / a^s = cutoff^s Gamma(s, x) / x^s, x = a cutoff,
+    in closed form (``scaled_upper_gamma``).  It is exact whatever the
+    cutoff; the terms whose integral underflows are exactly 0.
     """
     mat = basis.coefficients
     s, a = 2 * basis.k - 1, 4.0 * math.pi * np.arange(1, mat.shape[1] + 1)
-    with np.errstate(divide="ignore"):
-        integral = np.exp(gammaln(s) + np.log(gammaincc(s, a * cutoff))
-                          - s * np.log(a))
+    integral = cutoff ** s * scaled_upper_gamma(s, a * cutoff)
     return (mat * integral) @ mat.conj().T
 
 
@@ -258,8 +293,8 @@ def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
     from the domain's lower edge up to the cutoff.
     """
     k = basis.k
-    cutoff = domain.cutoff or max(4.0, 3.0 * (2 * k) / (4.0 * math.pi))
-    t, w = roots_legendre(nodes)
+    cutoff = domain.cutoff_height(k)
+    t, w = leggauss(nodes)
     xlo, xhi = domain.x_range()
     xe = xlo + (xhi - xlo) * np.arange(x_panels + 1) / x_panels
     a, b = xe[:-1, None], xe[1:, None]
@@ -307,12 +342,12 @@ def orthonormal_basis(basis: CuspFormBasis,
     if g is None:
         raise DomainError("gram matrix not computed")
     g = np.asarray(g, dtype=complex)
-    ev = eigvalsh(g)
+    ev = np.linalg.eigvalsh(g)
     if ev[0] < 1e-12 * max(ev[-1], 1e-300):
         raise GramSingular(f"smallest eigenvalue ratio {ev[0] / ev[-1]:.3e}")
-    lower = cholesky(g, lower=True)
-    # rows of A give the new forms: A G A^H = I for A = L^{-1}
-    a = solve_triangular(lower, np.eye(basis.size, dtype=complex), lower=True)
+    # rows of A give the new forms: A G A^H = I for A = L^{-1}, G = L L^H;
+    # L is basis-size square, so its inverse is cheap
+    a = np.linalg.inv(np.linalg.cholesky(g))
     mat = a @ basis.coefficients
     forms = [
         replace(basis.forms[i], label=basis.forms[i].label + "*",

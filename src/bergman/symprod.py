@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import svd
 
 from .forms import CuspFormBasis, bergman_from_basis
 from .metric import RATIO_LIMIT
@@ -102,7 +101,7 @@ def vanishing_subspace(basis: CuspFormBasis, divisor: Divisor) -> SubspaceFrame:
         ev = ev / scale
     # one SVD serves the rank warning (absolute cutoff) and the frame
     # (cutoff relative to the largest singular value, as null_space)
-    _, s, vh = svd(ev, full_matrices=True)
+    _, s, vh = np.linalg.svd(ev, full_matrices=True)
     rank = int(np.sum(s > 1e-10))
     if rank < divisor.degree:
         warnings.warn(

@@ -1,18 +1,21 @@
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaincc, gammaln, roots_legendre
 
 from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
-                           QuadratureDomain, _gram_once, bergman_from_basis,
-                           basis_weight0_bundle, delta_form,
+                           QuadratureDomain, _gram_once, _tail_gram,
+                           bergman_from_basis, basis_weight0_bundle, delta_form,
                            evaluate_q_expansion, evaluation_truncation_bound,
                            first_coefficient_mass, load_forms, model_basis,
                            modularity_defect, orthonormal_basis,
-                           petersson_gram, ramanujan_tau, save_forms)
+                           petersson_gram, ramanujan_tau, save_forms,
+                           scaled_upper_gamma)
 from bergman.groups import modular_group
 from bergman.kernel import bergman_kernel_diagonal
 from bergman.uhp import DomainError, MoebiusTransform, UhpPoint
@@ -110,7 +113,7 @@ def test_batched_evaluator_matches_power_formula(make, y):
 def _node_accumulation(basis, domain, x_panels, y_panels, nodes):
     """Per-node reference Gram: one outer product per quadrature node."""
     k = basis.k
-    cutoff = domain.cutoff or max(4.0, 3.0 * (2 * k) / (4.0 * math.pi))
+    cutoff = domain.cutoff_height(k)
     xn, xw = roots_legendre(nodes)
     gram = np.zeros((basis.size, basis.size), dtype=complex)
     xlo, xhi = domain.x_range()
@@ -149,6 +152,66 @@ def test_gram_contraction_matches_node_accumulation(make, domain):
     got = _gram_once(basis, domain, 2, 3, 6)
     ref = _node_accumulation(basis, domain, 2, 3, 6)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [2, 6, 18, 30])
+def test_closed_form_tail_matches_mpmath(k):
+    # Gamma(s, x) / x^s, s = 2k - 1, against 40-digit incomplete gammas:
+    # 1e-13 relative in the normal range, exactly 0 where it underflows
+    s = 2 * k - 1
+    xs = np.geomspace(1e-3, 3000.0, 121)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scaled_upper_gamma(s, xs)
+    assert not np.any(np.isnan(got))
+    normal = underflow = 0
+    with mpmath.workdps(40):
+        for x, g in zip(xs, got):
+            ref = mpmath.gammainc(s, mpmath.mpf(x)) / mpmath.mpf(x) ** s
+            if ref >= 2.0 ** -1022:
+                normal += 1
+                assert abs(g - ref) <= 1e-13 * ref
+            elif ref < mpmath.mpf(2) ** -1075:  # rounds to 0.0
+                underflow += 1
+                assert g == 0.0
+            else:
+                assert abs(g - ref) <= 2.0 ** -1070
+    assert normal > 80 and underflow > 10
+
+
+def test_tail_gram_is_the_integral_above_the_cutoff():
+    # entry (i, j): sum_m a_im conj(a_jm) Gamma(s, 4 pi m cutoff)
+    # / (4 pi m)^s, summed in 40 digits
+    basis = _three_form_basis()
+    for cutoff in (1.0, 4.0):
+        got = _tail_gram(basis, cutoff)
+        s = 2 * basis.k - 1
+        with mpmath.workdps(40):
+            w = [mpmath.gammainc(s, 4 * mpmath.pi * m * cutoff)
+                 / (4 * mpmath.pi * m) ** s
+                 for m in range(1, basis.coefficients.shape[1] + 1)]
+            ref = np.array([[complex(mpmath.fsum(
+                mpmath.mpc(a) * mpmath.mpc(b).conjugate() * wm
+                for a, b, wm in zip(row_i, row_j, w)))
+                for row_j in basis.coefficients]
+                for row_i in basis.coefficients])
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("make", [lambda: CuspFormBasis(forms=[delta_form(200)]),
+                                  _three_form_basis], ids=["delta", "three"])
+def test_arc_gram_matches_tall_domain(make):
+    # the default modular domain integrates only the sliver below y = 1
+    # and takes the rest from the exact tail; the tall domain integrates
+    # up to max(4, 3k/2pi) on 4 x 8 panels of 16 nodes
+    basis = make()
+    k = basis.k
+    arc = petersson_gram(basis, QuadratureDomain())
+    tall = petersson_gram(basis, QuadratureDomain(
+        cutoff=max(4.0, 3.0 * k / (2.0 * math.pi)), x_panels=4, y_panels=8,
+        nodes=16))
+    assert QuadratureDomain().cutoff_height(k) == 1.0
+    assert np.max(np.abs(arc - tall)) <= 1e-13 * np.max(np.abs(tall))
 
 
 def test_empty_basis_evaluates():

@@ -11,7 +11,8 @@ from bergman.forms import (CuspFormBasis, QuadratureDomain,
 from bergman.groups import (CosetList, enumerate_group_elements,
                             modular_group, translation_group, trivial_group,
                             walk_cosets)
-from bergman.kernel import (bergman_kernel_diagonal, bergman_kernel_offdiag,
+from bergman.kernel import (_log_weights, bergman_kernel_diagonal,
+                            bergman_kernel_offdiag,
                             coset_norm_bound, cx_constant, gamma_ratio,
                             identity_term, parabolic_term_bound, poincare_weight0_bundle,
                             term_log_phase, term_value)
@@ -33,6 +34,26 @@ def test_gamma_ratio_frozen_oracles():
     assert gamma_ratio(3) == pytest.approx(3 * math.sqrt(math.pi) / 8,
                                            rel=1e-13)
     assert gamma_ratio(100) == pytest.approx(0.10037696342976983, rel=1e-12)
+
+
+def test_gamma_functions_match_mpmath():
+    # the exact binomial quotient and the per-element log-gamma against
+    # 40-digit log-gammas
+    with mpmath.workdps(40):
+        for k in (2, 3, 6, 18, 30, 61, 100, 500):
+            ref = mpmath.exp(mpmath.loggamma(k - mpmath.mpf(1) / 2)
+                             - mpmath.loggamma(k))
+            assert abs(gamma_ratio(k) - ref) <= 1e-14 * ref
+        s = np.array([2, 3, 12, 13, 14, 36, 37, 38, 60, 61, 62])
+        m = np.array([1.0, 2.0, 7.0, 40.0])
+        got = _log_weights(s[None, :], m[:, None])
+        assert got.shape == (len(m), len(s))
+        for i, mi in enumerate(m):
+            for j, sj in enumerate(s):
+                ref = (sj * mpmath.log(2 * mpmath.pi)
+                       + (sj - 1) * mpmath.log(mi) - mpmath.loggamma(sj))
+                assert abs(got[i, j] - ref) <= 1e-14 * abs(ref)
+        assert _log_weights(12, 1.0) == got[0, 2]
 
 
 def test_gamma_ratio_scaling():
