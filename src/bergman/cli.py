@@ -232,13 +232,21 @@ def _load_tuples(cfg: RunConfig):
     if cfg.tuples and os.path.exists(cfg.tuples):
         out = []
         with open(cfg.tuples) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                arr = json.loads(line)
-                out.append(tuple(UhpPoint(float(p[0]), float(p[1]))
-                                 for p in arr))
+                try:
+                    tup = tuple(UhpPoint(float(p[0]), float(p[1]))
+                                for p in json.loads(line))
+                except (ValueError, TypeError, IndexError) as exc:
+                    raise ConfigError(
+                        f"{cfg.tuples}:{lineno}: bad tuple: {exc}") from exc
+                if len(tup) != cfg.d:
+                    raise ConfigError(
+                        f"{cfg.tuples}:{lineno}: tuple has {len(tup)} "
+                        f"points, --d is {cfg.d}")
+                out.append(tup)
         if not out:
             raise ConfigError(f"no tuples in {cfg.tuples}")
         return out

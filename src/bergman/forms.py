@@ -77,6 +77,18 @@ def modularity_defect(form: QExpansionForm, gamma: MoebiusTransform,
     return abs(evaluate_q_expansion(form, gz) - jac * evaluate_q_expansion(form, z))
 
 
+# Points per batched evaluation (Gram nodes, scan points): caps the
+# q-power temporary at GRAM_CHUNK x M
+GRAM_CHUNK = 256
+
+
+def q_powers(z: np.ndarray, m: int) -> np.ndarray:
+    """Rows q, q^2, ..., q^m for q = exp(2 pi i z[i]), by a running product."""
+    powers = np.repeat(np.exp(2j * math.pi * z)[:, None], m, 1)
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return powers
+
+
 @dataclass
 class CuspFormBasis:
     forms: list
@@ -114,10 +126,31 @@ class CuspFormBasis:
         coef = self.coefficients
         if deriv_order:
             coef = coef * self.derivative_factors ** deriv_order
-        # rows q, q^2, ..., q^M for q = exp(2 pi i z), by a running product
-        powers = np.repeat(np.exp(2j * math.pi * z)[:, None], coef.shape[1], 1)
-        np.multiply.accumulate(powers, axis=1, out=powers)
-        return powers @ coef.T
+        return q_powers(z, coef.shape[1]) @ coef.T
+
+    def jets(self, z: np.ndarray):
+        """Values and first z-derivatives at a T x d array of complex points.
+
+        Returns two T x d x n stacks.  Each row of d points is
+        contracted as one d x M block (a stacked matmul, the same call
+        as ``evaluate`` on those d points), so its values do not depend
+        on the other rows; one q-power array per block of at most
+        GRAM_CHUNK points serves both contractions.
+        """
+        z = np.asarray(z, dtype=complex)
+        t, d = z.shape
+        n, m = self.coefficients.shape
+        coef = self.coefficients.T
+        dcoef = (self.coefficients * self.derivative_factors).T
+        v = np.empty((t, d, n), dtype=complex)
+        dv = np.empty_like(v)
+        step = max(1, GRAM_CHUNK // d)
+        for lo in range(0, t, step):
+            block = z[lo:lo + step]
+            powers = q_powers(block.ravel(), m).reshape(block.shape + (m,))
+            np.matmul(powers, coef, out=v[lo:lo + step])
+            np.matmul(powers, dcoef, out=dv[lo:lo + step])
+        return v, dv
 
     def values(self, z, deriv_order: int = 0) -> np.ndarray:
         """Vector (f_1(z), ..., f_n(z)) or its z-derivatives; rows for a list."""
@@ -281,10 +314,6 @@ def _tail_gram(basis: CuspFormBasis, cutoff: float) -> np.ndarray:
     return (mat * integral) @ mat.conj().T
 
 
-# Nodes per contraction block: caps the q-power temporary at GRAM_CHUNK x M
-GRAM_CHUNK = 256
-
-
 def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
                x_panels: int, y_panels: int, nodes: int) -> np.ndarray:
     """Quadrature Gram V diag(w) V^H over Gauss-Legendre nodes, plus the tail.
@@ -368,14 +397,23 @@ def bergman_from_basis(basis: CuspFormBasis, z: UhpPoint) -> float:
     return z.y ** basis.weight * float(np.sum(np.abs(v) ** 2))
 
 
+def basis_weight0_grid(basis: CuspFormBasis, z: np.ndarray):
+    """B = sum |f_j|^2, dB/dz and d2B/dz dzbar at every complex z[i].
+
+    Three arrays over the points, from one batched evaluation
+    (``CuspFormBasis.jets``) in which each point is its own row.
+    """
+    v, dv = (a[:, 0] for a in basis.jets(np.reshape(z, (-1, 1))))
+    value = np.sum(np.abs(v) ** 2, axis=1)
+    d1 = np.sum(dv * v.conj(), axis=1)
+    d2 = np.sum(np.abs(dv) ** 2, axis=1)
+    return value, d1, d2
+
+
 def basis_weight0_bundle(basis: CuspFormBasis, z: UhpPoint):
     """Weight-0 kernel B(z) = sum |f_j|^2 and its Wirtinger derivatives."""
-    v = basis.values(z)
-    dv = basis.values(z, deriv_order=1)
-    value = float(np.sum(np.abs(v) ** 2))
-    d1 = complex(np.sum(dv * v.conj()))
-    d2 = float(np.sum(np.abs(dv) ** 2))
-    return value, d1, d2
+    value, d1, d2 = basis_weight0_grid(basis, np.array([z.z]))
+    return float(value[0]), complex(d1[0]), float(d2[0])
 
 
 def first_coefficient_mass(basis: CuspFormBasis) -> float:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .forms import CuspFormBasis, basis_weight0_bundle, first_coefficient_mass
+from .forms import (CuspFormBasis, basis_weight0_bundle, basis_weight0_grid,
+                    first_coefficient_mass)
 from .groups import (
     DEFAULT_C_GAMMA,
     BudgetExceeded,
@@ -111,6 +112,13 @@ class BasisSource:
         """B as a function of points near z, for finite-difference stencils."""
         return self.weight0_value
 
+    def termwise_bundles(self, grid: Sequence[UhpPoint]) -> list:
+        """(bundle, None) per grid point, from one batched evaluation."""
+        value, d1, d2 = basis_weight0_grid(self.basis, [z.z for z in grid])
+        return [(DerivativeBundle(value=float(b), dz=complex(db),
+                                  dzdzbar=complex(float(ddb))), None)
+                for b, db, ddb in zip(value, d1, d2)]
+
 
 class PoincareSource:
     """Weight-0 kernel from the Poincare series over Gamma_inf\\Gamma.
@@ -151,6 +159,21 @@ class PoincareSource:
         """B as a function of points near z, summed over z's cosets."""
         cosets = self.cosets(z)
         return lambda w: poincare_weight0_bundle(cosets, w, self.k)[0]
+
+    def termwise_bundles(self, grid: Sequence[UhpPoint]) -> list:
+        """(bundle, error) per grid point, each point walking its own
+        cosets; a refused point carries its error and leaves the rest."""
+        out = []
+        for z in grid:
+            try:
+                out.append((kernel_derivatives(self, z, self.k), None))
+            except Exception as exc:  # recorded inline, scan continues
+                out.append((None, _error_text(exc)))
+        return out
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +368,20 @@ def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
                tol: float = 1e-5):
     """Per-(k, z) ratio table plus per-k sup |ratio|/k^2 summaries.
 
-    ``source_factory(k)`` returns a kernel source for each weight; grid
-    points are evaluated independently and assembled in grid order.  A
-    point whose ratio error bound exceeds ``tol`` times |ratio| (or
-    times k/(2 pi), when the ratio is smaller) is refused inline, like
-    any other failed point.
+    ``source_factory(k)`` returns a kernel source for each weight.  The
+    source gives the termwise bundles of the whole grid at once
+    (``termwise_bundles``); a point's bundle depends on that point
+    alone, and rows are assembled in grid order.  A point whose ratio
+    error bound exceeds ``tol`` times |ratio| (or times k/(2 pi), when
+    the ratio is smaller) is refused inline, like any other failed
+    point.
     """
     rows, summaries = [], []
     for k in k_list:
         source = source_factory(k)
 
-        def eval_point(z, k=k, source=source):
+        def eval_point(z, bundle, k=k):
             try:
-                bundle = kernel_derivatives(source, z, k,
-                                            DerivativeMethod.SERIES_TERMWISE)
                 sample = bergman_metric_ratio(bundle, z, k, c_gamma)
                 scale = max(abs(sample.ratio), sample.identity_part)
                 if not sample.error_bound <= tol * scale:
@@ -367,9 +390,11 @@ def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
                         f"{sample.error_bound:.3g} exceeds tol {tol:g}")
                 return sample, bundle.value * z.y ** (2 * k), None
             except Exception as exc:  # recorded inline, scan continues
-                return None, None, f"{type(exc).__name__}: {exc}"
+                return None, None, _error_text(exc)
 
-        results = [eval_point(z) for z in grid]
+        results = [eval_point(z, bundle) if err is None else (None, None, err)
+                   for z, (bundle, err) in zip(grid,
+                                               source.termwise_bundles(grid))]
 
         norms = [nrm for _, nrm, _ in results if nrm is not None]
         klower = kernel_lower_surrogate(k, min(norms) if norms else 0.0)

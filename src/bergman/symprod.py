@@ -169,25 +169,32 @@ def _guard_tuple(zs: Sequence[UhpPoint]):
             raise NearDiagonal(f"min pairwise distance {dmin:.2e}")
 
 
-def _assemble_sample(zs, k, hessian_phi, route, degenerate=False):
-    """Deliverable form G and volume ratio from the potential Hessian.
+def _assemble_forms(ys: np.ndarray, hessian_phi: np.ndarray, k: int):
+    """Deliverable forms G and volume ratios from a stack of potential Hessians.
 
     G_lm = -(1/2pi) Hess_lm + delta_lm k/(4 pi y_l^2); the diagonal
     k-term is the exact contribution of the y^(2k) weights.  The
     volume ratio multiplies det G by prod 2 y_j^2 (the inverse
-    hyperbolic volume density).
+    hyperbolic volume density).  ``ys`` holds the T x d heights and
+    ``hessian_phi`` the T x d x d Hessians; returns the forms, the
+    T x d per-factor ratios 2 y_l^2 G_ll and the T volume ratios.
     """
     g_mat = -hessian_phi / (2.0 * math.pi)
-    for l, z in enumerate(zs):
-        g_mat[l, l] += k / (4.0 * math.pi * z.y ** 2)
-    per_factor = [float(2.0 * z.y ** 2 * g_mat[l, l].real)
-                  for l, z in enumerate(zs)]
-    det = float(np.real(np.linalg.det(g_mat)))
-    volume = det * math.prod(2.0 * z.y ** 2 for z in zs)
+    diag = np.arange(ys.shape[1])
+    g_mat[:, diag, diag] += k / (4.0 * math.pi * ys ** 2)
+    per_factor = 2.0 * ys ** 2 * g_mat[:, diag, diag].real
+    volume = np.real(np.linalg.det(g_mat)) * np.prod(2.0 * ys ** 2, axis=1)
+    return g_mat, per_factor, volume
+
+
+def _assemble_sample(zs, k, hessian_phi, route, degenerate=False):
+    """FSVolumeSample of one tuple from its potential Hessian."""
+    g_mat, per_factor, volume = _assemble_forms(
+        np.array([[z.y for z in zs]]), hessian_phi[None], k)
     return FSVolumeSample(
-        z=list(zs), k=k, fs_volume_ratio=volume,
-        per_factor_ratios=per_factor,
-        hermitian_form=g_mat, route=route, degenerate=degenerate,
+        z=list(zs), k=k, fs_volume_ratio=float(volume[0]),
+        per_factor_ratios=per_factor[0].tolist(),
+        hermitian_form=g_mat[0], route=route, degenerate=degenerate,
     )
 
 
@@ -195,44 +202,112 @@ def _fd_steps(zs, step: Optional[float]):
     return [step or max(1e-4, 1e-4 * z.y) for z in zs]
 
 
-def _covector_qr(basis: CuspFormBasis, zs: Sequence[UhpPoint]):
-    """Complete QR factors of V^H, rows of V the values f(z_i).
+def _conj_t(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
-    Returns the n x n unitary Q and the top d x d block R_1 of R, so
-    that M = V V^H = R_1^H R_1.  Refuses nearly dependent covectors,
-    for which M is numerically singular.
+
+def _stacked_qr(v: np.ndarray):
+    """Complete QR factors of each V^H in a T x d x n stack of rows f(z_i).
+
+    Returns the T x n x n unitary Q, the top d x d blocks R_1 of R, so
+    that M = V V^H = R_1^H R_1, and a mask of the members whose
+    covectors are nearly dependent (some |R_1_ii| below 1e-12 of the
+    largest), for which M is numerically singular.
     """
-    q, r = np.linalg.qr(basis.values(zs).conj().T, mode="complete")
-    diag = np.abs(np.diag(r))
-    if np.min(diag) < 1e-12 * max(np.max(diag), 1e-300):
+    q, r = np.linalg.qr(_conj_t(v), mode="complete")
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    dependent = np.min(diag, axis=-1) < 1e-12 * np.maximum(
+        np.max(diag, axis=-1), 1e-300)
+    return q, r[:, :v.shape[1]], dependent
+
+
+def _covector_qr(basis: CuspFormBasis, zs: Sequence[UhpPoint]):
+    """Q and R_1 of one tuple; refuses nearly dependent covectors."""
+    q, r1, dependent = _stacked_qr(basis.values(zs)[None])
+    if dependent[0]:
         raise DomainError("evaluation covectors nearly dependent")
-    return q, r[:len(zs)]
+    return q[0], r1[0]
+
+
+def _tuple_length(tuples) -> int:
+    """The common number of points of the tuples; refuses mixed lengths."""
+    lengths = {len(zs) for zs in tuples}
+    if len(lengths) > 1:
+        raise DomainError(f"tuples of mixed lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else 1
+
+
+def fs_form_batch(basis: CuspFormBasis, tuples, k: int) -> list:
+    """Fubini-Study pullbacks of equal-length tuples, evaluated as one stack.
+
+    With D the rows f'(z_i), d_l dbar_m log det M = (D P D^H)_lm
+    (M^-1)_ml, P the projector onto the orthogonal complement of the
+    evaluation covectors.  From V^H = QR, D P D^H = W W^H with
+    W = D Q_perp (Q_perp the last n - d columns of Q, empty when
+    n = d) and M^-1 = R_1^-1 R_1^-H.  V and D of every tuple come from
+    one batched evaluation, and the QR, inverse and determinant are
+    each one stacked call.
+
+    Returns, per tuple, an FSVolumeSample or the exception refusing
+    it: NearDiagonal (checked first), then DomainError for nearly
+    dependent covectors.  A refused tuple's R_1 is replaced by the
+    identity before the stacked inverse, so it leaves the others as
+    they are.  When n < d each tuple takes the flagged product of its
+    one-slot ratios, from one batch of d = 1 over all the points.
+    """
+    if not basis.orthonormal_flag:
+        raise DomainError("basis must be orthonormal")
+    if basis.size == 0:
+        raise DomainError("basis has no forms")
+    d = _tuple_length(tuples)
+    if not tuples:
+        return []
+    refused = []
+    for zs in tuples:
+        try:
+            _guard_tuple(zs)
+            refused.append(None)
+        except NearDiagonal as exc:
+            refused.append(exc)
+    if basis.size < d:
+        singles = fs_form_batch(basis, [(z,) for zs in tuples for z in zs], k)
+        out = []
+        for t, zs in enumerate(tuples):
+            slots = singles[t * d:(t + 1) * d]
+            err = refused[t] or next(
+                (s for s in slots if isinstance(s, Exception)), None)
+            out.append(err or _product_fallback(
+                zs, k, "formula", [s.fs_volume_ratio for s in slots]))
+        return out
+    pts = np.array([[z.z for z in zs] for zs in tuples], dtype=complex)
+    v, dv = basis.jets(pts)
+    q, r1, dependent = _stacked_qr(v)
+    for t in np.flatnonzero(dependent):
+        refused[t] = refused[t] or DomainError(
+            "evaluation covectors nearly dependent")
+    r1[[err is not None for err in refused]] = np.eye(d)
+    w = dv @ q[:, :, d:]
+    rinv = np.linalg.inv(r1)
+    hess = (w @ _conj_t(w)) * (rinv @ _conj_t(rinv)).swapaxes(-1, -2)
+    g_mat, per_factor, volume = _assemble_forms(pts.imag, hess, k)
+    return [err or FSVolumeSample(
+                z=list(zs), k=k, fs_volume_ratio=float(volume[t]),
+                per_factor_ratios=per_factor[t].tolist(),
+                hermitian_form=g_mat[t], route="formula")
+            for t, (zs, err) in enumerate(zip(tuples, refused))]
 
 
 def fs_form_formula(basis: CuspFormBasis, zs: Sequence[UhpPoint],
                     k: int) -> FSVolumeSample:
     """Fubini-Study pullback from the closed-form Levi form of log det M.
 
-    With D the rows f'(z_i), d_l dbar_m log det M = (D P D^H)_lm
-    (M^-1)_ml, P the projector onto the orthogonal complement of the
-    evaluation covectors.  From V^H = QR, D P D^H = W W^H with
-    W = D Q_perp (Q_perp the last n - d columns of Q, empty when
-    n = d) and M^-1 = R_1^-1 R_1^-H.
+    The batch of one of ``fs_form_batch``; raises what refuses the
+    tuple.
     """
-    _guard_tuple(zs)
-    if not basis.orthonormal_flag:
-        raise DomainError("basis must be orthonormal")
-    if basis.size == 0:
-        raise DomainError("basis has no forms")
-    d = len(zs)
-    if basis.size < d:
-        return _product_fallback(
-            zs, k, "formula", lambda z: fs_form_formula(basis, [z], k))
-    q, r1 = _covector_qr(basis, zs)
-    w = basis.values(zs, deriv_order=1) @ q[:, d:]
-    rinv = np.linalg.inv(r1)
-    hess = (w @ w.conj().T) * (rinv @ rinv.conj().T).T
-    return _assemble_sample(zs, k, hess, "formula")
+    result = fs_form_batch(basis, [list(zs)], k)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +339,8 @@ def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
     if basis.size < d:
         return _product_fallback(
             zs, k, "oracle",
-            lambda z: fs_form_direct_oracle(basis, [z], k, step))
+            [fs_form_direct_oracle(basis, [z], k, step).fs_volume_ratio
+             for z in zs])
     steps = _fd_steps(zs, step)
     base = [(z.x, z.y) for z in zs]
 
@@ -302,14 +378,13 @@ def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
 # ---------------------------------------------------------------------------
 # Degenerate fallback and asymptotics
 
-def _product_fallback(zs, k, route, one_slot):
+def _product_fallback(zs, k, route, samples):
     """Product of independent one-slot ratios when n < d.
 
     The two-point kernel matrix is singular (fewer forms than slots),
-    so the genuine d-slot form degenerates; the per-slot product of
-    ``one_slot(z)`` ratios is reported with the degenerate flag set.
+    so the genuine d-slot form degenerates; the product of the one-slot
+    ratios ``samples`` is reported with the degenerate flag set.
     """
-    samples = [one_slot(z).fs_volume_ratio for z in zs]
     d = len(zs)
     form = np.diag([samples[l] / (2.0 * zs[l].y ** 2) for l in range(d)])
     return FSVolumeSample(
@@ -372,21 +447,25 @@ class SymScanSummary:
 
 def volume_ratio_scan(basis_by_k, tuples: Sequence[Sequence[UhpPoint]],
                       k_list: Sequence[int]):
-    """fs_volume_ratio / k^(2d) per tuple and per k, against (26/pi)^d."""
+    """fs_volume_ratio / k^(2d) per tuple and per k, against (26/pi)^d.
+
+    Each weight's tuples are one stack (``fs_form_batch``); a refused
+    tuple is recorded inline.  Tuples of mixed lengths are refused.
+    """
+    d = _tuple_length(tuples)
     rows, summaries = [], []
     for k in k_list:
         basis = basis_by_k(k)
+        try:
+            samples = fs_form_batch(basis, tuples, k)
+        except Exception as exc:  # a refused basis refuses every tuple
+            samples = [exc] * len(tuples)
+        results = [
+            (math.nan, "formula", False, f"{type(s).__name__}: {s}")
+            if isinstance(s, Exception)
+            else (s.fs_volume_ratio, s.route, s.degenerate, None)
+            for s in samples]
 
-        def eval_tuple(zs, k=k, basis=basis):
-            try:
-                s = fs_form_formula(basis, list(zs), k)
-                return s.fs_volume_ratio, s.route, s.degenerate, None
-            except Exception as exc:
-                return math.nan, "formula", False, f"{type(exc).__name__}: {exc}"
-
-        results = [eval_tuple(zs) for zs in tuples]
-
-        d = len(tuples[0]) if tuples else 1
         sup = -math.inf
         for zs, (ratio, route, degen, err) in zip(tuples, results):
             over = abs(ratio) / k ** (2 * d) if not math.isnan(ratio) else math.nan

@@ -150,6 +150,23 @@ def test_sym_scan_with_tuple_file(tmp_path):
     assert any("within=True" in ln for ln in lines)
 
 
+@pytest.mark.parametrize("line, message", [
+    # a one-point tuple in a d = 2 scan would be normalized by k^4
+    ("[[0.0,1.2]]", "tuples.jsonl:2: tuple has 1 points, --d is 2"),
+    ("[[0.0,1.2],[0.3]]", "tuples.jsonl:2: bad tuple"),
+    ("not json", "tuples.jsonl:2: bad tuple"),
+], ids=["short", "point", "json"])
+def test_sym_scan_refuses_bad_tuple_line(tmp_path, capsys, line, message):
+    tuples = tmp_path / "tuples.jsonl"
+    tuples.write_text('[[0.1,0.9],[-0.2,1.4]]\n' + line + '\n')
+    out = tmp_path / "sym.csv"
+    code = main(["sym-scan", "--forms", str(DATA), "--k", "6", "--d", "2",
+                 "--tuples", str(tuples), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "bergman.cli", "verify", "--suite",

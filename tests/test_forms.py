@@ -10,7 +10,8 @@ from scipy.special import gammaincc, gammaln, roots_legendre
 
 from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
                            QuadratureDomain, _gram_once, _tail_gram,
-                           bergman_from_basis, basis_weight0_bundle, delta_form,
+                           GRAM_CHUNK, bergman_from_basis,
+                           basis_weight0_bundle, basis_weight0_grid, delta_form,
                            evaluate_q_expansion, evaluation_truncation_bound,
                            first_coefficient_mass, load_forms, model_basis,
                            modularity_defect, orthonormal_basis,
@@ -108,6 +109,31 @@ def test_batched_evaluator_matches_power_formula(make, y):
             ref = _power_formula(basis, z, r)
             for got in (row, basis.values(z, deriv_order=r)):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _per_point_bundle(basis, z):
+    """The per-point bundle the grid evaluation replaced: two
+    evaluations at z, then B, dB/dz and d2B/dz dzbar."""
+    v = basis.values(z)
+    dv = basis.values(z, deriv_order=1)
+    return (float(np.sum(np.abs(v) ** 2)), complex(np.sum(dv * v.conj())),
+            float(np.sum(np.abs(dv) ** 2)))
+
+
+@pytest.mark.parametrize("y", [0.4, 5.0])
+@pytest.mark.parametrize("make", [lambda: CuspFormBasis(forms=[delta_form(200)]),
+                                  _three_form_basis], ids=["delta", "three"])
+def test_grid_bundle_matches_per_point_bundle(make, y):
+    basis = make()
+    # more points than one evaluation block
+    zs = [UhpPoint(x, y) for x in np.linspace(-0.5, 0.5, GRAM_CHUNK + 44)]
+    grid = basis_weight0_grid(basis, np.array([z.z for z in zs]))
+    for i in range(0, len(zs), 17):
+        ref = _per_point_bundle(basis, zs[i])
+        for got, want in zip((g[i] for g in grid), ref):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        assert basis_weight0_bundle(basis, zs[i]) == pytest.approx(
+            ref, rel=1e-13)
 
 
 def _node_accumulation(basis, domain, x_panels, y_panels, nodes):

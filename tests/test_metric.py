@@ -202,6 +202,21 @@ def test_ratio_scan_summary_and_rows(delta_basis):
     assert s.sup_point is not None
 
 
+def test_basis_scan_row_does_not_depend_on_grid(delta_basis):
+    def factory(k):
+        return BasisSource(delta_basis)
+
+    grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
+    rows, _ = ratio_scan(factory, [6], grid)
+    for i in range(0, len(grid), 37):
+        alone, _ = ratio_scan(factory, [6], [grid[i]])
+        assert alone[0].error is None and rows[i].error is None
+        assert alone[0].region == rows[i].region
+        assert alone[0].ratio == pytest.approx(rows[i].ratio, rel=1e-14)
+        assert alone[0].ratio_over_k2 == pytest.approx(rows[i].ratio_over_k2,
+                                                       rel=1e-14)
+
+
 @pytest.mark.parametrize("k", [6, 8])
 def test_coset_route_error_envelope(k):
     # the weight-12 and weight-16 spaces are one-dimensional, so the

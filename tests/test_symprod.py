@@ -11,7 +11,8 @@ from scipy.linalg import null_space
 from bergman.symprod import (DegenerateDivisor, Divisor, HypothesisViolated,
                              NearDiagonal, RATIO_LIMIT, SubspaceFrame,
                              _covector_qr, dimensions, evaluation_matrix,
-                             fs_form_direct_oracle, fs_form_formula,
+                             fs_form_batch, fs_form_direct_oracle,
+                             fs_form_formula,
                              full_frame, ma_asymptotic_check,
                              nested_log_potential, subspace_kernel_diagonal,
                              vanishing_subspace,
@@ -315,3 +316,107 @@ def test_volume_scan_refuses_dependent_covectors():
     assert rows[0].error == \
         "DomainError: evaluation covectors nearly dependent"
     assert not summ[0].within_limit
+
+
+def per_tuple_formula(basis, zs, k):
+    """The per-tuple closed form that the stacked route replaced: two
+    evaluations, one QR, one inverse and one determinant per tuple.
+    Returns the volume ratio, the per-factor ratios and the form G."""
+    d = len(zs)
+    q, r = np.linalg.qr(basis.values(zs).conj().T, mode="complete")
+    w = basis.values(zs, deriv_order=1) @ q[:, d:]
+    rinv = np.linalg.inv(r[:d])
+    hess = (w @ w.conj().T) * (rinv @ rinv.conj().T).T
+    g_mat = -hess / (2.0 * math.pi)
+    for l, z in enumerate(zs):
+        g_mat[l, l] += k / (4.0 * math.pi * z.y ** 2)
+    per_factor = [float(2.0 * z.y ** 2 * g_mat[l, l].real)
+                  for l, z in enumerate(zs)]
+    volume = float(np.real(np.linalg.det(g_mat))) * math.prod(
+        2.0 * z.y ** 2 for z in zs)
+    return volume, per_factor, g_mat
+
+
+def random_tuples(rng, d, count):
+    """Tuples in the sampling box whose points are pairwise apart."""
+    out = []
+    while len(out) < count:
+        zs = [UhpPoint(float(rng.uniform(-0.4, 0.4)),
+                       float(rng.uniform(0.6, 1.8))) for _ in range(d)]
+        if all(abs(a.z - b.z) > 0.1 for i, a in enumerate(zs)
+               for b in zs[i + 1:]):
+            out.append(zs)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_route_matches_per_tuple_route(d):
+    rng = np.random.default_rng(40 + d)
+    k = 6
+    for seed in range(4):
+        basis = random_basis(100 * d + seed, n=d + 2, k=k, m=8)
+        tuples = random_tuples(rng, d, 25)
+        for zs, s in zip(tuples, fs_form_batch(basis, tuples, k)):
+            volume, per_factor, g_mat = per_tuple_formula(basis, zs, k)
+            assert not s.degenerate and s.route == "formula"
+            assert s.fs_volume_ratio == pytest.approx(volume, rel=1e-14)
+            assert s.per_factor_ratios == pytest.approx(per_factor, rel=1e-14)
+            assert np.max(np.abs(s.hermitian_form - g_mat)) <= \
+                1e-14 * np.max(np.abs(g_mat))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_route_full_rank_is_flat(d):
+    rng = np.random.default_rng(50 + d)
+    k = 18
+    basis = random_basis(200 + d, n=d, k=k)
+    for s in fs_form_batch(basis, random_tuples(rng, d, 20), k):
+        assert s.fs_volume_ratio == pytest.approx((k / (2 * math.pi)) ** d,
+                                                  rel=1e-12)
+
+
+def test_stacked_fallback_is_product_of_one_slot_ratios():
+    rng = np.random.default_rng(61)
+    k = 4
+    basis = random_basis(300, n=2, k=k)  # n = 2 < d = 3
+    tuples = random_tuples(rng, 3, 10)
+    for zs, s in zip(tuples, fs_form_batch(basis, tuples, k)):
+        singles = [per_tuple_formula(basis, [z], k)[0] for z in zs]
+        assert s.degenerate
+        assert s.per_factor_ratios == pytest.approx(singles, rel=1e-14)
+        assert s.fs_volume_ratio == pytest.approx(math.prod(singles),
+                                                  rel=1e-14)
+
+
+def test_volume_scan_isolates_refused_tuples():
+    basis = random_basis(11)
+
+    def basis_by_k(k):
+        return basis
+
+    z = UhpPoint(0.1, 0.9)
+    good = [(UhpPoint(-0.2, 1.4), UhpPoint(0.3, 0.8)),
+            (UhpPoint(0.05, 1.1), UhpPoint(-0.3, 0.7)),
+            (UhpPoint(0.2, 1.6), UhpPoint(-0.1, 0.65))]
+    # z + 1 has the same q as z: identical evaluation rows far apart;
+    # at y = 200 every q-power underflows, so R_1 is exactly singular
+    # and would make the stacked inverse raise for the whole batch
+    tuples = [good[0], (z, z), good[1], (z, UhpPoint(z.x + 1.0, z.y)),
+              good[2], (z, UhpPoint(0.0, 200.0)), good[0]]
+    rows, _ = volume_ratio_scan(basis_by_k, tuples, [4])
+    assert rows[1].error == "NearDiagonal: min pairwise distance 0.00e+00"
+    for i in (3, 5):
+        assert rows[i].error == \
+            "DomainError: evaluation covectors nearly dependent"
+    for row, zs in zip(rows[0::2], good + [good[0]]):
+        alone, _ = volume_ratio_scan(basis_by_k, [zs], [4])
+        assert row.error is None
+        assert row.ratio == alone[0].ratio
+        assert row.ratio_over_k2d == alone[0].ratio_over_k2d
+
+
+def test_volume_scan_refuses_mixed_lengths():
+    basis = random_basis(12)
+    tuples = [(UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4)), (UhpPoint(0.0, 1.2),)]
+    with pytest.raises(DomainError, match="mixed lengths"):
+        volume_ratio_scan(lambda k: basis, tuples, [4])
