@@ -229,14 +229,14 @@ class CosetList:
         return len(self.rows)
 
 
-def _bottom_row_keys(rows: np.ndarray) -> np.ndarray:
+def _bottom_row_keys(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Exact int64 keys c 2^32 + d of the bottom rows +-(c, d), sign fixed.
 
     One-to-one for integer entries, held exactly in floats, below 2^31.
     """
-    if np.abs(rows[:, 2:]).max(initial=0.0) >= 2.0 ** 31:
+    if max(np.abs(c).max(initial=0.0),
+           np.abs(d).max(initial=0.0)) >= 2.0 ** 31:
         raise DomainError("coset walk entries too large for exact keys")
-    c, d = rows[:, 2], rows[:, 3]
     sign = np.where(c != 0.0, np.sign(c), np.sign(d))
     return ((sign * c).astype(np.int64) << 32) + (sign * d).astype(np.int64)
 
@@ -253,8 +253,10 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
     Im(s(gamma z + n)) >= h.  Reducing an orbit point to a Ford domain
     raises its height at every step, so when the generators pair that
     domain's sides, as every preset's do, each coset above h is reached
-    through cosets above h.  Needs an integral group; listing more than
-    ``budget`` cosets raises ``BudgetExceeded``.
+    through cosets above h.  A level's moves are deduplicated by sorting
+    their keys and looked up in the sorted keys already listed.  Needs
+    an integral group; listing more than ``budget`` cosets raises
+    ``BudgetExceeded``.
     """
     if not group.has_cusp_translation:
         raise DomainError("the coset walk needs the unit translation")
@@ -267,31 +269,30 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
     if budget <= 0:
         raise DomainError("budget must be positive")
     # exact integer steps; an integral generator with c = 0 is a translation
-    steps = [np.rint([[s.a, s.b], [s.c, s.d]])
+    steps = [tuple(np.rint((s.a, s.b, s.c, s.d)).tolist())
              for s in group.symmetrized_generators()
              if not s.is_cusp_translation()]
     zc = z.z
     h = z.y / norm_bound
-    new = np.array([[1.0, 0.0, 0.0, 1.0]])
-    seen = _bottom_row_keys(new)
+    # columns a, b, c, d of the cosets new at this level
+    a, b, c, d = (np.array([v]) for v in (1.0, 0.0, 0.0, 1.0))
+    seen = _bottom_row_keys(c, d)  # sorted
     levels = []
-    while len(new):
-        a, b, c, d = new.T
+    while len(a):
         if np.any(np.abs(a * d - b * c - 1.0)
-                  > 1e-9 * np.maximum(1.0, (new * new).sum(axis=1))):
+                  > 1e-9 * np.maximum(1.0, a * a + b * b + c * c + d * d)):
             raise DomainError("coset walk met a non-unimodular matrix")
         # each new coset's representative with Re(gamma z) in [-1/2, 1/2)
         w = (a * zc + b) / (c * zc + d)
         n = np.floor(w.real + 0.5)
-        rows, u, v = (np.stack([a - n * c, b - n * d, c, d], axis=1),
-                      w.real - n, w.imag)
-        levels.append(rows)
+        a, b = a - n * c, b - n * d
+        u, v = w.real - n, w.imag
+        levels.append(np.stack([a, b, c, d], axis=1))
         if len(seen) > budget:
             raise BudgetExceeded(
                 f"coset walk at z={zc} listed more than {budget} cosets")
-        found = [np.empty((0, 4))]
-        for step in steps:
-            sc, sd = step[1]
+        found = [(np.empty(0),) * 4]
+        for sa, sb, sc, sd in steps:
             # Im(s w) >= h  <=>  (u + n + d_s/c_s)^2 <= v/(h c_s^2) - v^2
             rad = v / (h * sc * sc) - v * v
             live = np.flatnonzero(rad >= 0.0)
@@ -302,15 +303,24 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
             which = np.repeat(live, count)
             n = (np.repeat(lo - np.cumsum(count) + count, count)
                  + np.arange(len(which)))
-            g = rows[which].reshape(-1, 2, 2)
-            g[:, 0] += n[:, None] * g[:, 1]  # T^n g
-            found.append((step @ g).reshape(-1, 4))
-        cand = np.concatenate(found)
-        cand = cand[np.abs(cand[:, 2] * zc + cand[:, 3]) ** 2 <= norm_bound]
-        keys, first = np.unique(_bottom_row_keys(cand), return_index=True)
-        fresh = ~np.isin(keys, seen, assume_unique=True)
-        seen = np.concatenate([seen, keys[fresh]])
-        new = cand[first[fresh]]
+            pc, pd = c[which], d[which]
+            ta, tb = a[which] + n * pc, b[which] + n * pd  # T^n gamma
+            found.append((sa * ta + sb * pc, sa * tb + sb * pd,
+                          sc * ta + sd * pc, sc * tb + sd * pd))
+        a, b, c, d = (np.concatenate(col) for col in zip(*found))
+        keep = np.abs(c * zc + d) ** 2 <= norm_bound
+        a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+        keys = _bottom_row_keys(c, d)
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        order, keys = order[first], keys[first]
+        at = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(at, len(seen) - 1)] != keys
+        seen = np.insert(seen, at[fresh], keys[fresh])
+        pick = order[fresh]
+        a, b, c, d = a[pick], b[pick], c[pick], d[pick]
     return CosetList(base_point=z, norm_bound=norm_bound,
                      rows=np.concatenate(levels), translates=True)
 

@@ -210,22 +210,30 @@ def _log_weights(s, m):
     return s * math.log(TWO_PI) + (s - 1) * np.log(m) - _lgamma(s)
 
 
-def _series_tail(r, s: int, terms: int):
+def _series_tail(r, s: int, terms):
     """Bound on sum_{m > terms} m^(s-1) r^m, inf while the terms still grow.
 
-    Elementwise in r.
+    Elementwise in r and in terms.  Powers go through np.power for
+    scalars too, so a scalar call equals its entry of an array call.
     """
-    rho = ((terms + 2) / (terms + 1)) ** (s - 1) * r
-    head = (terms + 1.0) ** (s - 1) * r ** (terms + 1)
+    rho = np.power((terms + 2) / (terms + 1), s - 1) * r
+    head = np.power(terms + 1.0, s - 1) * np.power(r, terms + 1)
     return np.where(rho < 1.0, head / np.maximum(1.0 - rho, EPS), np.inf)
 
 
 def _series_length(r: float, s: int) -> int:
-    """Fewest q-terms whose cut-off stays below EPS times the first term."""
-    terms = 1
-    while _series_tail(r, s, terms) > EPS * r:
-        terms += 1
-    return terms
+    """Fewest q-terms whose cut-off stays below EPS times the first term.
+
+    The first of 1, 2, 3, ... whose ``_series_tail`` is at most EPS r,
+    searched 64 term counts per call.
+    """
+    start = 1
+    while True:
+        terms = np.arange(start, start + 64)
+        done = np.flatnonzero(~(_series_tail(r, s, terms) > EPS * r))
+        if len(done):
+            return start + int(done[0])
+        start += 64
 
 
 def _lipschitz_majorant(y: float, s: int) -> float:
@@ -236,8 +244,8 @@ def _lipschitz_majorant(y: float, s: int) -> float:
     r = math.exp(-TWO_PI * y)
     terms = _series_length(r, s)
     m = np.arange(1, terms + 1, dtype=float)
-    head = math.fsum(np.exp(_log_weights(s, m) + m * math.log(r)))
-    return head + math.exp(_log_weights(s, 1.0)) * float(
+    head, _ = accurate_sum(np.exp(_log_weights(s, m) + m * math.log(r)))
+    return float(head) + math.exp(_log_weights(s, 1.0)) * float(
         _series_tail(r, s, terms))
 
 
@@ -301,6 +309,26 @@ def poincare_weight0_bundle(elements: CosetList, z: UhpPoint, k: int):
     """
     if k < 2:
         raise DomainError("k must be >= 2")
+    terms, slacks = _coset_terms(elements, z, k)
+    # the real parts, then the imaginary parts, of the three sums
+    total, bound = accurate_sum(np.concatenate([terms.real, terms.imag]))
+    # slacks are positive: a sorted sum, raised by n EPS to bound its value
+    slack = (np.sort(slacks, axis=-1).sum(axis=-1)
+             * (1.0 + len(elements) * EPS))
+    coeff = (2 * k - 1) * (-4.0) ** k / (4.0 * math.pi)
+    values = coeff * (total[:3] + 1j * total[3:])
+    errors = abs(coeff) * (slack + bound[:3] + bound[3:]
+                           + np.array(_coset_tails(elements, z, k)))
+    return (float(values[0].real), complex(values[1]), complex(values[2]),
+            tuple(errors.tolist()))
+
+
+def _coset_terms(elements: CosetList, z: UhpPoint, k: int):
+    """Each representative's terms of B, dB and d2B, without C, and slacks.
+
+    Returns two 3 x n arrays: the terms, and first-order bounds on their
+    rounding plus the q-series cut-off of each.
+    """
     a, b, c, d = elements.rows.T
     zc = z.z
     den = c * zc + d
@@ -314,41 +342,83 @@ def poincare_weight0_bundle(elements: CosetList, z: UhpPoint, k: int):
     dtau = abs(zc) + np.abs(gz) * (2.0 + 2.0 * cond)
     beta = (2 * k + 2) * (2.0 * cond + 1.0) + 8.0
     if elements.translates:
-        q = np.exp(2j * math.pi * tau)
-        r = float(np.max(np.abs(q)))
-        terms = _series_length(r, 2 * k + 2)
-        m = np.arange(1, terms + 1, dtype=float)
-        w = np.exp(_log_weights(s[None, :], m[:, None]))
-        powers = np.cumprod(np.broadcast_to(q[:, None], (len(q), terms)),
-                            axis=1)
-        series = (powers @ w) * np.array([1, -1j, -1, 1j])[s % 4]
-        mags = np.abs(powers)
-        rel = ((beta + terms) * (mags @ w)
-               + (TWO_PI * dtau + 3.0)[:, None] * (mags @ (w * m[:, None])))
-        cut = np.exp(_log_weights(s, 1.0)) * np.stack(
-            [_series_tail(np.abs(q), si, terms) for si in s], axis=1)
+        series, rel, cut = _lipschitz_columns(tau, dtau, beta, s)
     else:
         series = tau[:, None] ** (-s)
         rel = np.abs(series) * (beta + s * (dtau / np.abs(tau))[:, None])
         cut = np.zeros_like(rel)
 
-    coeff = (2 * k - 1) * (-4.0) ** k / (4.0 * math.pi)
     p0 = inv_mu ** (2 * k)
     p1 = p0 * inv_mu
     p2 = p1 * inv_mu
-    # (prefactor, series column) of each sum: B, dB, d2B, each without C
+    # (prefactor, series column) of each sum: B, dB, d2B
     sums = (((p0, 0),),
             ((-2 * k * p0, 1),),
             ((4 * k * k * c * p1, 1), (-2 * k * (2 * k + 1) * p2, 2)))
-    values, errors = [], []
-    for parts, tail in zip(sums, _coset_tails(elements, z, k)):
-        total = sum(pre * series[:, j] for pre, j in parts)
-        values.append(coeff * complex(math.fsum(total.real),
-                                      math.fsum(total.imag)))
-        slack = math.fsum(np.concatenate(
-            [np.abs(pre) * (EPS * rel[:, j] + cut[:, j]) for pre, j in parts]))
-        errors.append(abs(coeff) * (slack + tail))
-    return values[0].real, values[1], values[2], tuple(errors)
+    terms = np.empty((3, len(tau)), dtype=complex)
+    slacks = np.empty((3, len(tau)))
+    for i, parts in enumerate(sums):
+        terms[i] = sum(pre * series[:, j] for pre, j in parts)
+        slacks[i] = sum(np.abs(pre) * (EPS * rel[:, j] + cut[:, j])
+                        for pre, j in parts)
+    return terms, slacks
+
+
+def _lipschitz_columns(tau, dtau, beta: float, s: np.ndarray):
+    """L_s(tau) for the three weights s, one column each, at every tau.
+
+    Also returns the columns' first-order rounding, in units of EPS,
+    given ``dtau`` and ``beta`` of ``_coset_terms``, and their q-series
+    cut-off.
+    """
+    q = np.exp(2j * math.pi * tau)
+    r = float(np.max(np.abs(q)))
+    terms = _series_length(r, int(s[-1]))
+    m = np.arange(1, terms + 1, dtype=float)
+    w = np.exp(_log_weights(s[None, :], m[:, None]))
+    powers = np.cumprod(np.broadcast_to(q[:, None], (len(q), terms)), axis=1)
+    series = (powers @ w) * np.array([1, -1j, -1, 1j])[s % 4]
+    mags = np.abs(powers)
+    rel = ((beta + terms) * (mags @ w)
+           + (TWO_PI * dtau + 3.0)[:, None] * (mags @ (w * m[:, None])))
+    cut = np.exp(_log_weights(s, 1.0)) * np.stack(
+        [_series_tail(np.abs(q), si, terms) for si in s], axis=1)
+    return series, rel, cut
+
+
+def accurate_sum(x: np.ndarray):
+    """Sums along the last axis, good to about one rounding, with bounds.
+
+    The terms, padded with zeros to a power of two, are sorted, so a sum
+    does not depend on their order; the sorted terms of -x are those of
+    x reversed, and so is every halving below, so the sum of -x is
+    exactly minus that of x.  They are halved pairwise by TwoSum, which
+    splits each a + b exactly into its rounded sum and its rounding
+    error, and the errors are carried along in a plain pairwise sum of
+    their own and added back at the end, a cascaded summation after
+    Ogita, Rump and Oishi ("Accurate sum and dot product", SIAM J. Sci.
+    Comput. 26, 2005).  Returns the sums and bounds
+    EPS/2 |sum| + (depth EPS)^2 sum |x| on their absolute errors, depth
+    the number of halvings: the last addition rounds once, the errors
+    of the halvings total about depth EPS/2 sum |x|, and carrying them,
+    two roundings a level, loses at most about depth EPS of that.
+    """
+    n = x.shape[-1]
+    depth = max(n - 1, 0).bit_length()
+    x = np.concatenate([x, np.zeros(x.shape[:-1] + ((1 << depth) - n,))],
+                       axis=-1)
+    x.sort(axis=-1)
+    mags, errs = np.abs(x), 0.0
+    for level in range(depth):
+        half = x.shape[-1] // 2
+        a, b = x[..., :half], x[..., half:]
+        x = a + b
+        t = x - a
+        e = (a - (x - t)) + (b - t)
+        errs = errs[..., :half] + errs[..., half:] + e if level else e
+        mags = mags[..., :half] + mags[..., half:]
+    total = x[..., 0] + (errs[..., 0] if depth else 0.0)
+    return total, EPS / 2 * np.abs(total) + (depth * EPS) ** 2 * mags[..., 0]
 
 
 def _coset_tails(elements: CosetList, z: UhpPoint, k: int):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .forms import CuspFormBasis, bergman_from_basis
 from .metric import RATIO_LIMIT
-from .uhp import DomainError, UhpPoint, hyp_distance
+from .uhp import DomainError, UhpPoint
 
 
 class HypothesisViolated(ValueError):
@@ -161,12 +161,32 @@ class FSVolumeSample:
     degenerate: bool = False
 
 
-def _guard_tuple(zs: Sequence[UhpPoint]):
-    if len(zs) >= 2:
-        dmin = min(hyp_distance(a, b)
-                   for i, a in enumerate(zs) for b in zs[i + 1:])
+def _near_diagonal(pts: np.ndarray) -> list:
+    """Per row of a T x d point array, NearDiagonal or None.
+
+    A row is refused when two of its points lie within hyperbolic
+    distance 1e-3.  The least cosh^2(d/2) of each row, ``hyp_distance``'s
+    argument, is taken over all rows at once, one pair of slots at a
+    time; only rows within twice that distance take the distance itself.
+    """
+    t = np.full(len(pts), np.inf)
+    for i in range(pts.shape[1]):
+        for j in range(i + 1, pts.shape[1]):
+            a, b = pts[:, i], pts[:, j]
+            t = np.minimum(t, ((a.real - b.real) ** 2 + (a.imag + b.imag) ** 2)
+                           / (4.0 * a.imag * b.imag))
+    refused = [None] * len(pts)
+    for row in np.flatnonzero(t < math.cosh(1e-3) ** 2):
+        dmin = 2.0 * math.acosh(math.sqrt(max(t[row], 1.0)))
         if dmin < 1e-3:
-            raise NearDiagonal(f"min pairwise distance {dmin:.2e}")
+            refused[row] = NearDiagonal(f"min pairwise distance {dmin:.2e}")
+    return refused
+
+
+def _guard_tuple(zs: Sequence[UhpPoint]):
+    refused = _near_diagonal(np.array([[z.z for z in zs]]))[0]
+    if refused:
+        raise refused
 
 
 def _assemble_forms(ys: np.ndarray, hessian_phi: np.ndarray, k: int):
@@ -262,13 +282,8 @@ def fs_form_batch(basis: CuspFormBasis, tuples, k: int) -> list:
     d = _tuple_length(tuples)
     if not tuples:
         return []
-    refused = []
-    for zs in tuples:
-        try:
-            _guard_tuple(zs)
-            refused.append(None)
-        except NearDiagonal as exc:
-            refused.append(exc)
+    pts = np.array([[z.z for z in zs] for zs in tuples], dtype=complex)
+    refused = _near_diagonal(pts)
     if basis.size < d:
         singles = fs_form_batch(basis, [(z,) for zs in tuples for z in zs], k)
         out = []
@@ -279,7 +294,6 @@ def fs_form_batch(basis: CuspFormBasis, tuples, k: int) -> list:
             out.append(err or _product_fallback(
                 zs, k, "formula", [s.fs_volume_ratio for s in slots]))
         return out
-    pts = np.array([[z.z for z in zs] for zs in tuples], dtype=complex)
     v, dv = basis.jets(pts)
     q, r1, dependent = _stacked_qr(v)
     for t in np.flatnonzero(dependent):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bergman.groups import (DEFAULT_C_GAMMA, BudgetExceeded, Region,
@@ -150,6 +151,31 @@ def test_coset_walk_matches_coprime_pairs(x, y):
     assert set(got) == expected
     for row in walk.rows:
         assert -0.5 <= apply_moebius(MoebiusTransform(*row), z).x < 0.5
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.5, math.sqrt(3) / 2),
+                                  (-0.5, 0.9), (-0.5, 2.3), (0.1, 1.0)])
+@pytest.mark.parametrize("bound", [200.0, None])
+def test_coset_walk_boundary_points_list_every_coset(x, y, bound):
+    # at i, at rho and on x = -1/2 many bottom rows sit on the norm
+    # bound or on the boundary of the reduction strip; the walk must list
+    # exactly the coprime rows that pass its own filter |cz+d|^2 <= N
+    # (at 0.1 + i with N = 200 it leaves out (10, 9), which the same
+    # test in real arithmetic admits)
+    z = UhpPoint(x, y)
+    bound = bound or coset_norm_bound(y, 6)
+    walk = walk_cosets(modular_group(), z, bound)
+    got = [_bottom_row(row) for row in walk.rows]
+    assert len(got) == len(set(got))
+    c_max = int(math.sqrt(bound) / y) + 1
+    d_max = int(c_max * abs(x) + math.sqrt(bound)) + 2
+    c, d = np.meshgrid(np.arange(c_max + 1.0), np.arange(-d_max, d_max + 1.0))
+    c, d = c.ravel(), d.ravel()
+    keep = ((np.gcd(c.astype(int), d.astype(int)) == 1) & ((c > 0) | (d == 1))
+            & (np.abs(c * z.z + d) ** 2 <= bound))
+    expected = set(zip(c[keep].astype(int).tolist(),
+                       d[keep].astype(int).tolist()))
+    assert set(got) == expected and len(expected) > 50
 
 
 def test_coset_walk_free2_matches_orbit_bottom_rows():

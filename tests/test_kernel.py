@@ -11,8 +11,9 @@ from bergman.forms import (CuspFormBasis, QuadratureDomain,
 from bergman.groups import (CosetList, enumerate_group_elements,
                             modular_group, translation_group, trivial_group,
                             walk_cosets)
-from bergman.kernel import (_log_weights, bergman_kernel_diagonal,
-                            bergman_kernel_offdiag,
+from bergman.kernel import (EPS, _log_weights, _series_length,
+                            _series_tail, accurate_sum,
+                            bergman_kernel_diagonal, bergman_kernel_offdiag,
                             coset_norm_bound, cx_constant, gamma_ratio,
                             identity_term, parabolic_term_bound, poincare_weight0_bundle,
                             term_log_phase, term_value)
@@ -278,3 +279,82 @@ def test_coset_bundle_ignores_row_order_and_sign():
                          rows=rows, translates=True)
     assert (poincare_weight0_bundle(shuffled, z, k)
             == poincare_weight0_bundle(cosets, z, k))
+
+
+def test_series_length_matches_term_by_term_search():
+    # the blocked search returns the first term count the one-at-a-time
+    # loop stops at, also past the first block of 64
+    def loop(r, s):
+        terms = 1
+        while _series_tail(r, s, terms) > EPS * r:
+            terms += 1
+        return terms
+
+    lengths = []
+    for s in range(12, 35):
+        for y in np.geomspace(0.03, 12.0, 9):
+            r = math.exp(-2 * math.pi * y)
+            lengths.append(_series_length(r, s))
+            assert lengths[-1] == loop(r, s)
+    assert min(lengths) == 1 and max(lengths) > 128
+
+
+def _random_terms(rng, n):
+    return rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+
+
+def test_accurate_sum_ignores_order_and_is_odd():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 64, 1000, 4097):
+        x = _random_terms(rng, n)
+        total, bound = accurate_sum(x)
+        for _ in range(5):
+            assert accurate_sum(x[rng.permutation(n)]) == (total, bound)
+        assert accurate_sum(-x) == (-total, bound)
+    rows = np.stack([_random_terms(rng, 300) for _ in range(4)])
+    totals, bounds = accurate_sum(rows)
+    for row, total, bound in zip(rows, totals, bounds):
+        assert accurate_sum(row) == (total, bound)
+    assert np.all(np.array(accurate_sum(np.zeros((2, 0)))) == 0.0)
+
+
+@pytest.mark.parametrize("case", ["cancel", "tiny", "mixed"])
+def test_accurate_sum_within_bound_of_exact_sum(case):
+    rng = np.random.default_rng({"cancel": 5, "tiny": 6, "mixed": 7}[case])
+    if case == "tiny":
+        x = np.array([1e16, 1.0, -1e16])
+    else:
+        x = (rng.standard_normal(10_000) if case == "cancel"
+             else _random_terms(rng, 10_000))
+        # shift one term so the sum is about 1e-12 of sum |x|
+        with mpmath.workdps(60):
+            excess = mpmath.fsum(map(mpmath.mpf, x))
+        target = 1e-12 * float(np.sum(np.abs(x)))
+        x[np.argmax(np.abs(x))] -= float(excess) - target
+    with mpmath.workdps(60):
+        exact = mpmath.fsum(map(mpmath.mpf, x))
+        total, bound = accurate_sum(x)
+        error = abs(mpmath.mpf(total) - exact)
+    assert error <= bound
+    if case == "tiny":
+        assert total == 1.0
+    else:
+        assert float(abs(exact)) < 1e-11 * float(np.sum(np.abs(x)))
+        # about one rounding of the sum, 1e12 times below sum |x|
+        assert bound < 2 * EPS * abs(total)
+
+
+@pytest.mark.parametrize("x, y, k, pinned", [
+    (0.314368, 5.0, 6, (1.3197620332205077e-30, 8.292309421195704e-30,
+                        2.0725300619710478e-29)),
+    (0.1, 2.3, 8, (7.442938718449653e-21, 4.678306845479473e-20,
+                   3.0723729279799655e-19)),
+])
+def test_coset_bundle_errors_match_pinned(x, y, k, pinned):
+    # error bounds pinned from the bundle that summed by math.fsum; the
+    # bound of the summation itself moves them by about 0.2% at most
+    z = UhpPoint(x, y)
+    cosets = walk_cosets(modular_group(), z, coset_norm_bound(y, k))
+    errors = poincare_weight0_bundle(cosets, z, k)[3]
+    for got, want in zip(errors, pinned):
+        assert got == pytest.approx(want, rel=1e-2)

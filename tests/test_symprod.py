@@ -17,7 +17,7 @@ from bergman.symprod import (DegenerateDivisor, Divisor, HypothesisViolated,
                              nested_log_potential, subspace_kernel_diagonal,
                              vanishing_subspace,
                              volume_ratio_scan, weight0_subspace_kernel)
-from bergman.uhp import DomainError, UhpPoint
+from bergman.uhp import DomainError, UhpPoint, hyp_distance
 
 
 def random_basis(seed, n=4, k=4, m=6):
@@ -420,3 +420,25 @@ def test_volume_scan_refuses_mixed_lengths():
     tuples = [(UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4)), (UhpPoint(0.0, 1.2),)]
     with pytest.raises(DomainError, match="mixed lengths"):
         volume_ratio_scan(lambda k: basis, tuples, [4])
+
+
+def test_batch_guard_refuses_only_the_near_diagonal_tuple():
+    # the guard runs over the whole batch at once; its message is the
+    # per-pair hyp_distance's, and it is decided before dependence
+    basis = random_basis(13, n=5)
+    near = (UhpPoint(0.1, 0.9), UhpPoint(-0.3, 1.2), UhpPoint(-0.3, 1.2002))
+    same = (UhpPoint(0.2, 1.1), UhpPoint(0.2, 1.1), UhpPoint(-0.1, 0.8))
+    good = [(UhpPoint(-0.2, 1.4), UhpPoint(0.3, 0.8), UhpPoint(0.0, 1.9)),
+            (UhpPoint(0.05, 1.1), UhpPoint(-0.3, 0.7), UhpPoint(0.4, 1.3))]
+    out = fs_form_batch(basis, [good[0], near, good[1], same], 4)
+    assert isinstance(out[1], NearDiagonal)
+    assert str(out[1]) == \
+        f"min pairwise distance {hyp_distance(near[1], near[2]):.2e}"
+    assert isinstance(out[3], NearDiagonal)
+    assert str(out[3]) == "min pairwise distance 0.00e+00"
+    for got, zs in zip(out[0::2], good):
+        alone = fs_form_formula(basis, zs, 4)
+        assert got.fs_volume_ratio == alone.fs_volume_ratio
+        assert np.array_equal(got.hermitian_form, alone.hermitian_form)
+    with pytest.raises(NearDiagonal):
+        fs_form_formula(basis, near, 4)
