@@ -155,6 +155,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_kernel(cfg: RunConfig) -> int:
     group = group_by_name(cfg.group)
     z = cfg.point()
+    text = ""
     for k in cfg.k_values():
         ev = bergman_kernel_diagonal(group, z, k, cfg.bound, cfg.budget)
         doc = {
@@ -169,7 +170,8 @@ def cmd_kernel(cfg: RunConfig) -> int:
             "tail_estimate": float(FMT % ev.truncation.tail_estimate),
             "exhaustive": ev.truncation.exhaustive,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        text += json.dumps(doc, indent=2) + "\n"
+    _emit(text, cfg.out)
     return 0
 
 
@@ -210,25 +212,18 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
               r.error or "") for r in rows]
     text = _csv(table, ["k", "x", "y", "region", "route", "ratio",
                         "ratio_over_k2", "bound", "bound_ok", "error"])
-    flagged = _flagged(rows, summaries)
-    for s, nf in zip(summaries, flagged):
+    for s in summaries:
         text += ("# k=%d sup_ratio_over_k2=" + FMT + " limit=" + FMT
                  + " flagged=%d within=%s\n") % (
-                     s.k, s.sup_ratio_over_k2, s.limit, nf, s.within_limit)
+                     s.k, s.sup_ratio_over_k2, s.limit, s.flagged,
+                     s.within_limit)
     _emit(text, cfg.out)
-    ok = all(s.within_limit for s in summaries) and not any(flagged)
-    return 0 if ok else 1
-
-
-def _flagged(rows, summaries) -> list:
-    """Rows with an error, per summary; each weight's rows are one block."""
-    n = len(rows) // max(len(summaries), 1)
-    return [sum(r.error is not None for r in rows[i * n:(i + 1) * n])
-            for i in range(len(summaries))]
-
+    return 0 if all(s.within_limit and not s.flagged for s in summaries) else 1
 
 
 def _load_tuples(cfg: RunConfig):
+    if cfg.d < 1:
+        raise ConfigError(f"--d must be at least 1, got {cfg.d}")
     if cfg.tuples and os.path.exists(cfg.tuples):
         out = []
         with open(cfg.tuples) as fh:
@@ -254,6 +249,10 @@ def _load_tuples(cfg: RunConfig):
         raise ConfigError(f"tuples file not found: {cfg.tuples}")
     # Cartesian power of the grid
     base = cfg.grid_spec()
+    distinct = len({(p.x, p.y) for p in base})
+    if distinct < cfg.d:
+        raise ConfigError(f"--grid {cfg.grid!r} has {distinct} distinct "
+                          f"points, fewer than --d {cfg.d}")
     from itertools import product
     return [tup for tup in product(base, repeat=cfg.d)
             if len({(p.x, p.y) for p in tup}) == cfg.d]
@@ -276,15 +275,13 @@ def cmd_sym_scan(cfg: RunConfig) -> int:
                       int(r.degenerate), r.error or ""))
     text = _csv(table, ["k", "tuple", "route", "ratio", "ratio_over_k2d",
                         "degenerate", "error"])
-    flagged = _flagged(rows, summaries)
-    for s, nf in zip(summaries, flagged):
+    for s in summaries:
         text += ("# k=%d d=%d sup=" + FMT + " limit=" + FMT
                  + " flagged=%d within=%s\n") % (
-                     s.k, s.d, s.sup_ratio_over_k2d, s.limit, nf,
+                     s.k, s.d, s.sup_ratio_over_k2d, s.limit, s.flagged,
                      s.within_limit)
     _emit(text, cfg.out)
-    ok = all(s.within_limit for s in summaries) and not any(flagged)
-    return 0 if ok else 1
+    return 0 if all(s.within_limit and not s.flagged for s in summaries) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +310,7 @@ def suite_kernel_oracle(cfg: RunConfig):
     points = [UhpPoint(0.0, 1.0), UhpPoint(0.5, math.sqrt(3) / 2)]
     for z in points:
         ev = bergman_kernel_diagonal(group, z, k, cfg.bound, cfg.budget)
-        ref = src.weight0_value(z) * z.y ** (2 * k)
+        ref = kernel_derivatives(src, z).value * z.y ** (2 * k)
         worst = max(worst, abs(ev.value_diagonal - ref) / abs(ref))
     return worst <= cfg.tol, {"max_rel_deviation": worst}, {"rel": cfg.tol}
 
@@ -324,7 +321,7 @@ def suite_lemma4(cfg: RunConfig):
     k = basis.k
     worst = 0.0
     for z in grid_points(-0.4, 0.4, 0.8, 2.4, 5, 5):
-        r1 = bergman_metric_ratio(kernel_derivatives(src, z, k), z, k,
+        r1 = bergman_metric_ratio(kernel_derivatives(src, z), z, k,
                                   cfg.c_gamma).ratio
         r2 = fd_log_ratio(src, z, k)
         worst = max(worst, abs(r1 - r2) / max(abs(r1), 1e-12))

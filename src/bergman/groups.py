@@ -2,8 +2,8 @@
 
 The walk over the cosets Gamma_inf\\Gamma above a height (the classes the
 coset-summed kernel series runs over), orbit enumeration by
-displacement (the element-by-element oracle), the compact-part /
-cusp-neighborhood split, and a sampled injectivity-radius estimate.
+displacement (the element-by-element oracle), and the compact-part /
+cusp-neighborhood split.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -346,36 +345,3 @@ def classify_region(z: UhpPoint, k: int, c_gamma: float = DEFAULT_C_GAMMA) -> Re
     tag = Region.CUSP_NEIGHBORHOOD if z.y >= threshold else Region.COMPACT_PART
     return RegionTag(tag=tag, threshold_height=threshold)
 
-
-def injectivity_radius_estimate(
-    group: FuchsianGroup,
-    samples: Sequence[UhpPoint],
-    budget: int = 200_000,
-    initial_bound: float = 64.0,
-    max_bound: float = 4096.0,
-) -> float:
-    """Sampled upper bound on the injectivity radius.
-
-    Minimum over samples of the minimal displacement by an enumerated
-    non-parabolic element; +inf when no such element exists below the
-    search bound.
-    """
-    if not samples:
-        raise DomainError("need at least one sample point")
-    best = math.inf
-    for z in samples:
-        bound = initial_bound
-        found = math.inf
-        while True:
-            enum = enumerate_group_elements(group, z, bound, budget=budget)
-            non_par = [t for g, t in enum.elements if not g.is_cusp_translation()]
-            if non_par:
-                found = 2.0 * math.acosh(math.sqrt(max(min(non_par), 1.0)))
-                break
-            if not enum.exhaustive_flag:
-                raise BudgetExceeded(f"enumeration incomplete at {z}")
-            if bound >= max_bound:
-                break
-            bound *= 4.0
-        best = min(best, found)
-    return best

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 from .forms import (CuspFormBasis, basis_weight0_bundle, basis_weight0_grid,
@@ -50,11 +49,6 @@ class ErrorBoundExceeded(RuntimeError):
 
 class FirstCoefficientZero(RuntimeError):
     pass
-
-
-class DerivativeMethod(Enum):
-    SERIES_TERMWISE = "SeriesTermwise"
-    FINITE_DIFFERENCE = "FiniteDifference"
 
 
 @dataclass
@@ -102,22 +96,16 @@ class BasisSource:
         self.basis = basis
         self.k = basis.k
 
-    def weight0_value(self, z: UhpPoint) -> float:
-        return basis_weight0_bundle(self.basis, z)[0]
-
-    def weight0_bundle(self, z: UhpPoint):
-        return basis_weight0_bundle(self.basis, z) + ((0.0, 0.0, 0.0),)
+    def bundles(self, grid: Sequence[UhpPoint]) -> list:
+        """A DerivativeBundle per grid point, from one batched evaluation."""
+        value, d1, d2 = basis_weight0_grid(self.basis, [z.z for z in grid])
+        return [DerivativeBundle(value=float(b), dz=complex(db),
+                                 dzdzbar=complex(float(ddb)))
+                for b, db, ddb in zip(value, d1, d2)]
 
     def value_near(self, z: UhpPoint):
         """B as a function of points near z, for finite-difference stencils."""
-        return self.weight0_value
-
-    def termwise_bundles(self, grid: Sequence[UhpPoint]) -> list:
-        """(bundle, None) per grid point, from one batched evaluation."""
-        value, d1, d2 = basis_weight0_grid(self.basis, [z.z for z in grid])
-        return [(DerivativeBundle(value=float(b), dz=complex(db),
-                                  dzdzbar=complex(float(ddb))), None)
-                for b, db, ddb in zip(value, d1, d2)]
+        return lambda w: basis_weight0_bundle(self.basis, w)[0]
 
 
 class PoincareSource:
@@ -149,67 +137,41 @@ class PoincareSource:
         return CosetList(base_point=z, norm_bound=math.inf,
                          rows=enum.rows(), translates=False)
 
-    def weight0_value(self, z: UhpPoint) -> float:
-        return self.weight0_bundle(z)[0]
-
-    def weight0_bundle(self, z: UhpPoint):
-        return poincare_weight0_bundle(self.cosets(z), z, self.k)
+    def bundles(self, grid: Sequence[UhpPoint]) -> list:
+        """A DerivativeBundle, or the exception refusing the point, per
+        grid point; each point walks its own cosets."""
+        out = []
+        for z in grid:
+            try:
+                value, d1, d2, errors = poincare_weight0_bundle(
+                    self.cosets(z), z, self.k)
+                out.append(DerivativeBundle(value=value, dz=d1,
+                                            dzdzbar=complex(d2),
+                                            errors=errors))
+            except Exception as exc:  # recorded inline, scan continues
+                # without its traceback, which keeps the walk's arrays
+                out.append(exc.with_traceback(None))
+        return out
 
     def value_near(self, z: UhpPoint):
         """B as a function of points near z, summed over z's cosets."""
         cosets = self.cosets(z)
         return lambda w: poincare_weight0_bundle(cosets, w, self.k)[0]
 
-    def termwise_bundles(self, grid: Sequence[UhpPoint]) -> list:
-        """(bundle, error) per grid point, each point walking its own
-        cosets; a refused point carries its error and leaves the rest."""
-        out = []
-        for z in grid:
-            try:
-                out.append((kernel_derivatives(self, z, self.k), None))
-            except Exception as exc:  # recorded inline, scan continues
-                out.append((None, _error_text(exc)))
-        return out
-
-
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
 
 # ---------------------------------------------------------------------------
 # Derivatives
 
-def _fd_bundle(f, z: UhpPoint, h: float):
-    x, y = z.x, z.y
-    b0 = f(z)
-    fxp, fxm = f(UhpPoint(x + h, y)), f(UhpPoint(x - h, y))
-    fyp, fym = f(UhpPoint(x, y + h)), f(UhpPoint(x, y - h))
-    dx = (fxp - fxm) / (2 * h)
-    dy = (fyp - fym) / (2 * h)
-    dxx = (fxp - 2 * b0 + fxm) / (h * h)
-    dyy = (fyp - 2 * b0 + fym) / (h * h)
-    dz = 0.5 * complex(dx, -dy)
-    d2 = 0.25 * (dxx + dyy)
-    return b0, dz, d2
+def kernel_derivatives(source, z: UhpPoint) -> DerivativeBundle:
+    """Weight-0 kernel value and Wirtinger derivatives at z.
 
-
-def kernel_derivatives(source, z: UhpPoint, k: int,
-                       method: DerivativeMethod = DerivativeMethod.SERIES_TERMWISE,
-                       step: Optional[float] = None) -> DerivativeBundle:
-    """Weight-0 kernel value and Wirtinger derivatives from either source."""
-    if method is DerivativeMethod.SERIES_TERMWISE:
-        value, d1, d2, errors = source.weight0_bundle(z)
-        return DerivativeBundle(value=value, dz=d1, dzdzbar=complex(d2),
-                                errors=errors)
-    h = step or max(1e-5, 1e-4 * z.y)
-    f = source.value_near(z)
-    b_h = _fd_bundle(f, z, h)
-    b_h2 = _fd_bundle(f, z, h / 2)
-    # one Richardson extrapolation step for the O(h^2) stencils
-    value = b_h2[0]
-    d1 = (4 * b_h2[1] - b_h[1]) / 3
-    d2 = (4 * b_h2[2] - b_h[2]) / 3
-    return DerivativeBundle(value=value, dz=d1, dzdzbar=complex(d2))
+    The batch of one of ``source.bundles``; raises what refuses the
+    point.
+    """
+    result = source.bundles([z])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def ratio_error_bound(bundle: DerivativeBundle, z: UhpPoint) -> float:
@@ -327,8 +289,7 @@ def cusp_ratio_expansion(basis: CuspFormBasis, z: UhpPoint, k: int,
     """Ratio through the q-expansion route in the cusp neighborhood."""
     if first_coefficient_mass(basis) <= 0.0:
         raise FirstCoefficientZero("sum |a_{j,1}|^2 vanishes")
-    bundle = kernel_derivatives(BasisSource(basis), z, k,
-                                DerivativeMethod.SERIES_TERMWISE)
+    bundle = kernel_derivatives(BasisSource(basis), z)
     return bergman_metric_ratio(bundle, z, k, c_gamma)
 
 
@@ -354,6 +315,7 @@ class ScanSummary:
     limit: float
     within_limit: bool
     sup_point: Optional[UhpPoint]
+    flagged: int            # rows of this weight carrying an error
 
 
 def grid_points(x0: float, x1: float, y0: float, y1: float,
@@ -369,18 +331,19 @@ def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
     """Per-(k, z) ratio table plus per-k sup |ratio|/k^2 summaries.
 
     ``source_factory(k)`` returns a kernel source for each weight.  The
-    source gives the termwise bundles of the whole grid at once
-    (``termwise_bundles``); a point's bundle depends on that point
-    alone, and rows are assembled in grid order.  A point whose ratio
-    error bound exceeds ``tol`` times |ratio| (or times k/(2 pi), when
-    the ratio is smaller) is refused inline, like any other failed
-    point.
+    source gives the bundles of the whole grid at once (``bundles``),
+    a point's bundle depending on that point alone, and rows are
+    assembled in grid order.  A point the source refuses, or whose
+    ratio error bound exceeds ``tol`` times |ratio| (or times k/(2 pi),
+    when the ratio is smaller), is refused inline.
     """
     rows, summaries = [], []
     for k in k_list:
         source = source_factory(k)
 
         def eval_point(z, bundle, k=k):
+            if isinstance(bundle, Exception):
+                return None, None, bundle
             try:
                 sample = bergman_metric_ratio(bundle, z, k, c_gamma)
                 scale = max(abs(sample.ratio), sample.identity_part)
@@ -390,21 +353,21 @@ def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
                         f"{sample.error_bound:.3g} exceeds tol {tol:g}")
                 return sample, bundle.value * z.y ** (2 * k), None
             except Exception as exc:  # recorded inline, scan continues
-                return None, None, _error_text(exc)
+                return None, None, exc
 
-        results = [eval_point(z, bundle) if err is None else (None, None, err)
-                   for z, (bundle, err) in zip(grid,
-                                               source.termwise_bundles(grid))]
+        results = [eval_point(z, bundle)
+                   for z, bundle in zip(grid, source.bundles(grid))]
 
         norms = [nrm for _, nrm, _ in results if nrm is not None]
         klower = kernel_lower_surrogate(k, min(norms) if norms else 0.0)
-        sup_val, sup_point = -math.inf, None
+        sup_val, sup_point, flagged = -math.inf, None, 0
         for z, (sample, nrm, err) in zip(grid, results):
             if err is not None:
+                flagged += 1
                 rows.append(ScanRow(k=k, z=z, region=classify_region(z, k, c_gamma),
                                     ratio=math.nan, ratio_over_k2=math.nan,
                                     bound=math.nan, bound_satisfied=False,
-                                    error=err))
+                                    error=f"{type(err).__name__}: {err}"))
                 continue
             ledger = bound_ledger(max(z.y, 1e-6), k, klower, c_x, c_gamma) \
                 if k >= 3 else None
@@ -421,6 +384,6 @@ def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
         summaries.append(ScanSummary(
             k=k, sup_ratio_over_k2=sup_val, limit=RATIO_LIMIT,
             within_limit=-math.inf < sup_val <= RATIO_LIMIT,
-            sup_point=sup_point,
+            sup_point=sup_point, flagged=flagged,
         ))
     return rows, summaries

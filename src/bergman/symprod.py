@@ -457,6 +457,7 @@ class SymScanSummary:
     sup_ratio_over_k2d: float
     limit: float
     within_limit: bool
+    flagged: int            # rows of this weight carrying an error
 
 
 def volume_ratio_scan(basis_by_k, tuples: Sequence[Sequence[UhpPoint]],
@@ -480,17 +481,18 @@ def volume_ratio_scan(basis_by_k, tuples: Sequence[Sequence[UhpPoint]],
             else (s.fs_volume_ratio, s.route, s.degenerate, None)
             for s in samples]
 
-        sup = -math.inf
+        sup, flagged = -math.inf, 0
         for zs, (ratio, route, degen, err) in zip(tuples, results):
             over = abs(ratio) / k ** (2 * d) if not math.isnan(ratio) else math.nan
             rows.append(SymScanRow(k=k, z=list(zs), ratio=ratio,
                                    ratio_over_k2d=over, route=route,
                                    degenerate=degen, error=err))
+            flagged += err is not None
             if err is None and over > sup:
                 sup = over
         limit = RATIO_LIMIT ** d
         # a weight whose rows are all flagged has no sup to pass
         summaries.append(SymScanSummary(
             k=k, d=d, sup_ratio_over_k2d=sup, limit=limit,
-            within_limit=-math.inf < sup <= limit))
+            within_limit=-math.inf < sup <= limit, flagged=flagged))
     return rows, summaries

@@ -47,7 +47,7 @@ def test_01_kernel_oracle(delta_basis):
     worst_rel, worst_tail = 0.0, 0.0
     for z in (UhpPoint(0.0, 1.0), UhpPoint(0.5, math.sqrt(3) / 2)):
         ev = bergman_kernel_diagonal(group, z, 6, displacement_bound=300.0)
-        ref = src.weight0_value(z) * z.y ** 12
+        ref = src.value_near(z)(z) * z.y ** 12
         worst_rel = max(worst_rel, abs(ev.value_diagonal - ref) / ref)
         worst_tail = max(worst_tail, ev.truncation.tail_estimate)
     elapsed = time.monotonic() - start
@@ -80,13 +80,13 @@ def test_03_lemma4_two_routes(delta_basis):
     worst_basis = 0.0
     bsrc = BasisSource(delta_basis)
     for z in grid:
-        r1 = bergman_metric_ratio(kernel_derivatives(bsrc, z, 6), z, 6).ratio
+        r1 = bergman_metric_ratio(kernel_derivatives(bsrc, z), z, 6).ratio
         r2 = fd_log_ratio(bsrc, z, 6)
         worst_basis = max(worst_basis, abs(r1 - r2) / abs(r1))
     worst_poincare = 0.0
     psrc = PoincareSource(modular_group(), 6)
     for z in grid[::10]:  # one column; each point shares one truncation
-        r1 = bergman_metric_ratio(kernel_derivatives(psrc, z, 6), z, 6).ratio
+        r1 = bergman_metric_ratio(kernel_derivatives(psrc, z), z, 6).ratio
         r2 = fd_log_ratio(psrc, z, 6)
         worst_poincare = max(worst_poincare, abs(r1 - r2) / abs(r1))
     elapsed = time.monotonic() - start
@@ -103,7 +103,7 @@ def test_04_one_dimensional_collapse(delta_basis):
     for _ in range(100):
         z = UhpPoint(float(rng.uniform(-0.5, 0.5)),
                      float(rng.uniform(0.4, 4.0)))
-        sample = bergman_metric_ratio(kernel_derivatives(src, z, 6), z, 6)
+        sample = bergman_metric_ratio(kernel_derivatives(src, z), z, 6)
         worst = max(worst, abs(sample.ratio - 6 / (2 * math.pi)))
     report(4, "one-dimensional collapse", worst <= 1e-10,
            f"max |ratio - k/2pi| {worst:.3e} over 100 points")

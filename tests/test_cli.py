@@ -57,6 +57,18 @@ def test_kernel_command_json(capsys):
     assert doc["exhaustive"] is True
 
 
+def test_kernel_out_file_gets_every_weight(tmp_path, capsys):
+    args = ["kernel", "--group", "modular", "--k", "6,8", "--z", "0.1,1.2",
+            "--bound", "80"]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "kernel.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == stdout
+    assert stdout.count('"k": ') == 2
+
+
 def test_ingest_reports_forms(capsys):
     code = main(["ingest", "--forms", str(DATA)])
     assert code == 0
@@ -162,6 +174,21 @@ def test_sym_scan_refuses_bad_tuple_line(tmp_path, capsys, line, message):
     out = tmp_path / "sym.csv"
     code = main(["sym-scan", "--forms", str(DATA), "--k", "6", "--d", "2",
                  "--tuples", str(tuples), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--d", "-1"], "--d must be at least 1, got -1"),
+    (["--d", "0"], "--d must be at least 1, got 0"),
+    (["--d", "2", "--grid=0,0,1,1,1,1"],
+     "--grid '0,0,1,1,1,1' has 1 distinct points, fewer than --d 2"),
+], ids=["negative", "zero", "one-point-grid"])
+def test_sym_scan_refuses_bad_degree(tmp_path, capsys, args, message):
+    out = tmp_path / "sym.csv"
+    code = main(["sym-scan", "--forms", str(DATA), "--k", "6",
+                 "--out", str(out)] + args)
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

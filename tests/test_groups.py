@@ -6,8 +6,7 @@ import pytest
 
 from bergman.groups import (DEFAULT_C_GAMMA, BudgetExceeded, Region,
                             classify_region, enumerate_group_elements,
-                            free_product_group, group_by_name,
-                            injectivity_radius_estimate, modular_group,
+                            free_product_group, group_by_name, modular_group,
                             translation_group, trivial_group, walk_cosets)
 from bergman.kernel import coset_norm_bound
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
@@ -107,18 +106,6 @@ def test_region_split():
     assert low.tag is Region.COMPACT_PART
     assert high.tag is Region.CUSP_NEIGHBORHOOD  # closed condition
     assert high.threshold_height == pytest.approx(threshold)
-
-
-def test_injectivity_radius_modular():
-    r = injectivity_radius_estimate(modular_group(), [UhpPoint(0, 1.0)])
-    # the inversion fixes i, so some non-parabolic displacement is small
-    assert 0.0 <= r < 2.0
-
-
-def test_injectivity_radius_translations_infinite():
-    r = injectivity_radius_estimate(translation_group(), [UhpPoint(0, 1.0)],
-                                    max_bound=256.0)
-    assert math.isinf(r)
 
 
 def test_free2_group_enumeration_exhaustive():

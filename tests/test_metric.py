@@ -8,7 +8,7 @@ from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
 from bergman.groups import (BudgetExceeded, free_product_group,
                             group_by_name, modular_group, trivial_group)
 from bergman.kernel import NORM_CAP, coset_norm_bound
-from bergman.metric import (BasisSource, DerivativeMethod, FirstCoefficientZero,
+from bergman.metric import (BasisSource, FirstCoefficientZero,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
                             bergman_metric_ratio, bound_ledger,
                             cusp_ratio_expansion, DerivativeBundle,
@@ -35,12 +35,11 @@ def synthetic_basis():
 def test_derivative_bundle_invariants(synthetic_basis):
     src = BasisSource(synthetic_basis)
     z, h = UhpPoint(0.2, 1.1), 1e-5
-    b = kernel_derivatives(src, z, 5)
+    b = kernel_derivatives(src, z)
+    f = src.value_near(z)
     # B is real, so dB/dzbar = (B_x + i B_y)/2 is the conjugate of dz
-    bx = (src.weight0_value(UhpPoint(z.x + h, z.y))
-          - src.weight0_value(UhpPoint(z.x - h, z.y))) / (2 * h)
-    by = (src.weight0_value(UhpPoint(z.x, z.y + h))
-          - src.weight0_value(UhpPoint(z.x, z.y - h))) / (2 * h)
+    bx = (f(UhpPoint(z.x + h, z.y)) - f(UhpPoint(z.x - h, z.y))) / (2 * h)
+    by = (f(UhpPoint(z.x, z.y + h)) - f(UhpPoint(z.x, z.y - h))) / (2 * h)
     assert abs(0.5 * complex(bx, by) - b.dz.conjugate()) < 1e-6 * abs(b.dz)
     assert abs(b.dzdzbar.imag) < 1e-10 * max(abs(b.dzdzbar), 1e-30)
     assert b.value > 0
@@ -50,16 +49,36 @@ def test_model_kernel_second_derivative_single_term():
     # single-term model basis at z = i: d2B = 4 pi^2 e^{-4 pi}
     basis = model_basis(12, [[1.0]])
     src = BasisSource(basis)
-    b = kernel_derivatives(src, UhpPoint(0.0, 1.0), 6)
+    b = kernel_derivatives(src, UhpPoint(0.0, 1.0))
     assert b.dzdzbar.real == pytest.approx(
         4 * math.pi ** 2 * math.exp(-4 * math.pi), rel=1e-12)
+
+
+def _stencil(f, z, h):
+    """Value, dB/dz and d2B/dz dzbar from five-point stencils of step h."""
+    b0 = f(z)
+    fxp, fxm = f(UhpPoint(z.x + h, z.y)), f(UhpPoint(z.x - h, z.y))
+    fyp, fym = f(UhpPoint(z.x, z.y + h)), f(UhpPoint(z.x, z.y - h))
+    dx, dy = (fxp - fxm) / (2 * h), (fyp - fym) / (2 * h)
+    dxx = (fxp - 2 * b0 + fxm) / (h * h)
+    dyy = (fyp - 2 * b0 + fym) / (h * h)
+    return b0, 0.5 * complex(dx, -dy), 0.25 * (dxx + dyy)
+
+
+def _richardson_bundle(src, z):
+    """Finite-difference bundle, one Richardson step on the O(h^2) stencils."""
+    f = src.value_near(z)
+    h = max(1e-5, 1e-4 * z.y)
+    b_h, b_h2 = _stencil(f, z, h), _stencil(f, z, h / 2)
+    return DerivativeBundle(value=b_h2[0], dz=(4 * b_h2[1] - b_h[1]) / 3,
+                            dzdzbar=complex((4 * b_h2[2] - b_h[2]) / 3))
 
 
 def test_series_vs_finite_difference(synthetic_basis):
     src = BasisSource(synthetic_basis)
     z = UhpPoint(0.15, 0.95)
-    b1 = kernel_derivatives(src, z, 5, DerivativeMethod.SERIES_TERMWISE)
-    b2 = kernel_derivatives(src, z, 5, DerivativeMethod.FINITE_DIFFERENCE)
+    b1 = kernel_derivatives(src, z)
+    b2 = _richardson_bundle(src, z)
     assert b2.value == pytest.approx(b1.value, rel=1e-9)
     assert abs(b2.dz - b1.dz) < 1e-6 * max(abs(b1.dz), 1e-12)
     assert abs(b2.dzdzbar - b1.dzdzbar) < 1e-5 * max(abs(b1.dzdzbar), 1e-12)
@@ -84,14 +103,14 @@ def test_single_form_collapse_to_k_over_2pi(delta_basis):
     for _ in range(25):
         z = UhpPoint(float(rng.uniform(-0.5, 0.5)),
                      float(rng.uniform(0.5, 3.0)))
-        sample = bergman_metric_ratio(kernel_derivatives(src, z, 6), z, 6)
+        sample = bergman_metric_ratio(kernel_derivatives(src, z), z, 6)
         assert abs(sample.ratio - 6 / (2 * math.pi)) < 1e-10
 
 
 def test_two_route_equality_basis(synthetic_basis):
     src = BasisSource(synthetic_basis)
     for z in grid_points(-0.3, 0.3, 0.8, 2.0, 3, 3):
-        r1 = bergman_metric_ratio(kernel_derivatives(src, z, 5), z, 5).ratio
+        r1 = bergman_metric_ratio(kernel_derivatives(src, z), z, 5).ratio
         r2 = fd_log_ratio(src, z, 5)
         assert r2 == pytest.approx(r1, rel=1e-5, abs=1e-8)
 
@@ -99,28 +118,40 @@ def test_two_route_equality_basis(synthetic_basis):
 def test_two_route_equality_poincare():
     src = PoincareSource(modular_group(), 6)
     z = UhpPoint(0.1, 1.3)
-    r1 = bergman_metric_ratio(kernel_derivatives(src, z, 6), z, 6).ratio
+    r1 = bergman_metric_ratio(kernel_derivatives(src, z), z, 6).ratio
     r2 = fd_log_ratio(src, z, 6)
     assert r2 == pytest.approx(r1, rel=1e-5)
 
 
 def test_finite_difference_routes_refuse_budget_cut_orbit():
     # 50 expansions cut the orbit at z=i short; a value from the
-    # truncated sum (6e-5 off) must not reach the stencils
+    # truncated sum (6e-5 off) must reach neither the stencil nor the bundle
     src = PoincareSource(modular_group(), 6, budget=50)
     z = UhpPoint(0.0, 1.0)
     with pytest.raises(BudgetExceeded):
         fd_log_ratio(src, z, 6)
     with pytest.raises(BudgetExceeded):
-        kernel_derivatives(src, z, 6, DerivativeMethod.FINITE_DIFFERENCE)
+        kernel_derivatives(src, z)
+
+
+def test_poincare_bundles_refuse_only_the_budget_cut_point():
+    # 10^4 cosets cover the walk at y = 1 and 2 (about 6,600 and 8,100
+    # cosets) but not at y = 4 (about 13,600)
+    grid = [UhpPoint(0.1, 1.0), UhpPoint(0.1, 4.0), UhpPoint(0.1, 2.0)]
+    out = PoincareSource(modular_group(), 6, budget=10_000).bundles(grid)
+    assert isinstance(out[1], BudgetExceeded)
+    full = PoincareSource(modular_group(), 6)
+    for i in (0, 2):
+        assert isinstance(out[i], DerivativeBundle)
+        assert out[i] == kernel_derivatives(full, grid[i])
 
 
 def test_poincare_and_basis_routes_agree(delta_basis):
     psrc = PoincareSource(modular_group(), 6)
     bsrc = BasisSource(delta_basis)
     z = UhpPoint(0.22, 1.4)
-    rp = bergman_metric_ratio(kernel_derivatives(psrc, z, 6), z, 6).ratio
-    rb = bergman_metric_ratio(kernel_derivatives(bsrc, z, 6), z, 6).ratio
+    rp = bergman_metric_ratio(kernel_derivatives(psrc, z), z, 6).ratio
+    rb = bergman_metric_ratio(kernel_derivatives(bsrc, z), z, 6).ratio
     assert rp == pytest.approx(rb, rel=1e-8)
 
 
@@ -202,6 +233,19 @@ def test_ratio_scan_summary_and_rows(delta_basis):
     assert s.sup_point is not None
 
 
+def test_ratio_scan_summary_counts_its_own_flagged_rows():
+    # y = 6 is refused at k = 6 but not at k = 8; y = 8 at both
+    def factory(k):
+        return PoincareSource(modular_group(), k)
+
+    grid = [UhpPoint(0.0, 1.0), UhpPoint(0.0, 6.0), UhpPoint(0.0, 8.0)]
+    rows, summaries = ratio_scan(factory, [6, 8], grid)
+    for s in summaries:
+        assert s.flagged == sum(r.error is not None for r in rows
+                                if r.k == s.k)
+    assert [s.flagged for s in summaries] == [2, 1]
+
+
 def test_basis_scan_row_does_not_depend_on_grid(delta_basis):
     def factory(k):
         return BasisSource(delta_basis)
@@ -224,7 +268,7 @@ def test_coset_route_error_envelope(k):
     src = PoincareSource(modular_group(), k)
     for y in (0.6, 1.0, 2.3, 4.0, 6.0, 8.0):
         z = UhpPoint(0.314368, y)
-        sample = bergman_metric_ratio(kernel_derivatives(src, z, k), z, k)
+        sample = bergman_metric_ratio(kernel_derivatives(src, z), z, k)
         assert abs(sample.ratio - k / (2 * math.pi)) <= sample.error_bound
         if y <= 4.0:
             assert sample.error_bound < 1e-7
@@ -281,5 +325,5 @@ def test_small_weight_walk_capped_and_bounded():
     assert coset_norm_bound(1.0, 4) == NORM_CAP
     src = PoincareSource(free_product_group(), 4)
     z = UhpPoint(0.1, 1.0)
-    sample = bergman_metric_ratio(kernel_derivatives(src, z, 4), z, 4)
+    sample = bergman_metric_ratio(kernel_derivatives(src, z), z, 4)
     assert abs(sample.ratio - 4 / (2 * math.pi)) <= sample.error_bound < 1e-7

@@ -173,7 +173,7 @@ def test_fs_d1_matches_metric_ratio():
     z = UhpPoint(0.12, 0.95)
     sample = fs_form_formula(basis, [z], 4)
     src = BasisSource(basis)
-    ratio = bergman_metric_ratio(kernel_derivatives(src, z, 4), z, 4).ratio
+    ratio = bergman_metric_ratio(kernel_derivatives(src, z), z, 4).ratio
     assert sample.fs_volume_ratio == pytest.approx(ratio, rel=1e-4)
     assert sample.per_factor_ratios[0] == pytest.approx(ratio, rel=1e-4)
 
@@ -300,7 +300,7 @@ def test_volume_scan_reports_errors_inline():
                                    [4])
     assert rows[0].error is not None and "NearDiagonal" in rows[0].error
     assert rows[1].error is None
-    assert summ[0].within_limit
+    assert summ[0].within_limit and summ[0].flagged == 1
 
 
 def test_volume_scan_refuses_dependent_covectors():
@@ -403,7 +403,8 @@ def test_volume_scan_isolates_refused_tuples():
     # and would make the stacked inverse raise for the whole batch
     tuples = [good[0], (z, z), good[1], (z, UhpPoint(z.x + 1.0, z.y)),
               good[2], (z, UhpPoint(0.0, 200.0)), good[0]]
-    rows, _ = volume_ratio_scan(basis_by_k, tuples, [4])
+    rows, summ = volume_ratio_scan(basis_by_k, tuples, [4])
+    assert summ[0].flagged == 3
     assert rows[1].error == "NearDiagonal: min pairwise distance 0.00e+00"
     for i in (3, 5):
         assert rows[i].error == \
