@@ -63,13 +63,26 @@ class RunConfig:
             if not os.path.exists(args.config):
                 raise ConfigError(f"config file not found: {args.config}")
             with open(args.config) as fh:
-                doc = json.load(fh)
-        names = {f.name for f in fields(cls)}
+                try:
+                    doc = json.load(fh)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"bad config {args.config}: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ConfigError(f"config {args.config} is not an object")
+        types = {f.name: f.type for f in fields(cls)}
+        # the JSON values each field annotation takes
+        kinds = {"str": str, "Optional[str]": (str, type(None)), "int": int,
+                 "float": (int, float)}
         for key, value in doc.items():
-            if key not in names:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-        for name in names:
+            if isinstance(value, bool) or not isinstance(value,
+                                                         kinds[types[key]]):
+                raise ConfigError(f"config key {key!r} must be "
+                                  f"{types[key]}, got {value!r}")
+            setattr(cfg, key, float(value) if types[key] == "float" else value)
+        for name in types:
             flag = getattr(args, name, None)
             if flag is not None:
                 setattr(cfg, name, flag)
@@ -91,9 +104,13 @@ class RunConfig:
     def grid_spec(self):
         try:
             x0, x1, y0, y1, nx, ny = (float(t) for t in self.grid.split(","))
-            return grid_points(x0, x1, y0, y1, int(nx), int(ny))
-        except ValueError as exc:
+            nx, ny = int(nx), int(ny)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid {self.grid!r}") from exc
+        if min(nx, ny) < 1:
+            raise ConfigError(f"--grid {self.grid!r}: nx and ny must be at "
+                              f"least 1")
+        return grid_points(x0, x1, y0, y1, nx, ny)
 
     def basis(self) -> CuspFormBasis:
         if self.forms is None:
@@ -427,34 +444,18 @@ def _round_doc(doc):
 # Parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser: the command, then a flag per RunConfig field."""
+    p = argparse.ArgumentParser(
         prog="bergman",
         description="Bergman kernels and metric ratios on hyperbolic surfaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override")
-        p.add_argument("--group")
-        p.add_argument("--forms")
-        p.add_argument("--k")
-        p.add_argument("--grid")
-        p.add_argument("--tuples")
-        p.add_argument("--d", type=int)
-        p.add_argument("--c-gamma", dest="c_gamma", type=float)
-        p.add_argument("--c-x", dest="c_x", type=float)
-        p.add_argument("--bound", type=float)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--z")
-        p.add_argument("--domain", choices=["modular", "strip"])
-        p.add_argument("--suite")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out")
-        p.add_argument("--tol", type=float)
-
-    for name in ("ingest", "kernel", "gram", "ratio-scan", "sym-scan",
-                 "verify"):
-        common(sub.add_parser(name))
-    return parser
+    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("--config", help="JSON config file; flags override")
+    for f in fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type={"int": int, "float": float}.get(f.type, str),
+                       choices=("modular", "strip") if f.name == "domain"
+                       else None)
+    return p
 
 
 COMMANDS = {

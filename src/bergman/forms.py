@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .uhp import DomainError, MoebiusTransform, UhpPoint, apply_moebius
 
@@ -61,14 +60,6 @@ def evaluate_q_expansion(form: QExpansionForm, z: UhpPoint,
     return complex(CuspFormBasis(forms=[form]).values(z, deriv_order)[0])
 
 
-def evaluation_truncation_bound(form: QExpansionForm, z: UhpPoint) -> float:
-    """Geometric-tail bound on the omitted coefficients beyond M."""
-    absq = math.exp(-TWO_PI * z.y)
-    a_last = abs(complex(form.coefficients[-1]))
-    growth = 1.0 + (form.growth_exponent or 0.0)
-    return a_last * absq ** (form.truncation_length + 1) / (1.0 - absq) * growth
-
-
 def modularity_defect(form: QExpansionForm, gamma: MoebiusTransform,
                       z: UhpPoint) -> float:
     """|f(gamma z) - (cz+d)^(2k) f(z)|, a data-validation diagnostic."""
@@ -80,6 +71,11 @@ def modularity_defect(form: QExpansionForm, gamma: MoebiusTransform,
 # Points per batched evaluation (Gram nodes, scan points): caps the
 # q-power temporary at GRAM_CHUNK x M
 GRAM_CHUNK = 256
+# A q-series keeps its leading terms until the dropped rest is at most
+# CUT_RATIO (half an ulp) of the kept absolute sum; the term count is
+# found at heights rounded down to a multiple of 1/HEIGHT_STEPS
+CUT_RATIO = 2.0 ** -53
+HEIGHT_STEPS = 32
 
 
 def q_powers(z: np.ndarray, m: int) -> np.ndarray:
@@ -94,10 +90,12 @@ class CuspFormBasis:
     forms: list
     gram: Optional[np.ndarray] = None
     orthonormal_flag: bool = False
-    # n x M coefficients a_{j,m}, zero-padded, and the factors 2 pi i m of
-    # one z-derivative; built from the forms once, when the basis is built
+    # n x M coefficients a_{j,m}, zero-padded, the factors 2 pi i m of one
+    # z-derivative and the logs of |a_jm| (2 pi m)^r, r = 0, 1, of the
+    # nonzero forms; built from the forms once, when the basis is built
     coefficients: np.ndarray = field(init=False, repr=False)
     derivative_factors: np.ndarray = field(init=False, repr=False)
+    log_magnitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         weights = {f.weight for f in self.forms}
@@ -108,6 +106,10 @@ class CuspFormBasis:
         for i, f in enumerate(self.forms):
             self.coefficients[i, : f.truncation_length] = f.coefficients
         self.derivative_factors = 2j * math.pi * np.arange(1, m_max + 1)
+        mags = np.abs(self.coefficients)
+        mags = np.vstack([mags, mags * np.abs(self.derivative_factors)])
+        with np.errstate(divide="ignore"):
+            self.log_magnitudes = np.log(mags[mags.any(axis=1)])
 
     @property
     def weight(self) -> int:
@@ -121,35 +123,75 @@ class CuspFormBasis:
     def size(self) -> int:
         return len(self.forms)
 
+    def term_counts(self, y) -> np.ndarray:
+        """Leading terms to sum for rows whose lowest height is y[i].
+
+        The fewest T with sum_{m>T} |a_jm| (2 pi m)^r |q|^m at most
+        CUT_RATIO times sum_{m<=T} for every form j and r = 0, 1, so
+        the cut adds no more than the sum's own rounding.  That ratio
+        grows with |q|, so T holds at every point above the height it
+        is found at: the row's lowest, rounded down to a multiple of
+        1/HEIGHT_STEPS, so that T is found once per step.
+        """
+        steps = np.floor(HEIGHT_STEPS * np.fmax(y, 0.0))
+        logs = self.log_magnitudes
+        m = logs.shape[1]
+        found = np.array(sorted(set(steps.tolist())))
+        counts = np.full(len(found), m)
+        slope = (TWO_PI / HEIGHT_STEPS) * np.arange(1, m + 1)
+        for lo in range(0, len(found) if logs.size else 0, 64):
+            # per step, row and power: the terms over the row's largest,
+            # then tail[..., T] = sum_{m>T}; ok is monotone in T
+            terms = logs - found[lo:lo + 64, None, None] * slope
+            terms = np.exp(terms - terms.max(axis=2, keepdims=True))
+            tail = np.cumsum(terms[:, :, ::-1], axis=2)[:, :, ::-1]
+            head = tail[:, :, :1] - tail[:, :, 1:]
+            ok = tail[:, :, 1:] <= CUT_RATIO * head
+            counts[lo:lo + 64] = m - ok.sum(axis=2).min(axis=1)
+        return counts[np.searchsorted(found, steps)]
+
     def evaluate(self, z: np.ndarray, deriv_order: int = 0) -> np.ndarray:
-        """Rows (f_1, ..., f_n) or their z-derivatives at the complex z[i]."""
+        """Rows (f_1, ..., f_n) or their z-derivatives at the complex z[i].
+
+        The call is one row: values and first derivatives sum the
+        ``term_counts`` leading terms at its lowest point, higher
+        derivatives all M.
+        """
+        z = np.asarray(z, dtype=complex)
         coef = self.coefficients
         if deriv_order:
             coef = coef * self.derivative_factors ** deriv_order
-        return q_powers(z, coef.shape[1]) @ coef.T
+        m = coef.shape[1]
+        if deriv_order <= 1 and z.size:
+            m = self.term_counts([z.imag.min()])[0]
+        return q_powers(z, m) @ coef[:, :m].T
 
     def jets(self, z: np.ndarray):
         """Values and first z-derivatives at a T x d array of complex points.
 
-        Returns two T x d x n stacks.  Each row of d points is
-        contracted as one d x M block (a stacked matmul, the same call
-        as ``evaluate`` on those d points), so its values do not depend
-        on the other rows; one q-power array per block of at most
-        GRAM_CHUNK points serves both contractions.
+        Returns two T x d x n stacks.  Each row of d points sums the
+        same ``term_counts`` leading terms as ``evaluate`` on those d
+        points and is contracted as one d x T block of a stacked
+        matmul over the rows sharing its count, so its values do not
+        depend on the other rows; one q-power array per block of at
+        most GRAM_CHUNK points serves both contractions.
         """
         z = np.asarray(z, dtype=complex)
         t, d = z.shape
-        n, m = self.coefficients.shape
         coef = self.coefficients.T
         dcoef = (self.coefficients * self.derivative_factors).T
-        v = np.empty((t, d, n), dtype=complex)
+        v = np.empty((t, d, self.size), dtype=complex)
         dv = np.empty_like(v)
+        counts = self.term_counts(z.imag.min(axis=1))
         step = max(1, GRAM_CHUNK // d)
-        for lo in range(0, t, step):
-            block = z[lo:lo + step]
-            powers = q_powers(block.ravel(), m).reshape(block.shape + (m,))
-            np.matmul(powers, coef, out=v[lo:lo + step])
-            np.matmul(powers, dcoef, out=dv[lo:lo + step])
+        for m in sorted(set(counts.tolist())):
+            rows = np.flatnonzero(counts == m)
+            for lo in range(0, len(rows), step):
+                block = rows[lo:lo + step]
+                powers = q_powers(z[block].ravel(), m)
+                powers = powers.reshape(len(block), d, m)
+                v[block] = powers @ coef[:m]
+                dv[block] = powers @ dcoef[:m]
         return v, dv
 
     def values(self, z, deriv_order: int = 0) -> np.ndarray:
@@ -299,6 +341,29 @@ def scaled_upper_gamma(s: int, x: np.ndarray) -> np.ndarray:
     return np.exp(-x) / x * total
 
 
+def gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch.
+
+    The nodes are the eigenvalues of the Jacobi matrix, off-diagonals
+    k / sqrt(4k^2 - 1), polished by one Newton step on P_n and made
+    exactly symmetric; the weights are 2 / ((1 - x^2) P_n'(x)^2), with
+    P_n and P_n' from the three-term recurrence.
+    """
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    for newton in (True, False):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        gap = 1.0 - x * x
+        dp = n * (p0 - x * p1) / gap
+        if newton:
+            x = x - p1 / dp
+            x = 0.5 * (x - x[::-1])
+    return x, 2.0 / (gap * dp * dp)
+
+
 def _tail_gram(basis: CuspFormBasis, cutoff: float) -> np.ndarray:
     """Analytic contribution above the cutoff height (full period in x).
 
@@ -323,7 +388,7 @@ def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
     """
     k = basis.k
     cutoff = domain.cutoff_height(k)
-    t, w = leggauss(nodes)
+    t, w = gauss_legendre(nodes)
     xlo, xhi = domain.x_range()
     xe = xlo + (xhi - xlo) * np.arange(x_panels + 1) / x_panels
     a, b = xe[:-1, None], xe[1:, None]

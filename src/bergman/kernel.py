@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import CosetList, FuchsianGroup, enumerate_group_elements
-from .uhp import (DomainError, MoebiusTransform, UhpPoint, apply_moebius,
-                  hyp_distance)
+from .uhp import DomainError, MoebiusTransform, UhpPoint, apply_moebius
 
 TWO_PI = 2.0 * math.pi
 EPS = 2.0 ** -52
@@ -171,32 +170,6 @@ def bergman_kernel_diagonal(
         ),
         imag_residual=abs(parabolic.imag + rest.imag),
     )
-
-
-def bergman_kernel_offdiag(
-    group: FuchsianGroup,
-    z: UhpPoint,
-    w: UhpPoint,
-    k: int,
-    displacement_bound: float = 100.0,
-    budget: int = 200_000,
-) -> complex:
-    """Two-point weight-0 kernel B_k(z, w), for symmetry checks.
-
-    Truncation is driven by the orbit of w; the bound on d(w, gamma w)
-    is inflated by d(z, w) so that all terms down to the requested
-    displacement of gamma w from z are present.
-    """
-    d_target = 2.0 * math.acosh(math.sqrt(displacement_bound))
-    d_infl = d_target + hyp_distance(z, w)
-    bound = math.cosh(d_infl / 2.0) ** 2
-    a, b, c, d = enumerate_group_elements(group, w, bound,
-                                          budget=budget).rows().T
-    coeff = (2 * k - 1) * (2j) ** (2 * k) / (4.0 * math.pi)
-    den = c * w.z + d
-    s = z.z - np.conj((a * w.z + b) / den)
-    terms = 1.0 / (s ** (2 * k) * np.conj(den) ** (2 * k))
-    return coeff * complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])

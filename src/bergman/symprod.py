@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import CuspFormBasis, bergman_from_basis
+from .forms import CuspFormBasis
 from .metric import RATIO_LIMIT
 from .uhp import DomainError, UhpPoint
 
@@ -406,34 +406,6 @@ def _product_fallback(zs, k, route, samples):
         per_factor_ratios=samples, hermitian_form=form.astype(complex),
         route=route, degenerate=True,
     )
-
-
-def ma_asymptotic_check(basis_by_k, divisor: Divisor, z: UhpPoint,
-                        k_list: Sequence[int]):
-    """Table of (1/k)(||B^{k,-D}(z)|| - ||B^k(z)||) with a decay fit.
-
-    ``basis_by_k(k)`` returns the orthonormal basis at weight 2k.  The
-    boundedness flag asserts consistency with O(1/k) after division by
-    k; the exponent comes from a log-log least-squares fit.
-    """
-    if len(k_list) < 3:
-        raise DomainError("need at least 3 values of k")
-    rows = []
-    for k in k_list:
-        basis = basis_by_k(k)
-        frame = vanishing_subspace(basis, divisor)
-        sub = subspace_kernel_diagonal(frame, basis, z, k)
-        full = bergman_from_basis(basis, z)
-        rows.append((k, (sub - full) / k))
-    mags = [abs(v) for _, v in rows]
-    if all(m > 0 for m in mags):
-        logs_k = np.log([k for k, _ in rows])
-        logs_v = np.log(mags)
-        slope = float(np.polyfit(logs_k, logs_v, 1)[0])
-    else:
-        slope = -math.inf
-    bounded = max(mags) <= max(mags[0], 1.0) + 1e-12 or slope <= 0.0
-    return rows, slope, bounded
 
 
 # ---------------------------------------------------------------------------

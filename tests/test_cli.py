@@ -36,6 +36,40 @@ def test_config_unknown_key_rejected(tmp_path):
         RunConfig.from_args(args)
 
 
+@pytest.mark.parametrize("command, config, flags, message", [
+    ("sym-scan", {"d": "2"}, [], "config key 'd' must be int, got '2'"),
+    ("ratio-scan", {"tol": "1e-5"}, [],
+     "config key 'tol' must be float, got '1e-5'"),
+    ("ratio-scan", {"budget": True}, [], "config key 'budget' must be int"),
+    ("ratio-scan", {"grid": [0, 0, 1, 1, 1, 1]}, [],
+     "config key 'grid' must be str"),
+    ("ratio-scan", {}, ["--grid=0,0,1,1,0,1"],
+     "--grid '0,0,1,1,0,1': nx and ny must be at least 1"),
+    ("sym-scan", {"grid": "0,0,1,1,1,0"}, ["--d", "2"],
+     "--grid '0,0,1,1,1,0': nx and ny must be at least 1"),
+    ("ratio-scan", [["tol", 1e-5]], [], "cfg.json is not an object"),
+], ids=["d-string", "tol-string", "budget-bool", "grid-list", "grid-nx-0",
+        "config-grid-ny-0", "not-an-object"])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags,
+                                  message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "scan.csv"
+    code = main([command, "--forms", str(DATA), "--config", str(cfg_path),
+                 "--out", str(out)] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_config_value_for_a_float_field(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tol": 1, "d": 2}))
+    args = build_parser().parse_args(["sym-scan", "--config", str(cfg_path)])
+    cfg = RunConfig.from_args(args)
+    assert cfg.tol == 1.0 and isinstance(cfg.tol, float) and cfg.d == 2
+
+
 def test_missing_forms_exits_2(capsys):
     code = main(["verify", "--suite", "lemma4", "--forms", "/no/such.jsonl"])
     assert code == 2

