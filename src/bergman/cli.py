@@ -86,6 +86,11 @@ class RunConfig:
             flag = getattr(args, name, None)
             if flag is not None:
                 setattr(cfg, name, flag)
+        if cfg.budget < 1:
+            raise ConfigError(f"--budget must be at least 1, got {cfg.budget}")
+        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+            raise ConfigError(
+                f"--tol must be positive and finite, got {cfg.tol}")
         return cfg
 
     def k_values(self):

@@ -379,14 +379,13 @@ def _tail_gram(basis: CuspFormBasis, cutoff: float) -> np.ndarray:
     return (mat * integral) @ mat.conj().T
 
 
-def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
-               x_panels: int, y_panels: int, nodes: int) -> np.ndarray:
-    """Quadrature Gram V diag(w) V^H over Gauss-Legendre nodes, plus the tail.
+def _gram_nodes(domain: QuadratureDomain, k: int, x_panels: int,
+                y_panels: int, nodes: int):
+    """Gauss-Legendre nodes z and weights w y^(2k-2) of the Gram quadrature.
 
     Panels of equal width in x and, above each x node, of equal height
-    from the domain's lower edge up to the cutoff.
+    from the domain's lower edge up to the cutoff; x-outer order.
     """
-    k = basis.k
     cutoff = domain.cutoff_height(k)
     t, w = gauss_legendre(nodes)
     xlo, xhi = domain.x_range()
@@ -403,13 +402,23 @@ def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
     yb = ylo + (cutoff - ylo) * (py + 1) / y_panels
     ys = 0.5 * (yb - ya) * t + 0.5 * (ya + yb)
     zs = (xs + 1j * ys).ravel()
-    ws = (wx * (w * 0.5 * (yb - ya)) * ys ** (2 * k - 2)).ravel()
+    return zs, (wx * (w * 0.5 * (yb - ya)) * ys ** (2 * k - 2)).ravel()
+
+
+def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
+               x_panels: int, y_panels: int, nodes: int) -> np.ndarray:
+    """Quadrature Gram V diag(w) V^H over ``_gram_nodes``, plus the tail."""
+    zs, ws = _gram_nodes(domain, basis.k, x_panels, y_panels, nodes)
     gram = np.zeros((basis.size, basis.size), dtype=complex)
-    for lo in range(0, len(zs), GRAM_CHUNK):
-        v = basis.evaluate(zs[lo:lo + GRAM_CHUNK])
+    # blocks of GRAM_CHUNK nodes, each summing the terms ``evaluate``
+    # would at its lowest node, found by one term_counts call
+    starts = np.arange(0, len(zs), GRAM_CHUNK)
+    counts = basis.term_counts(np.minimum.reduceat(zs.imag, starts))
+    for lo, m in zip(starts.tolist(), counts.tolist()):
+        v = q_powers(zs[lo:lo + GRAM_CHUNK], m) @ basis.coefficients[:, :m].T
         gram += v.T @ (ws[lo:lo + GRAM_CHUNK, None] * v.conj())
     if domain.full_period():
-        gram += _tail_gram(basis, cutoff)
+        gram += _tail_gram(basis, domain.cutoff_height(basis.k))
     return gram
 
 

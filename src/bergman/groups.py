@@ -1,9 +1,10 @@
 """Generator-driven Fuchsian groups with cusp at i*infinity of width 1.
 
-The walk over the cosets Gamma_inf\\Gamma above a height (the classes the
-coset-summed kernel series runs over), orbit enumeration by
-displacement (the element-by-element oracle), and the compact-part /
-cusp-neighborhood split.
+The cosets Gamma_inf\\Gamma above a height (the classes the coset-summed
+kernel series runs over): sieved from the coprime bottom rows on
+PSL(2, Z), walked from the generators on any other integral group.
+Orbit enumeration by displacement (the element-by-element oracle), and
+the compact-part / cusp-neighborhood split.
 """
 from __future__ import annotations
 
@@ -50,6 +51,15 @@ class FuchsianGroup:
         """Whether every generator has integer entries (Gamma in SL(2, Z))."""
         return all(abs(v - round(v)) < 1e-9 for g in self.generators
                    for v in (g.a, g.b, g.c, g.d))
+
+    @property
+    def is_modular(self) -> bool:
+        """Whether the group is PSL(2, Z): integral, with T = (1,1;0,1) and
+        S = (0,-1;1,0) among its generators, up to sign or inverse."""
+        keys = {g.key() for g in self.symmetrized_generators()}
+        return (self.is_integral
+                and MoebiusTransform.translation(1).key() in keys
+                and MoebiusTransform(0.0, -1.0, 1.0, 0.0).key() in keys)
 
     def symmetrized_generators(self) -> list:
         """Generators together with their inverses, deduplicated."""
@@ -240,6 +250,16 @@ def _bottom_row_keys(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ((sign * c).astype(np.int64) << 32) + (sign * d).astype(np.int64)
 
 
+def _reduce_to_strip(a, b, c, d, zc: complex):
+    """Each coset's representative with Re(gamma z) in [-1/2, 1/2).
+
+    Returns its top row a, b and gamma z as real and imaginary parts.
+    """
+    w = (a * zc + b) / (c * zc + d)
+    n = np.floor(w.real + 0.5)
+    return a - n * c, b - n * d, w.real - n, w.imag
+
+
 def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
                 budget: int = 200_000) -> CosetList:
     """Cosets Gamma_inf gamma with Im(gamma z) >= h = y / norm_bound.
@@ -281,11 +301,7 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
         if np.any(np.abs(a * d - b * c - 1.0)
                   > 1e-9 * np.maximum(1.0, a * a + b * b + c * c + d * d)):
             raise DomainError("coset walk met a non-unimodular matrix")
-        # each new coset's representative with Re(gamma z) in [-1/2, 1/2)
-        w = (a * zc + b) / (c * zc + d)
-        n = np.floor(w.real + 0.5)
-        a, b = a - n * c, b - n * d
-        u, v = w.real - n, w.imag
+        a, b, u, v = _reduce_to_strip(a, b, c, d, zc)
         levels.append(np.stack([a, b, c, d], axis=1))
         if len(seen) > budget:
             raise BudgetExceeded(
@@ -322,6 +338,76 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
         a, b, c, d = a[pick], b[pick], c[pick], d[pick]
     return CosetList(base_point=z, norm_bound=norm_bound,
                      rows=np.concatenate(levels), translates=True)
+
+
+def modular_cosets(z: UhpPoint, norm_bound: float,
+                   budget: int = 200_000) -> CosetList:
+    """The cosets of ``walk_cosets`` on PSL(2, Z), sieved from bottom rows.
+
+    The classes Gamma_inf gamma of PSL(2, Z) are the coprime bottom rows
+    +-(c, d).  Those with |cz+d|^2 <= norm_bound are (0, 1) and, for each
+    c from 1 to sqrt(norm_bound)/y, the d coprime to c in an interval,
+    kept by the walk's own floating-point test.  The top rows come from
+    the extended Euclid algorithm, run on every pair at once, and are
+    reduced as in the walk.  As there, listing more than ``budget``
+    cosets raises ``BudgetExceeded`` and entries of 2^31 or more (here
+    any in the box 0 <= c <= sqrt(norm_bound)/y + 1 that holds the
+    candidates) raise ``DomainError``.  The candidates, about
+    (pi/2 + 3/sqrt(N)) N/y of them, are held at once; ``coset_norm_bound``
+    keeps N/y, and so their count, bounded.
+    """
+    if norm_bound < 1.0:
+        raise DomainError("norm bound must be >= 1")
+    if budget <= 0:
+        raise DomainError("budget must be positive")
+    zc = z.z
+    root = math.sqrt(norm_bound)
+    c_top = math.floor(root / z.y) + 1
+    if max(c_top, abs(z.x) * c_top + root + 1.0) >= 2.0 ** 31:
+        raise DomainError("coset sieve entries too large for exact keys")
+    c = np.arange(1.0, c_top + 1.0)
+    # d in [-cx - r, -cx + r], r^2 = N - c^2 y^2, widened by one each
+    # side for rounding; the norm test below decides
+    half = np.sqrt(np.fmax(norm_bound - (c * z.y) ** 2, 0.0))
+    lo = np.ceil(-c * z.x - half) - 1.0
+    count = (np.floor(-c * z.x + half) + 2.0 - lo).astype(int)
+    c = np.repeat(c, count)
+    d = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(c))
+    keep = np.abs(c * zc + d) ** 2 <= norm_bound
+    c, d = c[keep].astype(np.int64), d[keep].astype(np.int64)
+    keep = np.gcd(c, d) == 1
+    c, d = c[keep], d[keep]
+    if len(c) + 1 > budget:
+        raise BudgetExceeded(
+            f"coset sieve at z={zc} listed more than {budget} cosets")
+    a, b = _unimodular_tops(c, d)
+    # the identity coset (0, 1) first, then the coprime rows
+    a, b, c, d = (np.concatenate([[first], v]).astype(float)
+                  for first, v in zip((1, 0, 0, 1), (a, b, c, d)))
+    a, b, _, _ = _reduce_to_strip(a, b, c, d, zc)
+    return CosetList(base_point=z, norm_bound=norm_bound,
+                     rows=np.stack([a, b, c, d], axis=1), translates=True)
+
+
+def _unimodular_tops(c: np.ndarray, d: np.ndarray):
+    """Integers a, b with ad - bc = 1 for coprime int64 pairs c >= 1, d.
+
+    The extended Euclid algorithm on every pair at once: remainders
+    r_i = s_i d (mod c) from r_0 = d, r_1 = c, until r_i = 0 leaves
+    r_(i-1) = 1 and a = s_(i-1).
+    """
+    a = np.empty_like(c)
+    live = np.arange(len(c))
+    r0, r1 = d, c
+    s0, s1 = np.ones_like(c), np.zeros_like(c)
+    while len(live):
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        done = r1 == 0
+        a[live[done]] = s0[done]
+        more = ~done
+        live, r0, r1, s0, s1 = (v[more] for v in (live, r0, r1, s0, s1))
+    return a, (a * d - 1) // c
 
 
 class Region(Enum):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,9 @@ TWO_PI = 2.0 * math.pi
 EPS = 2.0 ** -52
 # cap on the coset walk's norm bound per unit height (see coset_norm_bound)
 NORM_CAP = 32768.0
+# largest s whose Eulerian means A(s-1, j)/(s-1)! are all normal doubles
+# far enough above the subnormals that Horner's rule loses nothing there
+MAX_LIPSCHITZ_S = 170
 
 
 def identity_term(k: int) -> float:
@@ -209,17 +213,52 @@ def _series_length(r: float, s: int) -> int:
         start += 64
 
 
-def _lipschitz_majorant(y: float, s: int) -> float:
-    """Lambda_s(y) = (2 pi)^s/(s-1)! sum_m m^(s-1) e^(-2 pi m y).
+@lru_cache(maxsize=None)
+def _eulerian_means(n: int) -> tuple:
+    """A(n, j) / n! for j = 0, ..., n - 1, each rounded once.
 
-    Bounds |L_s(tau)| for every Im(tau) >= y.
+    A(n, j) are the Eulerian numbers, the coefficients of the Eulerian
+    polynomial A_n, kept as exact integers through the recurrence
+    A(n, j) = (j + 1) A(n-1, j) + (n - j) A(n-1, j-1); they sum to n!.
     """
+    row = [1]
+    for m in range(2, n + 1):
+        row = [(j + 1) * a + (m - j) * b
+               for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    total = math.factorial(n)
+    return tuple(a / total for a in row)
+
+
+def _lipschitz_majorant(y: float, s: int) -> float:
+    """Lambda_s(y) = (2 pi)^s/(s-1)! sum_m m^(s-1) e^(-2 pi m y), rounded up.
+
+    Bounds |L_s(tau)| for every Im(tau) >= y.  With r = e^(-2 pi y) the
+    sum is r A_(s-1)(r) / (1 - r)^s, so Lambda_s(y) is
+    (2 pi)^s r P(r) / (1 - r)^s with P = A_(s-1)/(s-1)!, a mean of powers
+    of r summed by Horner's rule.  The product is taken in logs, so
+    nothing overflows before the result does (then it is inf), and
+    raised by a bound on its rounding: P's positive Horner steps, EPS
+    for each log, their sum and the exp, and the error of r times the
+    sum's sensitivity d log / d log r = 1 + r P'/P + s r/(1 - r).
+    Needs s <= MAX_LIPSCHITZ_S.
+    """
+    if s > MAX_LIPSCHITZ_S:
+        raise DomainError(f"Lipschitz majorant needs s <= {MAX_LIPSCHITZ_S}, "
+                          f"got {s}")
     r = math.exp(-TWO_PI * y)
-    terms = _series_length(r, s)
-    m = np.arange(1, terms + 1, dtype=float)
-    head, _ = accurate_sum(np.exp(_log_weights(s, m) + m * math.log(r)))
-    return float(head) + math.exp(_log_weights(s, 1.0)) * float(
-        _series_tail(r, s, terms))
+    p = dp = 0.0
+    for w in reversed(_eulerian_means(s - 1)):
+        dp = dp * r + p
+        p = p * r + w
+    logs = (s * math.log(TWO_PI), -TWO_PI * y, math.log(p),
+            -s * math.log1p(-r))
+    r_err = TWO_PI * y + 2.0  # relative error of r, in units of EPS
+    slack = EPS * (4 * s + 8 + 2.0 * sum(abs(t) for t in logs)
+                   + r_err * (1.0 + r * dp / p + s * r / (1.0 - r)))
+    try:
+        return math.exp(sum(logs)) * (1.0 + slack)
+    except OverflowError:
+        return math.inf
 
 
 def coset_tail_sum(norm_bound: float, y: float, p: int) -> float:

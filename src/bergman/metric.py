@@ -21,6 +21,7 @@ from .groups import (
     RegionTag,
     classify_region,
     enumerate_group_elements,
+    modular_cosets,
     walk_cosets,
 )
 from .kernel import (
@@ -111,8 +112,10 @@ class BasisSource:
 class PoincareSource:
     """Weight-0 kernel from the Poincare series over Gamma_inf\\Gamma.
 
-    Each point walks its own cosets, so a value depends on the point
+    Each point lists its own cosets, so a value depends on the point
     alone; a finite-difference stencil sums its centre's coset list.
+    PSL(2, Z) sieves them from its coprime bottom rows; any other group
+    with the unit translation walks them from its generators.
     """
 
     def __init__(self, group: FuchsianGroup, k: int, budget: int = 200_000):
@@ -121,7 +124,10 @@ class PoincareSource:
         self.budget = budget
 
     def cosets(self, z: UhpPoint) -> CosetList:
-        """Classes of the series at z; refuses a walk the budget cut short."""
+        """Classes of the series at z; refuses a list the budget cut short."""
+        if self.group.is_modular:
+            return modular_cosets(z, coset_norm_bound(z.y, self.k),
+                                  self.budget)
         if self.group.has_cusp_translation:
             return walk_cosets(self.group, z, coset_norm_bound(z.y, self.k),
                                self.budget)
@@ -139,7 +145,7 @@ class PoincareSource:
 
     def bundles(self, grid: Sequence[UhpPoint]) -> list:
         """A DerivativeBundle, or the exception refusing the point, per
-        grid point; each point walks its own cosets."""
+        grid point; each point lists its own cosets."""
         out = []
         for z in grid:
             try:
@@ -149,7 +155,7 @@ class PoincareSource:
                                             dzdzbar=complex(d2),
                                             errors=errors))
             except Exception as exc:  # recorded inline, scan continues
-                # without its traceback, which keeps the walk's arrays
+                # without its traceback, which keeps the coset arrays
                 out.append(exc.with_traceback(None))
         return out
 

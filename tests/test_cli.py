@@ -48,8 +48,17 @@ def test_config_unknown_key_rejected(tmp_path):
     ("sym-scan", {"grid": "0,0,1,1,1,0"}, ["--d", "2"],
      "--grid '0,0,1,1,1,0': nx and ny must be at least 1"),
     ("ratio-scan", [["tol", 1e-5]], [], "cfg.json is not an object"),
+    ("ratio-scan", {}, ["--budget", "0"], "--budget must be at least 1, got 0"),
+    ("kernel", {"budget": -5}, [], "--budget must be at least 1, got -5"),
+    ("ratio-scan", {}, ["--tol", "-1"],
+     "--tol must be positive and finite, got -1.0"),
+    ("ratio-scan", {"tol": 0}, [], "--tol must be positive and finite, got 0.0"),
+    ("ratio-scan", {}, ["--tol", "inf"],
+     "--tol must be positive and finite, got inf"),
+    ("verify", {}, ["--tol", "nan"], "--tol must be positive and finite, got nan"),
 ], ids=["d-string", "tol-string", "budget-bool", "grid-list", "grid-nx-0",
-        "config-grid-ny-0", "not-an-object"])
+        "config-grid-ny-0", "not-an-object", "budget-0", "config-budget-negative",
+        "tol-negative", "config-tol-0", "tol-inf", "tol-nan"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags,
                                   message):
     cfg_path = tmp_path / "cfg.json"
@@ -60,6 +69,17 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--budget", "0"], ["--tol", "-1"]],
+                         ids=["budget", "tol"])
+def test_poincare_scan_refuses_bad_budget_or_tol_before_any_row(capsys, flag):
+    # both once printed a flagged row and exited 1
+    code = main(["ratio-scan", "--group", "modular", "--k", "6",
+                 "--grid=0,0,1,1,1,1"] + flag)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"error: {flag[0]} must be")
 
 
 def test_integer_config_value_for_a_float_field(tmp_path):

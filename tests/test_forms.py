@@ -10,7 +10,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaincc, gammaln, roots_legendre
 
 from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
-                           QuadratureDomain, _gram_once, _tail_gram,
+                           QuadratureDomain, _gram_nodes, _gram_once,
+                           _tail_gram,
                            GRAM_CHUNK, bergman_from_basis,
                            basis_weight0_bundle, basis_weight0_grid, delta_form,
                            evaluate_q_expansion,
@@ -276,6 +277,27 @@ def test_gram_contraction_matches_node_accumulation(make, domain):
     got = _gram_once(basis, domain, 2, 3, 6)
     ref = _node_accumulation(basis, domain, 2, 3, 6)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("domain", [QuadratureDomain(),
+                                    QuadratureDomain(kind="strip", y0=0.8)],
+                         ids=["modular", "strip"])
+@pytest.mark.parametrize("make", CUT_BASES, ids=["delta", "three", "slow"])
+def test_gram_blocks_equal_per_block_evaluate(make, domain):
+    # one term_counts call for every block keeps each block's own term
+    # count, so the Gram is the per-block evaluate route's to the bit
+    basis = make()
+    for panels in ((domain.x_panels, domain.y_panels, domain.nodes),
+                   (domain.x_panels, 2 * domain.y_panels, domain.nodes + 8)):
+        zs, ws = _gram_nodes(domain, basis.k, *panels)
+        ref = np.zeros((basis.size, basis.size), dtype=complex)
+        for lo in range(0, len(zs), GRAM_CHUNK):
+            v = basis.evaluate(zs[lo:lo + GRAM_CHUNK])
+            ref += v.T @ (ws[lo:lo + GRAM_CHUNK, None] * v.conj())
+        if domain.full_period():
+            ref += _tail_gram(basis, domain.cutoff_height(basis.k))
+        assert len(zs) > GRAM_CHUNK
+        assert np.array_equal(_gram_once(basis, domain, *panels), ref)
 
 
 @pytest.mark.parametrize("k", [2, 6, 18, 30])

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from bergman.groups import (DEFAULT_C_GAMMA, BudgetExceeded, Region,
-                            classify_region, enumerate_group_elements,
-                            free_product_group, group_by_name, modular_group,
-                            translation_group, trivial_group, walk_cosets)
+from bergman.groups import (DEFAULT_C_GAMMA, BudgetExceeded, FuchsianGroup,
+                            Region, classify_region, enumerate_group_elements,
+                            free_product_group, group_by_name, modular_cosets,
+                            modular_group, translation_group, trivial_group,
+                            walk_cosets)
 from bergman.kernel import coset_norm_bound
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, cosh2_half_distance)
@@ -120,15 +121,28 @@ def _bottom_row(row):
     return (c, d) if c > 0 or (c == 0 and d > 0) else (-c, -d)
 
 
-@pytest.mark.parametrize("x", [-0.45, 0.0, 0.314368])
-@pytest.mark.parametrize("y", [0.6, 2.3, 4.0])
-def test_coset_walk_matches_coprime_pairs(x, y):
+def _modular_walk(z, bound, budget=200_000):
+    return walk_cosets(modular_group(), z, bound, budget)
+
+
+# the two listings of PSL(2, Z)'s cosets; the walk is the sieve's oracle
+LISTINGS = pytest.mark.parametrize("listing", [_modular_walk, modular_cosets],
+                                   ids=["walk", "sieve"])
+COPRIME_X = pytest.mark.parametrize("x", [-0.45, 0.0, 0.314368])
+COPRIME_Y = pytest.mark.parametrize("y", [0.6, 2.3, 4.0])
+BOUNDARY_POINTS = pytest.mark.parametrize(
+    "x, y", [(0.0, 1.0), (0.5, math.sqrt(3) / 2), (-0.5, 0.9), (-0.5, 2.3),
+             (0.1, 1.0)])
+BOUNDARY_BOUNDS = pytest.mark.parametrize("bound", [200.0, None])
+
+
+def _check_coprime_pairs(listing, x, y):
     # the cosets of PSL(2, Z) are the coprime bottom rows +-(c, d)
     z = UhpPoint(x, y)
     bound = coset_norm_bound(y, 6)
-    walk = walk_cosets(modular_group(), z, bound)
-    got = [_bottom_row(row) for row in walk.rows]
-    assert len(got) == len(set(got)) == len(walk)
+    cosets = listing(z, bound)
+    got = [_bottom_row(row) for row in cosets.rows]
+    assert len(got) == len(set(got)) == len(cosets)
     c_max = int(math.sqrt(bound) / y) + 1
     d_max = int(c_max * abs(x) + math.sqrt(bound)) + 2
     expected = {(c, d) for c in range(c_max + 1)
@@ -136,23 +150,32 @@ def test_coset_walk_matches_coprime_pairs(x, y):
                 if math.gcd(c, d) == 1 and (c > 0 or d == 1)
                 and abs(c * z.z + d) ** 2 <= bound}
     assert set(got) == expected
-    for row in walk.rows:
+    for row in cosets.rows:
         assert -0.5 <= apply_moebius(MoebiusTransform(*row), z).x < 0.5
 
 
-@pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.5, math.sqrt(3) / 2),
-                                  (-0.5, 0.9), (-0.5, 2.3), (0.1, 1.0)])
-@pytest.mark.parametrize("bound", [200.0, None])
-def test_coset_walk_boundary_points_list_every_coset(x, y, bound):
+@COPRIME_X
+@COPRIME_Y
+def test_coset_walk_matches_coprime_pairs(x, y):
+    _check_coprime_pairs(_modular_walk, x, y)
+
+
+@COPRIME_X
+@COPRIME_Y
+def test_coset_sieve_matches_coprime_pairs(x, y):
+    _check_coprime_pairs(modular_cosets, x, y)
+
+
+def _check_boundary_cosets(listing, x, y, bound):
     # at i, at rho and on x = -1/2 many bottom rows sit on the norm
-    # bound or on the boundary of the reduction strip; the walk must list
-    # exactly the coprime rows that pass its own filter |cz+d|^2 <= N
-    # (at 0.1 + i with N = 200 it leaves out (10, 9), which the same
-    # test in real arithmetic admits)
+    # bound or on the boundary of the reduction strip; a listing must
+    # give exactly the coprime rows that pass the filter |cz+d|^2 <= N
+    # in floating point (at 0.1 + i with N = 200 it leaves out (10, 9),
+    # which the same test in real arithmetic admits)
     z = UhpPoint(x, y)
     bound = bound or coset_norm_bound(y, 6)
-    walk = walk_cosets(modular_group(), z, bound)
-    got = [_bottom_row(row) for row in walk.rows]
+    cosets = listing(z, bound)
+    got = [_bottom_row(row) for row in cosets.rows]
     assert len(got) == len(set(got))
     c_max = int(math.sqrt(bound) / y) + 1
     d_max = int(c_max * abs(x) + math.sqrt(bound)) + 2
@@ -163,6 +186,18 @@ def test_coset_walk_boundary_points_list_every_coset(x, y, bound):
     expected = set(zip(c[keep].astype(int).tolist(),
                        d[keep].astype(int).tolist()))
     assert set(got) == expected and len(expected) > 50
+
+
+@BOUNDARY_POINTS
+@BOUNDARY_BOUNDS
+def test_coset_walk_boundary_points_list_every_coset(x, y, bound):
+    _check_boundary_cosets(_modular_walk, x, y, bound)
+
+
+@BOUNDARY_POINTS
+@BOUNDARY_BOUNDS
+def test_coset_sieve_boundary_points_list_every_coset(x, y, bound):
+    _check_boundary_cosets(modular_cosets, x, y, bound)
 
 
 def test_coset_walk_free2_matches_orbit_bottom_rows():
@@ -190,7 +225,11 @@ def test_coset_walk_budget_and_validation():
     assert [_bottom_row(row) for row in walk.rows] == [(0, 1)]
 
 
-@pytest.mark.parametrize("z", [UhpPoint(0.0, 1.0), UhpPoint(0.314368, 4.0)])
+BUDGET_POINTS = pytest.mark.parametrize(
+    "z", [UhpPoint(0.0, 1.0), UhpPoint(0.314368, 4.0)])
+
+
+@BUDGET_POINTS
 def test_coset_walk_budget_is_a_coset_count(z):
     # --budget caps the number of cosets listed, not walk steps
     bound = coset_norm_bound(z.y, 6)
@@ -198,6 +237,47 @@ def test_coset_walk_budget_is_a_coset_count(z):
     assert len(walk_cosets(modular_group(), z, bound, budget=size)) == size
     with pytest.raises(BudgetExceeded):
         walk_cosets(modular_group(), z, bound, budget=size - 1)
+
+
+@BUDGET_POINTS
+def test_coset_sieve_budget_is_the_walk_coset_count(z):
+    bound = coset_norm_bound(z.y, 6)
+    size = len(walk_cosets(modular_group(), z, bound))
+    assert len(modular_cosets(z, bound, budget=size)) == size
+    with pytest.raises(BudgetExceeded):
+        modular_cosets(z, bound, budget=size - 1)
+
+
+@LISTINGS
+@pytest.mark.parametrize("z, bound, budget, message", [
+    (UhpPoint(0.0, 1.0), 0.5, 100, "norm bound"),
+    (UhpPoint(0.0, 1.0), 100.0, 0, "budget must be positive"),
+    (UhpPoint(0.0, 1.0), 100.0, -3, "budget must be positive"),
+    # bottom rows (c, d) with d near -c 10^9 pass the norm test for
+    # c up to 10, past 2^31
+    (UhpPoint(1e9, 1.0), 100.0, 200_000, "too large for exact keys"),
+], ids=["norm-below-1", "budget-0", "budget-negative", "entries-2^31"])
+def test_coset_listings_refuse_alike(listing, z, bound, budget, message):
+    with pytest.raises(DomainError, match=message):
+        listing(z, bound, budget)
+
+
+@pytest.mark.parametrize("generators, modular", [
+    ([[1, 1, 0, 1], [0, -1, 1, 0]], True),
+    # T^-1 and S^-1 = -S, listed with either sign, and an extra element
+    ([[-1, 1, 0, -1], [0, 1, -1, 0], [2, 1, 1, 1]], True),
+    ([[1, 1, 0, 1], [1, 0, 2, 1]], False),          # free2 = Gamma_0(2)
+    ([[1, 1, 0, 1]], False),                        # translations alone
+    ([[1, 2, 0, 1], [0, -1, 1, 0]], False),         # T^2 is not T
+    ([[1, 1, 0, 1], [0, -1, 1, 0], [0.5, -2, 1, -2]], False),  # not integral
+])
+def test_is_modular_needs_integral_t_and_s(tmp_path, generators, modular):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"generators": generators}))
+    assert group_by_name(f"file:{path}").is_modular is modular
+    assert modular_group().is_modular
+    assert not free_product_group().is_modular
+    assert not FuchsianGroup("empty", ()).is_modular
 
 
 def test_coset_walk_refuses_non_integral_group(tmp_path):

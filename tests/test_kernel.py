@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,10 +10,10 @@ from bergman.forms import (CuspFormBasis, QuadratureDomain,
                            basis_weight0_bundle, delta_form, orthonormal_basis,
                            petersson_gram)
 from bergman.groups import (CosetList, enumerate_group_elements,
-                            modular_group, translation_group, trivial_group,
-                            walk_cosets)
-from bergman.kernel import (EPS, _log_weights, _series_length,
-                            _series_tail, accurate_sum,
+                            modular_cosets, modular_group, translation_group,
+                            trivial_group, walk_cosets)
+from bergman.kernel import (EPS, _lipschitz_majorant, _log_weights,
+                            _series_length, _series_tail, accurate_sum,
                             bergman_kernel_diagonal,
                             coset_norm_bound, cx_constant, gamma_ratio,
                             identity_term, parabolic_term_bound, poincare_weight0_bundle,
@@ -299,6 +300,50 @@ def test_coset_bundle_ignores_row_order_and_sign():
                          rows=rows, translates=True)
     assert (poincare_weight0_bundle(shuffled, z, k)
             == poincare_weight0_bundle(cosets, z, k))
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_sieve_and_walk_give_equal_bundles(k):
+    # the same coset set gives bit-identical sums whatever the listing's
+    # order, signs and path: at the poincare-scan heights, on x = +-1/2,
+    # at i and at rho, where Re(gamma z) sits on the strip's boundary
+    rho = math.sqrt(3) / 2
+    points = [UhpPoint(0.314368, y) for y in (0.6, 2.3, 4.0)] + [
+        UhpPoint(0.5, 0.9), UhpPoint(-0.5, 0.9), UhpPoint(0.5, 2.3),
+        UhpPoint(-0.5, 1.2), UhpPoint(0.0, 1.0), UhpPoint(-0.5, rho),
+        UhpPoint(0.5, rho)]
+    for z in points:
+        bound = coset_norm_bound(z.y, k)
+        sieve = modular_cosets(z, bound)
+        walk = walk_cosets(modular_group(), z, bound)
+        assert len(sieve) == len(walk)
+        assert (poincare_weight0_bundle(sieve, z, k)
+                == poincare_weight0_bundle(walk, z, k))
+
+
+def test_lipschitz_majorant_closed_form_bounds_mpmath():
+    # (2 pi)^s/(s-1)! Li_(1-s)(r), r = e^(-2 pi y), in 40 digits: the
+    # closed form never falls below it and is raised by at most its
+    # rounding bound; s = 122 runs without a RuntimeWarning
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = {(s, y): _lipschitz_majorant(y, s)
+                  for s in list(range(12, 123, 5)) + [13, 14, 122, 170]
+                  for y in (0.3, 0.5, 0.6, math.sqrt(3) / 2, 1.0, 2.3, 4.0,
+                            8.0)}
+    with mpmath.workdps(40):
+        for (s, y), got in values.items():
+            r = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(y))
+            ref = ((2 * mpmath.pi) ** s / mpmath.factorial(s - 1)
+                   * mpmath.polylog(1 - s, r))
+            assert got >= ref
+            worst = max(worst, float(got / ref - 1))
+    assert worst <= 1e-12
+    # beyond s = 170, 1/(s-1)! leaves the normal doubles: refused
+    assert _lipschitz_majorant(8.0, 170) > 0.0
+    with pytest.raises(DomainError, match="s <= 170"):
+        _lipschitz_majorant(8.0, 171)
 
 
 def test_series_length_matches_term_by_term_search():

@@ -5,8 +5,10 @@ import pytest
 
 from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
                            model_basis, orthonormal_basis, petersson_gram)
+import bergman.metric
 from bergman.groups import (BudgetExceeded, free_product_group,
-                            group_by_name, modular_group, trivial_group)
+                            group_by_name, modular_group, trivial_group,
+                            walk_cosets)
 from bergman.kernel import NORM_CAP, coset_norm_bound
 from bergman.metric import (BasisSource, FirstCoefficientZero,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
@@ -306,6 +308,26 @@ def test_poincare_scan_walks_cosets_not_elements(monkeypatch):
     rows, summaries = ratio_scan(factory, [6], [UhpPoint(0.1, 1.2)])
     assert rows[0].error is None and summaries[0].within_limit
     assert rows[0].ratio == pytest.approx(6 / (2 * math.pi), rel=1e-10)
+
+
+@pytest.mark.parametrize("name, sieved", [
+    ("modular", True), ("file", True), ("free2", False)])
+def test_poincare_source_sieves_psl2z_and_walks_other_groups(
+        monkeypatch, tmp_path, name, sieved):
+    # a file group generated by T^-1 and S^-1 is PSL(2, Z) too
+    path = tmp_path / "group.json"
+    path.write_text('{"generators": [[1, -1, 0, 1], [0, 1, -1, 0]]}')
+    group = group_by_name(f"file:{path}" if name == "file" else name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other coset listing ran")
+
+    monkeypatch.setattr(bergman.metric,
+                        "walk_cosets" if sieved else "modular_cosets", refuse)
+    z = UhpPoint(0.1, 1.2)
+    cosets = PoincareSource(group, 6).cosets(z)
+    walked = modular_group() if sieved else group
+    assert len(cosets) == len(walk_cosets(walked, z, cosets.norm_bound))
 
 
 def test_non_integral_group_refused(tmp_path):
