@@ -8,7 +8,6 @@ significant digits; reports are JSON.  Scans run on one thread;
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -35,6 +34,10 @@ class ConfigError(ValueError):
     pass
 
 
+# how a flag's string becomes its field's value; other fields keep the string
+_FLAG_TYPES = {"int": int, "float": float}
+
+
 @dataclass
 class RunConfig:
     group: str = "modular"
@@ -55,22 +58,76 @@ class RunConfig:
     tol: float = 1e-5
 
     @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        """JSON config file first, then explicit flags override."""
+    def from_argv(cls, argv) -> tuple:
+        """The command and config of a command line; (None, None) on --help.
+
+        One command from COMMANDS, ``--config PATH`` and one ``--<field>``
+        per field (underscores as dashes), each as ``--name value`` or
+        ``--name=value``.  A repeated flag keeps its last value; a value
+        may begin with ``-`` but not with ``--``.  The JSON config file is
+        read first, then explicit flags override it.
+        """
+        known = {"--" + f.name.replace("_", "-"): f for f in fields(cls)}
+        command, config, flags = None, None, {}
+        args = iter(argv)
+        for arg in args:
+            if arg in ("-h", "--help"):
+                return None, None
+            if not arg.startswith("-"):
+                if command is not None:
+                    raise ConfigError(f"unexpected argument {arg!r} after "
+                                      f"command {command!r}")
+                if arg not in COMMANDS:
+                    raise ConfigError(f"unknown command {arg!r}; choose "
+                                      f"from {', '.join(COMMANDS)}")
+                command = arg
+                continue
+            flag, eq, value = arg.partition("=")
+            if flag != "--config" and flag not in known:
+                raise ConfigError(f"unknown flag {flag}")
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    raise ConfigError(f"{flag} needs a value")
+            if flag == "--config":
+                config = value
+                continue
+            f = known[flag]
+            try:
+                flags[f.name] = _FLAG_TYPES.get(f.type, str)(value)
+            except ValueError:
+                raise ConfigError(f"{flag} must be {f.type}, "
+                                  f"got {value!r}") from None
+        if command is None:
+            raise ConfigError(f"missing command; choose from "
+                              f"{', '.join(COMMANDS)}")
         cfg = cls()
-        doc = {}
-        if getattr(args, "config", None):
-            if not os.path.exists(args.config):
-                raise ConfigError(f"config file not found: {args.config}")
-            with open(args.config) as fh:
-                try:
-                    doc = json.load(fh)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"bad config {args.config}: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise ConfigError(f"config {args.config} is not an object")
-        types = {f.name: f.type for f in fields(cls)}
+        if config is not None:
+            cfg._apply_config(config)
+        for name, value in flags.items():
+            setattr(cfg, name, value)
+        if cfg.budget < 1:
+            raise ConfigError(f"--budget must be at least 1, got {cfg.budget}")
+        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+            raise ConfigError(
+                f"--tol must be positive and finite, got {cfg.tol}")
+        if cfg.domain not in ("modular", "strip"):
+            raise ConfigError(f"--domain must be modular or strip, "
+                              f"got {cfg.domain!r}")
+        return command, cfg
+
+    def _apply_config(self, path: str):
+        """Set the fields a JSON config file names, each of its type."""
+        if not os.path.exists(path):
+            raise ConfigError(f"config file not found: {path}")
+        with open(path) as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"bad config {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} is not an object")
+        types = {f.name: f.type for f in fields(self)}
         # the JSON values each field annotation takes
         kinds = {"str": str, "Optional[str]": (str, type(None)), "int": int,
                  "float": (int, float)}
@@ -81,17 +138,7 @@ class RunConfig:
                                                          kinds[types[key]]):
                 raise ConfigError(f"config key {key!r} must be "
                                   f"{types[key]}, got {value!r}")
-            setattr(cfg, key, float(value) if types[key] == "float" else value)
-        for name in types:
-            flag = getattr(args, name, None)
-            if flag is not None:
-                setattr(cfg, name, flag)
-        if cfg.budget < 1:
-            raise ConfigError(f"--budget must be at least 1, got {cfg.budget}")
-        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
-            raise ConfigError(
-                f"--tol must be positive and finite, got {cfg.tol}")
-        return cfg
+            setattr(self, key, float(value) if types[key] == "float" else value)
 
     def k_values(self):
         try:
@@ -446,21 +493,23 @@ def _round_doc(doc):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser: the command, then a flag per RunConfig field."""
-    p = argparse.ArgumentParser(
-        prog="bergman",
-        description="Bergman kernels and metric ratios on hyperbolic surfaces")
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--config", help="JSON config file; flags override")
+def usage() -> str:
+    """The --help text: the commands and every flag with its default."""
+    lines = ["usage: bergman COMMAND [--config PATH] [--FLAG VALUE ...]",
+             "",
+             "Bergman kernels and metric ratios on hyperbolic surfaces.",
+             "",
+             "commands: " + ", ".join(COMMANDS),
+             "",
+             "flags, as --flag VALUE or --flag=VALUE; flags override --config:",
+             "  --config PATH".ljust(22) + "JSON config file"]
     for f in fields(RunConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                       type={"int": int, "float": float}.get(f.type, str),
-                       choices=("modular", "strip") if f.name == "domain"
-                       else None)
-    return p
+        metavar = _FLAG_TYPES.get(f.type, str).__name__.upper()
+        flag = f"  --{f.name.replace('_', '-')} {metavar}"
+        lines.append(flag.ljust(22) + f"default {f.default!r}")
+    return "\n".join(lines) + "\n"
 
 
 COMMANDS = {
@@ -474,11 +523,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return COMMANDS[args.command](cfg)
+        command, cfg = RunConfig.from_argv(
+            sys.argv[1:] if argv is None else argv)
+        if command is None:
+            sys.stdout.write(usage())
+            return 0
+        return COMMANDS[command](cfg)
     except (ConfigError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -511,20 +511,28 @@ def _parse_coefficient(entry) -> complex:
 
 
 def load_forms(path: str) -> list:
+    """One form per JSON line; a malformed line is a ``DomainError`` that
+    names the file and line."""
     forms = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            forms.append(QExpansionForm(
-                label=doc["label"],
-                weight=int(doc["weight"]),
-                coefficients=tuple(_parse_coefficient(c)
-                                   for c in doc["coefficients"]),
-                growth_exponent=doc.get("growth_exponent"),
-            ))
+            try:
+                doc = json.loads(line)
+                forms.append(QExpansionForm(
+                    label=doc["label"],
+                    weight=int(doc["weight"]),
+                    coefficients=tuple(_parse_coefficient(c)
+                                       for c in doc["coefficients"]),
+                    growth_exponent=doc.get("growth_exponent"),
+                ))
+            except KeyError as exc:
+                raise DomainError(
+                    f"{path}:{lineno}: form has no {exc} key") from exc
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"{path}:{lineno}: bad form: {exc}") from exc
     if not forms:
         raise DomainError(f"no forms found in {path}")
     return forms

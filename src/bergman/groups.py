@@ -38,13 +38,13 @@ class FuchsianGroup:
 
     @property
     def has_cusp_translation(self) -> bool:
-        """Whether the unit translation appears among the generators.
+        """Whether the unit translation or its inverse is a generator.
 
         The standing hypothesis places (1,1;0,1) in the group; with an
         arbitrary generator list this can only be checked softly.
         """
-        return any(g.is_cusp_translation() and abs(g.b - 1.0) < 1e-9
-                   for g in self.generators)
+        return MoebiusTransform.translation(1).key() in {
+            g.key() for g in self.symmetrized_generators()}
 
     @property
     def is_integral(self) -> bool:
@@ -123,10 +123,27 @@ def group_by_name(name: str) -> FuchsianGroup:
 
 
 def load_group(path: str) -> FuchsianGroup:
-    with open(path) as fh:
-        doc = json.load(fh)
-    gens = tuple(MoebiusTransform(*map(float, row)) for row in doc["generators"])
-    return FuchsianGroup(label=doc.get("label", path), generators=gens)
+    """Read ``{"generators": [[a, b, c, d], ...]}`` (and an optional
+    ``label``) from a JSON file; a malformed file is a ``DomainError``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"group file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DomainError(f"group file {path}: bad JSON: {exc}") from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get("generators"), list)):
+        raise DomainError(f"group file {path} is not an object with a "
+                          f"generators list")
+    gens = []
+    for row in doc["generators"]:
+        try:
+            a, b, c, d = map(float, row)
+            gens.append(MoebiusTransform(a, b, c, d))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"group file {path}: bad generator {row!r}: "
+                              f"{exc}") from exc
+    return FuchsianGroup(label=doc.get("label", path), generators=tuple(gens))
 
 
 @dataclass

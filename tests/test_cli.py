@@ -3,10 +3,11 @@ import math
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from bergman.cli import ConfigError, RunConfig, build_parser, main
+from bergman.cli import ConfigError, RunConfig, main
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data" / "delta_weight12.jsonl"
 
@@ -19,10 +20,9 @@ def run_cli(args, capsys=None):
 def test_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"k": "8", "bound": 99.0}))
-    parser = build_parser()
-    args = parser.parse_args(["kernel", "--config", str(cfg_path),
-                              "--k", "6"])
-    cfg = RunConfig.from_args(args)
+    command, cfg = RunConfig.from_argv(["kernel", "--config", str(cfg_path),
+                                        "--k", "6"])
+    assert command == "kernel"
     assert cfg.k_values() == [6]  # flag wins
     assert cfg.bound == 99.0      # file value kept
 
@@ -30,10 +30,8 @@ def test_config_file_with_flag_override(tmp_path):
 def test_config_unknown_key_rejected(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"nonsense": 1}))
-    parser = build_parser()
-    args = parser.parse_args(["kernel", "--config", str(cfg_path)])
     with pytest.raises(ConfigError):
-        RunConfig.from_args(args)
+        RunConfig.from_argv(["kernel", "--config", str(cfg_path)])
 
 
 @pytest.mark.parametrize("command, config, flags, message", [
@@ -85,9 +83,82 @@ def test_poincare_scan_refuses_bad_budget_or_tol_before_any_row(capsys, flag):
 def test_integer_config_value_for_a_float_field(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"tol": 1, "d": 2}))
-    args = build_parser().parse_args(["sym-scan", "--config", str(cfg_path)])
-    cfg = RunConfig.from_args(args)
+    _, cfg = RunConfig.from_argv(["sym-scan", "--config", str(cfg_path)])
     assert cfg.tol == 1.0 and isinstance(cfg.tol, float) and cfg.d == 2
+
+
+def test_flag_forms_and_values():
+    # --name value and --name=value are the same; the last repeat wins;
+    # a value may begin with a single minus sign
+    _, spaced = RunConfig.from_argv(["kernel", "--k", "6"])
+    _, joined = RunConfig.from_argv(["kernel", "--k=6"])
+    assert spaced == joined and spaced.k == "6"
+    _, cfg = RunConfig.from_argv(["ratio-scan", "--k", "8", "--grid",
+                                  "-0.45,0.45,0.6,2,4,4", "--k=6",
+                                  "--c-x", "-1e-3", "--threads", "8"])
+    assert cfg.k == "6" and cfg.grid == "-0.45,0.45,0.6,2,4,4"
+    assert cfg.c_x == -1e-3 and cfg.threads == 8
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--separable"], "unknown flag --separable"),
+    (["kernel", "--c_gamma", "1"], "unknown flag --c_gamma"),
+    (["kernel", "-k", "6"], "unknown flag -k"),
+    (["kernel", "--k"], "--k needs a value"),
+    (["ratio-scan", "--k", "--grid=0,0,1,1,1,1"], "--k needs a value"),
+    (["sym-scan", "--d", "x"], "--d must be int, got 'x'"),
+    (["sym-scan", "--d=2.0"], "--d must be int, got '2.0'"),
+    (["ratio-scan", "--tol", "x"], "--tol must be float, got 'x'"),
+    (["gram", "--domain", "bogus"],
+     "--domain must be modular or strip, got 'bogus'"),
+    (["gram", "--config", "CFG"],
+     "--domain must be modular or strip, got 'bogus'"),
+    (["--k", "6"], "missing command"),
+    ([], "missing command"),
+    (["scan", "--k", "6"], "unknown command 'scan'"),
+    (["kernel", "gram"], "unexpected argument 'gram' after command 'kernel'"),
+    (["kernel", "--k", "6", "8"],
+     "unexpected argument '8' after command 'kernel'"),
+], ids=["unknown", "underscore", "single-dash", "no-value", "flag-as-value",
+        "d-string", "d-float", "tol-string", "domain", "config-domain",
+        "no-command", "empty", "unknown-command", "two-commands",
+        "extra-positional"])
+def test_bad_command_line_exits_2(tmp_path, capsys, argv, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": "bogus"}))
+    out = tmp_path / "out.txt"
+    argv = [str(cfg_path) if a == "CFG" else a for a in argv]
+    code = main(argv + ["--forms", str(DATA), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_every_flag_and_exits_0(capsys, flag):
+    code = main(["kernel", "--k", "6", flag])
+    out = capsys.readouterr().out
+    assert code == 0
+    for command in ("ingest", "kernel", "gram", "ratio-scan", "sym-scan",
+                    "verify"):
+        assert command in out
+    for f in fields(RunConfig):
+        line = next(ln for ln in out.splitlines()
+                    if ln.split()[:1] == ["--" + f.name.replace("_", "-")])
+        assert line.endswith(f"default {f.default!r}")
+    assert "--config PATH" in out
+
+
+def test_cli_imports_no_argparse():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bergman.cli\n"
+         f"code = bergman.cli.main(['gram', '--forms', {str(DATA)!r}])\n"
+         "print(code, 'argparse' in sys.modules, 'locale' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_missing_forms_exits_2(capsys):
@@ -300,3 +371,48 @@ def test_ratio_scan_partly_refused_exits_nonzero(tmp_path):
             assert r[9].startswith("ErrorBoundExceeded: ")
     summary = lines[-1]
     assert " flagged=3 " in summary and summary.endswith("within=True")
+
+
+@pytest.mark.parametrize("command, kind, text", [
+    ("ratio-scan", "group", None),
+    ("ratio-scan", "group", "[1, 2]"),
+    ("ratio-scan", "group", '{"generators": [[1, 1, 0], [1, 0, 2, 1]]}'),
+    ("kernel", "group", '{"generators": [[1, 1, 0, 1], [1, 0, 2, 1]'),
+    ("gram", "forms", '{"weight": 12, "coefficients": [1.0]}\n'),
+    ("ratio-scan", "forms", "not json\n"),
+    ("sym-scan", "forms", '{"label": "f", "weight": 12, "coefficients": 1}\n'),
+    ("ingest", "forms", '{"label": "f", "weight": 11, "coefficients": [1]}\n'),
+], ids=["group-missing", "group-not-object", "group-row-of-3",
+        "group-bad-json", "forms-no-label", "forms-not-json",
+        "forms-coefficients-not-list", "forms-odd-weight"])
+def test_malformed_outside_file_exits_2(tmp_path, capsys, command, kind,
+                                        text):
+    path = tmp_path / f"input.{kind}"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out.txt"
+    source = (["--group", f"file:{path}"] if kind == "group"
+              else ["--forms", str(path)])
+    code = main([command, "--k", "6", "--d", "2", "--grid=0,0.1,1,1,2,1",
+                 "--out", str(out)] + source)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err
+    if kind == "forms":
+        assert f"{path}:1: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("translation", [[1, 1, 0, 1], [1, -1, 0, 1]],
+                         ids=["T", "T-inverse"])
+def test_group_file_with_either_unit_translation_walks(tmp_path, translation):
+    # Gamma_0(2) given by T^-1 once fell back to the orbit route and
+    # flagged the row
+    group = tmp_path / "gamma02.json"
+    group.write_text(json.dumps({"generators": [translation, [1, 0, 2, 1]]}))
+    out = tmp_path / "scan.csv"
+    code = main(["ratio-scan", "--group", f"file:{group}", "--k", "6",
+                 "--grid=0.1,0.1,1,1,1,1", "--out", str(out)])
+    assert code == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[5] == "0.783344159095" and row[9] == ""
