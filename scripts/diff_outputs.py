@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Compare what two checkouts print and write, byte for byte.
+
+    python3 scripts/diff_outputs.py PARENT_DIR CHANGE_DIR
+
+Runs a fixed list of commands in each checkout: every README command,
+``scripts/run_scans.py``, all six ``verify`` suites, and scans with
+flagged, budget-cut and refused rows or refused options.  Each command
+runs in a fresh working directory that holds a link to the checkout's
+``data/`` and two fixed tuple files, with ``bergman`` imported from
+the checkout's ``src/``.  For every command it compares stdout, stderr,
+the exit code and each file the command wrote there, prints every
+difference, and exits 1 if there is one (0 if all are identical).
+"""
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FORMS = "data/delta_weight12.jsonl"
+TUPLES = {
+    "tuples.jsonl": "[[0.1,0.9],[-0.2,1.4]]\n[[0.0,1.2],[0.3,0.8]]\n",
+    # the first tuple's points are 1e-7 apart: refused as near-diagonal
+    "tuples_refused.jsonl": "[[0.1,0.9],[0.1,0.9000001]]\n"
+                            "[[0.0,1.2],[0.3,0.8]]\n",
+}
+# (name, argv): argv after ``bergman``, or "run_scans" for the script
+COMMANDS = [
+    ("readme-ingest", ["ingest", "--forms", FORMS]),
+    ("readme-kernel", ["kernel", "--group", "modular", "--k", "6",
+                       "--z", "0.0,1.0"]),
+    ("readme-gram", ["gram", "--forms", FORMS]),
+    ("readme-ratio-scan", ["ratio-scan", "--forms", FORMS, "--k", "6",
+                           "--grid=-0.45,0.45,0.4,5.0,20,20",
+                           "--out", "ratio.csv"]),
+    ("readme-sym-scan", ["sym-scan", "--forms", FORMS, "--k", "6", "--d", "2",
+                         "--tuples", "tuples.jsonl", "--out", "sym.csv"]),
+    ("readme-verify-thm10", ["verify", "--suite", "thm10", "--forms", FORMS]),
+    ("help", ["--help"]),
+    ("run-scans", "run_scans"),
+] + [(f"verify-{suite}", ["verify", "--suite", suite])
+     for suite in ("kernel-oracle", "lemma4", "prop3", "prop9", "thm10",
+                   "sym")] + [
+    ("kernel-two-weights", ["kernel", "--k", "6,8", "--out", "kernel.json"]),
+    ("gram-strip", ["gram", "--forms", FORMS, "--domain", "strip"]),
+    ("scan-budget-cut", ["ratio-scan", "--group", "modular", "--k", "6",
+                         "--grid=0,0,1,1,1,1", "--budget", "50"]),
+    ("scan-flagged-cusp", ["ratio-scan", "--group", "modular", "--k", "6,8",
+                           "--grid=0,0,1,8,1,8"]),
+    ("scan-large-weight", ["ratio-scan", "--group", "modular", "--k", "90",
+                           "--grid=0,0,1,1,1,1"]),
+    ("scan-kernel-vanishes", ["ratio-scan", "--forms", FORMS, "--k", "6",
+                              "--grid=-0.2,0.2,1,60,2,2"]),
+    ("scan-free2", ["ratio-scan", "--group", "free2", "--k", "6",
+                    "--grid=-0.45,0.45,0.6,2,4,4"]),
+    ("scan-trivial", ["ratio-scan", "--group", "trivial", "--k", "6",
+                      "--grid=-0.2,0.2,0.8,1.6,2,2"]),
+    ("sym-refused-tuple", ["sym-scan", "--forms", FORMS, "--k", "6",
+                           "--d", "2", "--tuples", "tuples_refused.jsonl"]),
+    ("empty-k", ["ratio-scan", "--forms", FORMS, "--k=,",
+                 "--grid=0,0,1,1,1,1"]),
+    ("c-gamma-nan", ["ratio-scan", "--group", "modular", "--k", "6",
+                     "--grid=0,0,1,1,1,1", "--c-gamma", "nan"]),
+    ("c-x-negative", ["ratio-scan", "--group", "modular", "--k", "6",
+                      "--grid=0,0,1,1,1,1", "--c-x", "-1"]),
+]
+
+
+def run(checkout: Path, argv, workdir: Path) -> dict:
+    """Run one command in ``workdir``; its stdout, stderr, code and files."""
+    workdir.mkdir(parents=True)
+    (workdir / "data").symlink_to(checkout / "data")
+    for name, text in TUPLES.items():
+        (workdir / name).write_text(text)
+    before = set(os.listdir(workdir))
+    if argv == "run_scans":
+        cmd = [sys.executable, str(checkout / "scripts" / "run_scans.py"),
+               "--outdir", "scan_results"]
+    else:
+        cmd = [sys.executable, "-m", "bergman.cli"] + argv
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True)
+    files = {}
+    for root, _, names in os.walk(workdir):
+        for name in names:
+            path = Path(root) / name
+            rel = str(path.relative_to(workdir))
+            if rel.split(os.sep)[0] not in before:
+                files[rel] = path.read_bytes()
+    return {"exit": str(proc.returncode).encode() + b"\n",
+            "stdout": proc.stdout, "stderr": proc.stderr, **files}
+
+
+def differences(name, parent: dict, change: dict) -> list:
+    """Unified diffs of every output that differs between the two runs."""
+    out = []
+    for key in sorted(set(parent) | set(change)):
+        a, b = parent.get(key), change.get(key)
+        if a == b:
+            continue
+        if a is None or b is None:
+            out.append(f"{name}: {key} written only by the "
+                       f"{'change' if a is None else 'parent'}")
+            continue
+        diff = difflib.unified_diff(
+            a.decode(errors="replace").splitlines(),
+            b.decode(errors="replace").splitlines(),
+            f"parent/{name}/{key}", f"change/{name}/{key}", lineterm="", n=0)
+        out.append("\n".join(diff))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    args = parser.parse_args(argv)
+    parent, change = Path(args.parent).resolve(), Path(args.change).resolve()
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, cmd) in enumerate(COMMANDS):
+            outputs = [run(side, cmd, Path(tmp) / label / f"{i:02d}")
+                       for label, side in (("parent", parent),
+                                           ("change", change))]
+            diffs = differences(name, *outputs)
+            print(f"{name}: {'DIFFERENT' if diffs else 'identical'}",
+                  flush=True)
+            found += diffs
+    for diff in found:
+        print(diff)
+    print(f"{len(COMMANDS)} commands, {len(found)} differing outputs")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

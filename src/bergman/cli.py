@@ -19,7 +19,7 @@ import numpy as np
 
 from .forms import (CuspFormBasis, QuadratureDomain, delta_form, load_forms,
                     model_basis, orthonormal_basis, petersson_gram, save_forms)
-from .groups import DEFAULT_C_GAMMA, group_by_name
+from .groups import DEFAULT_C_GAMMA, Region, group_by_name
 from .kernel import bergman_kernel_diagonal, parabolic_term_bound
 from .metric import (BasisSource, PoincareSource,
                      RATIO_LIMIT, bergman_metric_ratio, fd_log_ratio,
@@ -108,9 +108,13 @@ class RunConfig:
             setattr(cfg, name, value)
         if cfg.budget < 1:
             raise ConfigError(f"--budget must be at least 1, got {cfg.budget}")
-        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        for flag, value in (("--tol", cfg.tol), ("--c-gamma", cfg.c_gamma)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(
+                    f"{flag} must be positive and finite, got {value}")
+        if not (math.isfinite(cfg.c_x) and cfg.c_x >= 0.0):
             raise ConfigError(
-                f"--tol must be positive and finite, got {cfg.tol}")
+                f"--c-x must be at least 0 and finite, got {cfg.c_x}")
         if cfg.domain not in ("modular", "strip"):
             raise ConfigError(f"--domain must be modular or strip, "
                               f"got {cfg.domain!r}")
@@ -142,9 +146,12 @@ class RunConfig:
 
     def k_values(self):
         try:
-            return [int(t) for t in str(self.k).split(",") if t]
+            ks = [int(t) for t in str(self.k).split(",") if t]
         except ValueError as exc:
             raise ConfigError(f"bad k list {self.k!r}") from exc
+        if not ks:
+            raise ConfigError(f"--k {self.k!r} lists no weight")
+        return ks
 
     def point(self) -> UhpPoint:
         try:
@@ -187,17 +194,12 @@ def _emit(text: str, path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(FMT % v)
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _cell(text: str) -> str:
+    """A CSV text cell, quoted (inner quotes doubled) when it holds a
+    comma, a double quote or a line break, as RFC 4180 asks."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +251,12 @@ def cmd_gram(cfg: RunConfig) -> int:
         raise ConfigError(f"forms file not found: {cfg.forms}")
     raw = CuspFormBasis(forms=load_forms(cfg.forms))
     gram = petersson_gram(raw, cfg.quadrature_domain())
-    rows = []
-    for i, fi in enumerate(raw.forms):
-        for j, fj in enumerate(raw.forms):
-            rows.append((fi.label, fj.label, gram[i, j].real, gram[i, j].imag))
-    _emit(_csv(rows, ["form_i", "form_j", "re", "im"]), cfg.out)
+    line = "%s,%s," + FMT + "," + FMT + "\n"
+    _emit("form_i,form_j,re,im\n" + "".join(
+        line % (_cell(str(fi.label)), _cell(str(fj.label)), gram[i, j].real,
+                gram[i, j].imag)
+        for i, fi in enumerate(raw.forms) for j, fj in enumerate(raw.forms)),
+        cfg.out)
     return 0
 
 
@@ -274,13 +277,18 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         def factory(k):
             return PoincareSource(group, k, cfg.budget)
 
-    rows, summaries = ratio_scan(factory, cfg.k_values(), grid,
-                                 cfg.c_gamma, cfg.c_x, tol=cfg.tol)
-    table = [(r.k, r.z.x, r.z.y, r.region.tag.value, route, r.ratio,
-              r.ratio_over_k2, r.bound, int(r.bound_satisfied),
-              r.error or "") for r in rows]
-    text = _csv(table, ["k", "x", "y", "region", "route", "ratio",
-                        "ratio_over_k2", "bound", "bound_ok", "error"])
+    tables, summaries = ratio_scan(factory, cfg.k_values(), grid,
+                                   cfg.c_gamma, cfg.c_x, tol=cfg.tol)
+    xs, ys = [z.x for z in grid], [z.y for z in grid]
+    regions = (Region.COMPACT_PART.value, Region.CUSP_NEIGHBORHOOD.value)
+    text = "k,x,y,region,route,ratio,ratio_over_k2,bound,bound_ok,error\n"
+    for t in tables:
+        # one template per weight: k and the route are fixed in it
+        line = (f"{t.k},{FMT},{FMT},%s,{route},{FMT},{FMT},{FMT},%d,%s\n")
+        text += "".join(line % row for row in zip(
+            xs, ys, [regions[c] for c in t.cusp.tolist()], t.ratio.tolist(),
+            t.ratio_over_k2.tolist(), t.bound.tolist(), t.bound_ok.tolist(),
+            [_cell(e) if e else "" for e in t.errors]))
     for s in summaries:
         text += ("# k=%d sup_ratio_over_k2=" + FMT + " limit=" + FMT
                  + " flagged=%d within=%s\n") % (
@@ -337,13 +345,12 @@ def cmd_sym_scan(cfg: RunConfig) -> int:
 
     tuples = _load_tuples(cfg)
     rows, summaries = volume_ratio_scan(basis_by_k, tuples, cfg.k_values())
-    table = []
-    for r in rows:
-        coords = ";".join(FMT % p.x + "+" + FMT % p.y + "i" for p in r.z)
-        table.append((r.k, coords, r.route, r.ratio, r.ratio_over_k2d,
-                      int(r.degenerate), r.error or ""))
-    text = _csv(table, ["k", "tuple", "route", "ratio", "ratio_over_k2d",
-                        "degenerate", "error"])
+    line = f"%d,%s,%s,{FMT},{FMT},%d,%s\n"
+    text = "k,tuple,route,ratio,ratio_over_k2d,degenerate,error\n" + "".join(
+        line % (r.k, ";".join(FMT % p.x + "+" + FMT % p.y + "i" for p in r.z),
+                r.route, r.ratio, r.ratio_over_k2d, r.degenerate,
+                _cell(r.error) if r.error else "")
+        for r in rows)
     for s in summaries:
         text += ("# k=%d d=%d sup=" + FMT + " limit=" + FMT
                  + " flagged=%d within=%s\n") % (

@@ -461,16 +461,6 @@ def orthonormal_basis(basis: CuspFormBasis,
                          orthonormal_flag=True)
 
 
-def bergman_from_basis(basis: CuspFormBasis, z: UhpPoint) -> float:
-    """Diagonal Petersson norm y^(2k) sum |f_j(z)|^2 of the basis kernel."""
-    if not basis.forms:
-        return 0.0
-    if not basis.orthonormal_flag:
-        raise DomainError("basis must be orthonormal")
-    v = basis.values(z)
-    return z.y ** basis.weight * float(np.sum(np.abs(v) ** 2))
-
-
 def basis_weight0_grid(basis: CuspFormBasis, z: np.ndarray):
     """B = sum |f_j|^2, dB/dz and d2B/dz dzbar at every complex z[i].
 

@@ -438,13 +438,18 @@ class RegionTag:
     threshold_height: float
 
 
-def classify_region(z: UhpPoint, k: int, c_gamma: float = DEFAULT_C_GAMMA) -> RegionTag:
-    """Cusp neighborhood iff y >= c_gamma * log(k) / (2*pi), closed condition."""
+def cusp_threshold(k: int, c_gamma: float = DEFAULT_C_GAMMA) -> float:
+    """Height c_gamma * log(k) / (2*pi) where the cusp neighborhood starts."""
     if k < 2:
         raise DomainError("k must be >= 2")
     if c_gamma <= 0:
         raise DomainError("c_gamma must be positive")
-    threshold = c_gamma * math.log(k) / (2.0 * math.pi)
+    return c_gamma * math.log(k) / (2.0 * math.pi)
+
+
+def classify_region(z: UhpPoint, k: int, c_gamma: float = DEFAULT_C_GAMMA) -> RegionTag:
+    """Cusp neighborhood iff y >= cusp_threshold(k, c_gamma), closed condition."""
+    threshold = cusp_threshold(k, c_gamma)
     tag = Region.CUSP_NEIGHBORHOOD if z.y >= threshold else Region.COMPACT_PART
     return RegionTag(tag=tag, threshold_height=threshold)
 

@@ -113,12 +113,6 @@ def term_log_phase(gamma: MoebiusTransform, z: UhpPoint, k: int):
     return 2 * k * math.log(abs(u)), 2 * k * cmath.phase(u)
 
 
-def term_value(gamma: MoebiusTransform, z: UhpPoint, k: int) -> complex:
-    """Full series term (2k-1)/(4 pi) * u^(2k) for one group element."""
-    lg, ph = term_log_phase(gamma, z, k)
-    return identity_term(k) * cmath.exp(complex(lg, ph))
-
-
 def _reduce_log_terms(terms) -> complex:
     """Sum exp(lg)*e^{i ph} over (lg, ph) pairs, rescaled by the max log."""
     if not terms:

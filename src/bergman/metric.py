@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .forms import (CuspFormBasis, basis_weight0_bundle, basis_weight0_grid,
                     first_coefficient_mass)
 from .groups import (
@@ -20,6 +22,7 @@ from .groups import (
     FuchsianGroup,
     RegionTag,
     classify_region,
+    cusp_threshold,
     enumerate_group_elements,
     modular_cosets,
     walk_cosets,
@@ -63,6 +66,17 @@ class DerivativeBundle:
 
 
 @dataclass
+class KernelColumns:
+    """A grid's bundles, an array per field (row i at grid point i), and
+    the exception refusing each point or None; refused points hold NaN."""
+    value: np.ndarray
+    dz: np.ndarray
+    dzdzbar: np.ndarray
+    errors: np.ndarray
+    refusals: list
+
+
+@dataclass
 class RatioSample:
     z: UhpPoint
     k: int
@@ -78,11 +92,6 @@ class BoundLedger:
     lemma5: float
     lemma7: float
     prop8: float
-    y: float
-    k: int
-    c_gamma: float
-    c_x: float
-    kernel_lower: float
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +106,11 @@ class BasisSource:
         self.basis = basis
         self.k = basis.k
 
-    def bundles(self, grid: Sequence[UhpPoint]) -> list:
-        """A DerivativeBundle per grid point, from one batched evaluation."""
+    def bundles(self, grid: Sequence[UhpPoint]) -> KernelColumns:
+        """The grid's columns, from one batched evaluation; no refusals."""
         value, d1, d2 = basis_weight0_grid(self.basis, [z.z for z in grid])
-        return [DerivativeBundle(value=float(b), dz=complex(db),
-                                 dzdzbar=complex(float(ddb)))
-                for b, db, ddb in zip(value, d1, d2)]
+        return KernelColumns(value, d1, d2, np.zeros((len(grid), 3)),
+                             [None] * len(grid))
 
     def value_near(self, z: UhpPoint):
         """B as a function of points near z, for finite-difference stencils."""
@@ -143,21 +151,21 @@ class PoincareSource:
         return CosetList(base_point=z, norm_bound=math.inf,
                          rows=enum.rows(), translates=False)
 
-    def bundles(self, grid: Sequence[UhpPoint]) -> list:
-        """A DerivativeBundle, or the exception refusing the point, per
-        grid point; each point lists its own cosets."""
-        out = []
-        for z in grid:
+    def bundles(self, grid: Sequence[UhpPoint]) -> KernelColumns:
+        """The grid's columns, point by point; a point that raises is refused."""
+        n = len(grid)
+        cols = KernelColumns(np.full(n, np.nan), np.full(n, np.nan, complex),
+                             np.full(n, np.nan, complex),
+                             np.full((n, 3), np.nan), [None] * n)
+        for i, z in enumerate(grid):
             try:
-                value, d1, d2, errors = poincare_weight0_bundle(
-                    self.cosets(z), z, self.k)
-                out.append(DerivativeBundle(value=value, dz=d1,
-                                            dzdzbar=complex(d2),
-                                            errors=errors))
+                row = poincare_weight0_bundle(self.cosets(z), z, self.k)
             except Exception as exc:  # recorded inline, scan continues
                 # without its traceback, which keeps the coset arrays
-                out.append(exc.with_traceback(None))
-        return out
+                cols.refusals[i] = exc.with_traceback(None)
+                continue
+            cols.value[i], cols.dz[i], cols.dzdzbar[i], cols.errors[i] = row
+        return cols
 
     def value_near(self, z: UhpPoint):
         """B as a function of points near z, summed over z's cosets."""
@@ -169,35 +177,46 @@ class PoincareSource:
 # Derivatives
 
 def kernel_derivatives(source, z: UhpPoint) -> DerivativeBundle:
-    """Weight-0 kernel value and Wirtinger derivatives at z.
+    """Weight-0 kernel value and Wirtinger derivatives at z: the batch of
+    one of ``source.bundles``, raising what refuses the point."""
+    cols = source.bundles([z])
+    if cols.refusals[0] is not None:
+        raise cols.refusals[0]
+    return DerivativeBundle(value=float(cols.value[0]), dz=complex(cols.dz[0]),
+                            dzdzbar=complex(cols.dzdzbar[0]),
+                            errors=tuple(cols.errors[0].tolist()))
 
-    The batch of one of ``source.bundles``; raises what refuses the
-    point.
+
+def ratio_parts(bundle, y, k: int):
+    """Ratio k/(2 pi) + (y^2/pi)(|dB|^2/B^2 - d2B/B), that correction and
+    the ratio's absolute error bound: scalars for a DerivativeBundle at
+    height y, arrays for the KernelColumns of a grid, by the same operations.
+
+    With B off by at most e0 (B - e0 > 0, else the bound is inf), dB by e1
+    and d2B by e2, |dB|^2/B^2 moves by at most (2|dB| + e1) e1/(B - e0)^2
+    + |dB|^2 (1/(B - e0)^2 - 1/B^2) and d2B/B by at most e2/(B - e0)
+    + |d2B| (1/(B - e0) - 1/B); forming their difference adds 4 EPS of each.
     """
-    result = source.bundles([z])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    b, dz = np.asarray(bundle.value, float), np.asarray(bundle.dz, complex)
+    d2 = np.asarray(bundle.dzdzbar, complex).real
+    e0, e1, e2 = np.asarray(bundle.errors, float).T
+    a, d = np.hypot(dz.real, dz.imag), np.abs(d2)
+    y2 = y * y / math.pi
+    with np.errstate(all="ignore"):
+        corr = y2 * ((dz.real * dz.real + dz.imag * dz.imag) / (b * b)
+                     - d2 / b)
+        lo = b - e0
+        grad = (2 * a + e1) * e1 / (lo * lo) + a * a * (1 / (lo * lo)
+                                                        - 1 / (b * b))
+        hess = e2 / lo + d * (1 / lo - 1 / b)
+        arith = 4 * EPS * (a * a / (b * b) + d / b)
+        bound = np.where(lo <= 0.0, np.inf, y2 * (grad + hess + arith))
+    return k / (2.0 * math.pi) + corr, corr, bound
 
 
 def ratio_error_bound(bundle: DerivativeBundle, z: UhpPoint) -> float:
-    """Absolute error bound of the ratio from the bundle's error bounds.
-
-    With B off by at most e0 (and B - e0 > 0), dB by e1 and d2B by e2,
-    |dB|^2/B^2 moves by at most (2|dB| + e1) e1/(B - e0)^2
-    + |dB|^2 (1/(B - e0)^2 - 1/B^2) and d2B/B by at most e2/(B - e0)
-    + |d2B| (1/(B - e0) - 1/B); forming their difference adds 4 EPS
-    of each.
-    """
-    b, a, d = bundle.value, abs(bundle.dz), abs(bundle.dzdzbar.real)
-    e0, e1, e2 = bundle.errors
-    lo = b - e0
-    if lo <= 0.0:
-        return math.inf
-    grad = (2 * a + e1) * e1 / lo ** 2 + a * a * (1 / lo ** 2 - 1 / b ** 2)
-    hess = e2 / lo + d * (1 / lo - 1 / b)
-    arith = 4 * EPS * (a * a / (b * b) + d / b)
-    return z.y ** 2 / math.pi * (grad + hess + arith)
+    """Absolute error bound of the ratio (``ratio_parts``)."""
+    return float(ratio_parts(bundle, z.y, 0)[2])
 
 
 def bergman_metric_ratio(bundle: DerivativeBundle, z: UhpPoint, k: int,
@@ -205,19 +224,10 @@ def bergman_metric_ratio(bundle: DerivativeBundle, z: UhpPoint, k: int,
     """Ratio of Bergman to hyperbolic metric from a derivative bundle."""
     if bundle.value <= 1e-300:
         raise KernelVanishes(f"kernel value {bundle.value} at {z}")
-    b = bundle.value
-    corr = (z.y ** 2 / math.pi) * (
-        (bundle.dz * bundle.dz.conjugate()).real / (b * b)
-        - bundle.dzdzbar.real / b
-    )
-    return RatioSample(
-        z=z, k=k,
-        ratio=k / (2.0 * math.pi) + corr,
-        identity_part=k / (2.0 * math.pi),
-        correction=corr,
-        region=classify_region(z, k, c_gamma),
-        error_bound=ratio_error_bound(bundle, z),
-    )
+    ratio, corr, bound = map(float, ratio_parts(bundle, z.y, k))
+    return RatioSample(z=z, k=k, ratio=ratio, identity_part=k / (2.0 * math.pi),
+                       correction=corr, region=classify_region(z, k, c_gamma),
+                       error_bound=bound)
 
 
 def fd_log_ratio(source, z: UhpPoint, k: int, step: Optional[float] = None) -> float:
@@ -248,31 +258,36 @@ def fd_log_ratio(source, z: UhpPoint, k: int, step: Optional[float] = None) -> f
 # ---------------------------------------------------------------------------
 # Bound ledger
 
-def bound_ledger(y: float, k: int, kernel_lower: float, c_x: float,
-                 c_gamma: float = DEFAULT_C_GAMMA) -> BoundLedger:
-    """Explicit derivative and ratio bounds with the stated constants."""
+def prop8_bound(k: int, kernel_lower: float, c_x: float,
+                c_gamma: float = DEFAULT_C_GAMMA) -> float:
+    """Prop 8's bound on |ratio|, parenthesis at the threshold height."""
     if k < 3:
         raise DomainError("k must be >= 3")
-    if y <= 0 or kernel_lower <= 0 or c_x < 0 or c_gamma <= 0:
+    if kernel_lower <= 0 or c_x < 0 or c_gamma <= 0:
         raise DomainError("inputs must be positive")
-    paren = identity_term(k) + parabolic_term_bound(y, k) + c_x
-    lemma5 = 2.0 * k / y ** (2 * k + 1) * paren
-    lemma7 = (10.0 * k * k + k) / (2.0 * y ** (2 * k + 2)) * paren
-    # compact-part bound with the parenthesis at the threshold height
     paren_star = (
         identity_term(k)
         + c_gamma * (2 * k - 1) * math.log(k)
         / (2.0 * math.pi * math.sqrt(math.pi)) * gamma_ratio(k)
         + c_x
     )
-    prop8 = (
+    return (
         k / (2.0 * math.pi)
         + 4.0 * k * k / (math.pi * kernel_lower ** 2) * paren_star ** 2
         + k * k / (math.pi * kernel_lower) * paren_star * (5.0 + 1.0 / (2.0 * k))
     )
-    return BoundLedger(lemma5=lemma5, lemma7=lemma7,
-                       prop8=prop8, y=y, k=k, c_gamma=c_gamma, c_x=c_x,
-                       kernel_lower=kernel_lower)
+
+
+def bound_ledger(y: float, k: int, kernel_lower: float, c_x: float,
+                 c_gamma: float = DEFAULT_C_GAMMA) -> BoundLedger:
+    """Explicit derivative and ratio bounds with the stated constants."""
+    prop8 = prop8_bound(k, kernel_lower, c_x, c_gamma)
+    if y <= 0:
+        raise DomainError("inputs must be positive")
+    paren = identity_term(k) + parabolic_term_bound(y, k) + c_x
+    lemma5 = 2.0 * k / y ** (2 * k + 1) * paren
+    lemma7 = (10.0 * k * k + k) / (2.0 * y ** (2 * k + 2)) * paren
+    return BoundLedger(lemma5=lemma5, lemma7=lemma7, prop8=prop8)
 
 
 def kernel_lower_surrogate(k: int, measured_min: float) -> float:
@@ -303,15 +318,17 @@ def cusp_ratio_expansion(basis: CuspFormBasis, z: UhpPoint, k: int,
 # Scan
 
 @dataclass
-class ScanRow:
+class ScanColumns:
+    """One weight's ratio-scan rows, row i at grid point i; a refused row
+    holds NaN, bound_ok False and ``"Type: message"`` in ``errors``."""
     k: int
-    z: UhpPoint
-    region: RegionTag
-    ratio: float
-    ratio_over_k2: float
-    bound: float
-    bound_satisfied: bool
-    error: Optional[str] = None
+    cusp: np.ndarray            # in the cusp neighborhood (region)
+    ratio: np.ndarray
+    ratio_over_k2: np.ndarray
+    error_bound: np.ndarray
+    bound: np.ndarray           # Prop 8, one value per weight
+    bound_ok: np.ndarray
+    errors: list
 
 
 @dataclass
@@ -334,62 +351,59 @@ def grid_points(x0: float, x1: float, y0: float, y1: float,
 def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
                c_gamma: float = DEFAULT_C_GAMMA, c_x: float = 0.0,
                tol: float = 1e-5):
-    """Per-(k, z) ratio table plus per-k sup |ratio|/k^2 summaries.
+    """Per-weight ratio columns plus per-k sup |ratio|/k^2 summaries.
 
     ``source_factory(k)`` returns a kernel source for each weight.  The
-    source gives the bundles of the whole grid at once (``bundles``),
-    a point's bundle depending on that point alone, and rows are
-    assembled in grid order.  A point the source refuses, or whose
-    ratio error bound exceeds ``tol`` times |ratio| (or times k/(2 pi),
-    when the ratio is smaller), is refused inline.
+    source gives the columns of the whole grid (``bundles``), a point's
+    numbers depending on that point alone, and ``ratio_parts`` the ratio
+    at every point.  A point is refused, in this order, by the source,
+    when B <= 1e-300 (``KernelVanishes``), or when its ratio error bound
+    exceeds ``tol`` times max(|ratio|, k/(2 pi)) (``ErrorBoundExceeded``).
+    Returns one ``ScanColumns`` per weight.
     """
-    rows, summaries = [], []
+    y = np.array([z.y for z in grid])
+    tables, summaries = [], []
     for k in k_list:
-        source = source_factory(k)
-
-        def eval_point(z, bundle, k=k):
-            if isinstance(bundle, Exception):
-                return None, None, bundle
-            try:
-                sample = bergman_metric_ratio(bundle, z, k, c_gamma)
-                scale = max(abs(sample.ratio), sample.identity_part)
-                if not sample.error_bound <= tol * scale:
-                    raise ErrorBoundExceeded(
-                        f"ratio {sample.ratio:.12g} +- "
-                        f"{sample.error_bound:.3g} exceeds tol {tol:g}")
-                return sample, bundle.value * z.y ** (2 * k), None
-            except Exception as exc:  # recorded inline, scan continues
-                return None, None, exc
-
-        results = [eval_point(z, bundle)
-                   for z, bundle in zip(grid, source.bundles(grid))]
-
-        norms = [nrm for _, nrm, _ in results if nrm is not None]
-        klower = kernel_lower_surrogate(k, min(norms) if norms else 0.0)
-        sup_val, sup_point, flagged = -math.inf, None, 0
-        for z, (sample, nrm, err) in zip(grid, results):
-            if err is not None:
-                flagged += 1
-                rows.append(ScanRow(k=k, z=z, region=classify_region(z, k, c_gamma),
-                                    ratio=math.nan, ratio_over_k2=math.nan,
-                                    bound=math.nan, bound_satisfied=False,
-                                    error=f"{type(err).__name__}: {err}"))
-                continue
-            ledger = bound_ledger(max(z.y, 1e-6), k, klower, c_x, c_gamma) \
-                if k >= 3 else None
-            bound = ledger.prop8 if ledger else math.inf
-            over = abs(sample.ratio) / (k * k)
-            if over > sup_val:
-                sup_val, sup_point = over, z
-            rows.append(ScanRow(
-                k=k, z=z, region=sample.region, ratio=sample.ratio,
-                ratio_over_k2=over, bound=bound,
-                bound_satisfied=abs(sample.ratio) <= bound,
-            ))
+        cols = source_factory(k).bundles(grid)
+        ratio, _, err = ratio_parts(cols, y, k)
+        threshold = cusp_threshold(k, c_gamma)
+        vanishes = cols.value <= 1e-300
+        with np.errstate(all="ignore"):
+            exceeded = ~(err <= tol * np.maximum(np.abs(ratio),
+                                                 k / (2.0 * math.pi)))
+            norms = cols.value * y ** (2 * k)
+        refused = (np.array([r is not None for r in cols.refusals], bool)
+                   | vanishes | exceeded)
+        errors = [None] * len(grid)
+        for i in np.flatnonzero(refused).tolist():
+            exc = cols.refusals[i]
+            if exc is None and vanishes[i]:
+                exc = KernelVanishes(
+                    f"kernel value {float(cols.value[i])} at {grid[i]}")
+            elif exc is None:
+                exc = ErrorBoundExceeded(
+                    f"ratio {float(ratio[i]):.12g} +- {float(err[i]):.3g} "
+                    f"exceeds tol {tol:g}")
+            errors[i] = f"{type(exc).__name__}: {exc}"
+        ok = ~refused
+        over = np.abs(ratio) / (k * k)
+        klower = kernel_lower_surrogate(
+            k, float(norms[ok].min()) if ok.any() else 0.0)
+        bound = prop8_bound(k, klower, c_x, c_gamma) if k >= 3 else math.inf
+        sup_val, sup_point = -math.inf, None
+        if ok.any():
+            i = int(np.argmax(np.where(ok, over, -np.inf)))
+            sup_val, sup_point = float(over[i]), grid[i]
+        tables.append(ScanColumns(
+            k=k, cusp=y >= threshold, ratio=np.where(ok, ratio, np.nan),
+            ratio_over_k2=np.where(ok, over, np.nan),
+            error_bound=np.where(ok, err, np.nan),
+            bound=np.where(ok, bound, np.nan),
+            bound_ok=ok & (np.abs(ratio) <= bound), errors=errors))
         # a weight whose rows are all flagged has no sup to pass
         summaries.append(ScanSummary(
             k=k, sup_ratio_over_k2=sup_val, limit=RATIO_LIMIT,
             within_limit=-math.inf < sup_val <= RATIO_LIMIT,
-            sup_point=sup_point, flagged=flagged,
+            sup_point=sup_point, flagged=int(refused.sum()),
         ))
-    return rows, summaries
+    return tables, summaries

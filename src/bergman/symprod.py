@@ -112,22 +112,11 @@ def vanishing_subspace(basis: CuspFormBasis, divisor: Divisor) -> SubspaceFrame:
     return SubspaceFrame(coefficients=frame)
 
 
-def full_frame(basis: CuspFormBasis) -> SubspaceFrame:
-    """Identity frame (empty divisor, internal use)."""
-    return SubspaceFrame(coefficients=np.eye(basis.size, dtype=complex))
-
-
 def weight0_subspace_kernel(frame: SubspaceFrame, basis: CuspFormBasis,
                             z: UhpPoint) -> float:
     """Sum over frame columns of |combined form(z)|^2, no y^(2k) factor."""
     vec = basis.values(z) @ frame.coefficients
     return float(np.real(np.vdot(vec, vec)))
-
-
-def subspace_kernel_diagonal(frame: SubspaceFrame, basis: CuspFormBasis,
-                             z: UhpPoint, k: int) -> float:
-    """Diagonal reproducing kernel y^(2k) ||.||^2 of the vanishing subspace."""
-    return z.y ** (2 * k) * weight0_subspace_kernel(frame, basis, z)
 
 
 def nested_log_potential(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> float:
@@ -140,7 +129,7 @@ def nested_log_potential(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> float:
     total = 0.0
     for j, z in enumerate(zs):
         if j == 0:
-            frame = full_frame(basis)
+            frame = SubspaceFrame(np.eye(basis.size, dtype=complex))
         else:
             frame = vanishing_subspace(basis, Divisor.simple(zs[:j]))
         psi = weight0_subspace_kernel(frame, basis, z)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import pathlib
@@ -54,9 +55,17 @@ def test_config_unknown_key_rejected(tmp_path):
     ("ratio-scan", {}, ["--tol", "inf"],
      "--tol must be positive and finite, got inf"),
     ("verify", {}, ["--tol", "nan"], "--tol must be positive and finite, got nan"),
+    ("ratio-scan", {"k": ""}, [], "--k '' lists no weight"),
+    ("ratio-scan", {"c_gamma": 0}, [],
+     "--c-gamma must be positive and finite, got 0.0"),
+    ("kernel", {}, ["--c-gamma", "inf"],
+     "--c-gamma must be positive and finite, got inf"),
+    ("ratio-scan", {"c_x": -1}, [], "--c-x must be at least 0 and finite, got -1.0"),
+    ("verify", {}, ["--c-x", "nan"], "--c-x must be at least 0 and finite, got nan"),
 ], ids=["d-string", "tol-string", "budget-bool", "grid-list", "grid-nx-0",
         "config-grid-ny-0", "not-an-object", "budget-0", "config-budget-negative",
-        "tol-negative", "config-tol-0", "tol-inf", "tol-nan"])
+        "tol-negative", "config-tol-0", "tol-inf", "tol-nan", "config-k-empty",
+        "config-c-gamma-0", "c-gamma-inf", "config-c-x-negative", "c-x-nan"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags,
                                   message):
     cfg_path = tmp_path / "cfg.json"
@@ -95,9 +104,9 @@ def test_flag_forms_and_values():
     assert spaced == joined and spaced.k == "6"
     _, cfg = RunConfig.from_argv(["ratio-scan", "--k", "8", "--grid",
                                   "-0.45,0.45,0.6,2,4,4", "--k=6",
-                                  "--c-x", "-1e-3", "--threads", "8"])
+                                  "--z", "-0.3,1.2", "--threads", "8"])
     assert cfg.k == "6" and cfg.grid == "-0.45,0.45,0.6,2,4,4"
-    assert cfg.c_x == -1e-3 and cfg.threads == 8
+    assert cfg.z == "-0.3,1.2" and cfg.threads == 8
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -119,10 +128,14 @@ def test_flag_forms_and_values():
     (["kernel", "gram"], "unexpected argument 'gram' after command 'kernel'"),
     (["kernel", "--k", "6", "8"],
      "unexpected argument '8' after command 'kernel'"),
+    (["ratio-scan", "--k=,", "--grid=0,0,1,1,1,1"], "--k ',' lists no weight"),
+    (["ratio-scan", "--c-gamma", "nan"],
+     "--c-gamma must be positive and finite, got nan"),
+    (["ratio-scan", "--c-x", "-1"], "--c-x must be at least 0 and finite, got -1.0"),
 ], ids=["unknown", "underscore", "single-dash", "no-value", "flag-as-value",
         "d-string", "d-float", "tol-string", "domain", "config-domain",
         "no-command", "empty", "unknown-command", "two-commands",
-        "extra-positional"])
+        "extra-positional", "k-empty", "c-gamma-nan", "c-x-negative"])
 def test_bad_command_line_exits_2(tmp_path, capsys, argv, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"domain": "bogus"}))
@@ -272,6 +285,35 @@ def test_ratio_scan_all_flagged_weight_fails(tmp_path):
     summary = out.read_text().splitlines()[-1]
     assert "sup_ratio_over_k2=-inf" in summary
     assert summary.endswith("within=False")
+
+
+def _csv_rows(path):
+    """The table rows of a CSV output, parsed by the csv module."""
+    lines = [ln for ln in path.read_text().splitlines(keepends=True)
+             if not ln.startswith("#")]
+    return list(csv.reader(lines))
+
+
+def test_error_cells_with_commas_are_quoted(tmp_path):
+    # s = 2k + 2 > 170 refuses the row with "... s <= 170, got 180"; the
+    # kernel at y = 60 vanishes, its message naming UhpPoint(x, y)
+    scans = {"k90": ["--group", "modular", "--k", "90", "--grid=0,0,1,1,1,1"],
+             "vanish": ["--forms", str(DATA), "--k", "6",
+                        "--grid=-0.2,0.2,1,60,2,2"]}
+    for name, args in scans.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["ratio-scan"] + args + ["--out", str(out)]) == 1
+        header, *rows = _csv_rows(out)
+        assert rows and all(len(row) == len(header) == 10 for row in rows)
+        assert any("," in row[9] for row in rows)
+    tuples = tmp_path / "tuples.jsonl"
+    tuples.write_text('[[0.1,0.9],[0.1,0.9000001]]\n[[0.0,1.2],[0.3,0.8]]\n')
+    out = tmp_path / "sym.csv"
+    assert main(["sym-scan", "--forms", str(DATA), "--k", "6", "--d", "2",
+                 "--tuples", str(tuples), "--out", str(out)]) == 1
+    header, *rows = _csv_rows(out)
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    assert rows[0][6].startswith("NearDiagonal: ") and rows[1][6] == ""
 
 
 def test_sym_scan_with_tuple_file(tmp_path):

@@ -12,7 +12,7 @@ from scipy.special import gammaincc, gammaln, roots_legendre
 from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
                            QuadratureDomain, _gram_nodes, _gram_once,
                            _tail_gram,
-                           GRAM_CHUNK, bergman_from_basis,
+                           GRAM_CHUNK,
                            basis_weight0_bundle, basis_weight0_grid, delta_form,
                            evaluate_q_expansion,
                            first_coefficient_mass, gauss_legendre, load_forms,
@@ -22,6 +22,16 @@ from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
 from bergman.groups import modular_group
 from bergman.kernel import bergman_kernel_diagonal
 from bergman.uhp import DomainError, MoebiusTransform, UhpPoint
+
+
+def bergman_from_basis(basis, z):
+    """Diagonal Petersson norm y^(2k) sum |f_j(z)|^2 of the basis kernel."""
+    if not basis.forms:
+        return 0.0
+    if not basis.orthonormal_flag:
+        raise DomainError("basis must be orthonormal")
+    v = basis.values(z)
+    return z.y ** basis.weight * float(np.sum(np.abs(v) ** 2))
 
 
 def test_form_validation():

@@ -17,9 +17,15 @@ from bergman.kernel import (EPS, _lipschitz_majorant, _log_weights,
                             bergman_kernel_diagonal,
                             coset_norm_bound, cx_constant, gamma_ratio,
                             identity_term, parabolic_term_bound, poincare_weight0_bundle,
-                            term_log_phase, term_value)
+                            term_log_phase)
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, hyp_distance)
+
+
+def term_value(gamma, z, k):
+    """Full series term (2k-1)/(4 pi) * u^(2k) for one group element."""
+    lg, ph = term_log_phase(gamma, z, k)
+    return identity_term(k) * cmath.exp(complex(lg, ph))
 
 
 def test_identity_term_values():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,17 +7,18 @@ import pytest
 from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
                            model_basis, orthonormal_basis, petersson_gram)
 import bergman.metric
-from bergman.groups import (BudgetExceeded, free_product_group,
+from bergman.groups import (BudgetExceeded, Region, free_product_group,
                             group_by_name, modular_group, trivial_group,
                             walk_cosets)
 from bergman.kernel import NORM_CAP, coset_norm_bound
-from bergman.metric import (BasisSource, FirstCoefficientZero,
+from bergman.metric import (BasisSource, ErrorBoundExceeded,
+                            FirstCoefficientZero, KernelColumns,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
                             bergman_metric_ratio, bound_ledger,
                             cusp_ratio_expansion, DerivativeBundle,
                             fd_log_ratio, grid_points,
                             kernel_derivatives, kernel_lower_surrogate,
-                            ratio_scan)
+                            prop8_bound, ratio_error_bound, ratio_scan)
 from bergman.uhp import DomainError, UhpPoint
 
 
@@ -141,11 +143,12 @@ def test_poincare_bundles_refuse_only_the_budget_cut_point():
     # cosets) but not at y = 4 (about 13,600)
     grid = [UhpPoint(0.1, 1.0), UhpPoint(0.1, 4.0), UhpPoint(0.1, 2.0)]
     out = PoincareSource(modular_group(), 6, budget=10_000).bundles(grid)
-    assert isinstance(out[1], BudgetExceeded)
+    assert isinstance(out.refusals[1], BudgetExceeded)
     full = PoincareSource(modular_group(), 6)
     for i in (0, 2):
-        assert isinstance(out[i], DerivativeBundle)
-        assert out[i] == kernel_derivatives(full, grid[i])
+        assert out.refusals[i] is None
+        row = (out.value[i], out.dz[i], out.dzdzbar[i], tuple(out.errors[i]))
+        assert row == astuple(kernel_derivatives(full, grid[i]))
 
 
 def test_poincare_and_basis_routes_agree(delta_basis):
@@ -226,10 +229,10 @@ def test_ratio_scan_summary_and_rows(delta_basis):
         return BasisSource(delta_basis)
 
     grid = grid_points(-0.4, 0.4, 0.7, 3.5, 4, 4)
-    rows, summaries = ratio_scan(factory, [6], grid)
-    assert len(rows) == 16
-    assert all(r.error is None for r in rows)
-    assert all(r.bound_satisfied for r in rows)
+    (rows,), summaries = ratio_scan(factory, [6], grid)
+    assert len(rows.errors) == len(rows.ratio) == 16
+    assert all(e is None for e in rows.errors)
+    assert rows.bound_ok.all()
     s = summaries[0]
     assert s.within_limit and s.sup_ratio_over_k2 <= RATIO_LIMIT
     assert s.sup_point is not None
@@ -241,10 +244,10 @@ def test_ratio_scan_summary_counts_its_own_flagged_rows():
         return PoincareSource(modular_group(), k)
 
     grid = [UhpPoint(0.0, 1.0), UhpPoint(0.0, 6.0), UhpPoint(0.0, 8.0)]
-    rows, summaries = ratio_scan(factory, [6, 8], grid)
+    tables, summaries = ratio_scan(factory, [6, 8], grid)
     for s in summaries:
-        assert s.flagged == sum(r.error is not None for r in rows
-                                if r.k == s.k)
+        assert s.flagged == sum(e is not None for t in tables if t.k == s.k
+                                for e in t.errors)
     assert [s.flagged for s in summaries] == [2, 1]
 
 
@@ -253,14 +256,109 @@ def test_basis_scan_row_does_not_depend_on_grid(delta_basis):
         return BasisSource(delta_basis)
 
     grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
-    rows, _ = ratio_scan(factory, [6], grid)
+    (rows,), _ = ratio_scan(factory, [6], grid)
     for i in range(0, len(grid), 37):
-        alone, _ = ratio_scan(factory, [6], [grid[i]])
-        assert alone[0].error is None and rows[i].error is None
-        assert alone[0].region == rows[i].region
-        assert alone[0].ratio == pytest.approx(rows[i].ratio, rel=1e-14)
-        assert alone[0].ratio_over_k2 == pytest.approx(rows[i].ratio_over_k2,
+        (alone,), _ = ratio_scan(factory, [6], [grid[i]])
+        assert alone.errors[0] is None and rows.errors[i] is None
+        assert alone.cusp[0] == rows.cusp[i]
+        assert alone.ratio[0] == pytest.approx(rows.ratio[i], rel=1e-14)
+        assert alone.ratio_over_k2[0] == pytest.approx(rows.ratio_over_k2[i],
                                                        rel=1e-14)
+
+
+def _batch_of_one(source, z, k, tol=1e-5):
+    """The scan's row at z from the one-point functions: the sample, or
+    the error text of the refusal."""
+    try:
+        sample = bergman_metric_ratio(kernel_derivatives(source, z), z, k)
+        scale = max(abs(sample.ratio), sample.identity_part)
+        if not sample.error_bound <= tol * scale:
+            raise ErrorBoundExceeded(
+                f"ratio {sample.ratio:.12g} +- {sample.error_bound:.3g} "
+                f"exceeds tol {tol:g}")
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return sample
+
+
+def _assert_columns_equal_batch_of_one(factory, ks, grid):
+    """Every row equals the batch of one exactly; returns the refused count."""
+    tables, summaries = ratio_scan(factory, ks, grid)
+    refused = 0
+    for k, t, s in zip(ks, tables, summaries):
+        src = factory(k)
+        for i, z in enumerate(grid):
+            one = _batch_of_one(src, z, k)
+            if isinstance(one, str):
+                refused += 1
+                assert t.errors[i] == one
+                assert math.isnan(t.ratio[i]) and math.isnan(t.bound[i])
+                assert not t.bound_ok[i]
+                continue
+            assert t.errors[i] is None
+            assert t.ratio[i] == one.ratio
+            assert t.ratio_over_k2[i] == abs(one.ratio) / (k * k)
+            assert t.error_bound[i] == one.error_bound == ratio_error_bound(
+                kernel_derivatives(src, z), z)
+            assert t.cusp[i] == (one.region.tag is Region.CUSP_NEIGHBORHOOD)
+        assert s.flagged == sum(e is not None for e in t.errors)
+    return refused
+
+
+def test_scan_columns_equal_batch_of_one_on_delta_grid(delta_basis):
+    grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
+    assert _assert_columns_equal_batch_of_one(
+        lambda k: BasisSource(delta_basis), [6], grid) == 0
+
+
+def test_scan_columns_equal_batch_of_one_with_refused_rows():
+    # y = 6 is refused at k = 6, y = 8 at k = 6 and 8
+    grid = [UhpPoint(0.0, 1.0), UhpPoint(0.3, 2.0), UhpPoint(0.0, 6.0),
+            UhpPoint(0.0, 8.0)]
+    assert _assert_columns_equal_batch_of_one(
+        lambda k: PoincareSource(modular_group(), k), [6, 8], grid) == 3
+
+
+class _StubSource:
+    """B and the error bound e0 of B chosen per height, dB = d2B = 0."""
+
+    ROWS = {1.0: (0.0, 0.0, DomainError("stub refuses")),
+            2.0: (0.0, 0.0, None), 3.0: (math.nan, 0.0, None),
+            4.0: (1.0, 0.0, None), 5.0: (1.0, 2.0, None)}
+
+    def bundles(self, grid):
+        value, e0, refusals = zip(*(self.ROWS[z.y] for z in grid))
+        errors = np.zeros((len(grid), 3))
+        errors[:, 0] = e0
+        return KernelColumns(np.array(value), np.zeros(len(grid), complex),
+                             np.zeros(len(grid), complex), errors,
+                             list(refusals))
+
+
+def test_scan_refuses_in_order_source_vanishing_then_bound():
+    # B = 0 under a source refusal shows the source's refusal; B = NaN
+    # is not caught as vanishing, its NaN bound exceeds any tolerance
+    grid = [UhpPoint(0.1, y) for y in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    (t,), (s,) = ratio_scan(lambda k: _StubSource(), [6], grid)
+    assert t.errors == [
+        "DomainError: stub refuses",
+        "KernelVanishes: kernel value 0.0 at UhpPoint(0.1, 2.0)",
+        "ErrorBoundExceeded: ratio nan +- nan exceeds tol 1e-05",
+        None,
+        "ErrorBoundExceeded: ratio 0.954929658551 +- inf exceeds tol 1e-05"]
+    assert s.flagged == 4 and s.sup_point == grid[3]
+    assert t.ratio[3] == 6 / (2 * math.pi) and t.bound_ok[3]
+    assert _assert_columns_equal_batch_of_one(
+        lambda k: _StubSource(), [6], grid) == 4
+
+
+def test_prop8_bound_is_the_ledger_value_at_every_height():
+    for y in (0.5, 1.0, 4.0):
+        assert prop8_bound(6, 0.3, 2.0) == bound_ledger(y, 6, 0.3, 2.0).prop8
+    with pytest.raises(DomainError):
+        prop8_bound(2, 1.0, 0.0)
+    with pytest.raises(DomainError):
+        prop8_bound(6, 1.0, -1.0)
 
 
 @pytest.mark.parametrize("k", [6, 8])
@@ -287,9 +385,10 @@ def test_translation_free_group_sums_single_elements():
     def factory(k):
         return PoincareSource(trivial_group(), k)
 
-    rows, _ = ratio_scan(factory, [6], grid_points(-0.2, 0.2, 0.8, 1.6, 2, 2))
-    assert all(r.error is None for r in rows)
-    assert all(abs(r.ratio) < 1e-12 for r in rows)
+    (rows,), _ = ratio_scan(factory, [6],
+                            grid_points(-0.2, 0.2, 0.8, 1.6, 2, 2))
+    assert all(e is None for e in rows.errors)
+    assert all(abs(r) < 1e-12 for r in rows.ratio)
 
 
 def test_poincare_scan_walks_cosets_not_elements(monkeypatch):
@@ -305,9 +404,9 @@ def test_poincare_scan_walks_cosets_not_elements(monkeypatch):
     def factory(k):
         return PoincareSource(modular_group(), k)
 
-    rows, summaries = ratio_scan(factory, [6], [UhpPoint(0.1, 1.2)])
-    assert rows[0].error is None and summaries[0].within_limit
-    assert rows[0].ratio == pytest.approx(6 / (2 * math.pi), rel=1e-10)
+    (rows,), summaries = ratio_scan(factory, [6], [UhpPoint(0.1, 1.2)])
+    assert rows.errors[0] is None and summaries[0].within_limit
+    assert rows.ratio[0] == pytest.approx(6 / (2 * math.pi), rel=1e-10)
 
 
 @pytest.mark.parametrize("name, sieved", [

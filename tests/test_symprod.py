@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergman.forms import CuspFormBasis, bergman_from_basis, model_basis
+from bergman.forms import CuspFormBasis, model_basis
 from bergman.metric import BasisSource, bergman_metric_ratio, kernel_derivatives
 from scipy.linalg import null_space
 
@@ -13,11 +13,21 @@ from bergman.symprod import (DegenerateDivisor, Divisor, HypothesisViolated,
                              _covector_qr, dimensions, evaluation_matrix,
                              fs_form_batch, fs_form_direct_oracle,
                              fs_form_formula,
-                             full_frame,
-                             nested_log_potential, subspace_kernel_diagonal,
+                             nested_log_potential,
                              vanishing_subspace,
                              volume_ratio_scan, weight0_subspace_kernel)
 from bergman.uhp import DomainError, UhpPoint, hyp_distance
+from test_forms import bergman_from_basis
+
+
+def full_frame(basis):
+    """Identity frame (empty divisor)."""
+    return SubspaceFrame(coefficients=np.eye(basis.size, dtype=complex))
+
+
+def subspace_kernel_diagonal(frame, basis, z, k):
+    """Diagonal reproducing kernel y^(2k) ||.||^2 of the vanishing subspace."""
+    return z.y ** (2 * k) * weight0_subspace_kernel(frame, basis, z)
 
 
 def random_basis(seed, n=4, k=4, m=6):
