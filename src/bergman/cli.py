@@ -284,7 +284,7 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
     text = "k,x,y,region,route,ratio,ratio_over_k2,bound,bound_ok,error\n"
     for t in tables:
         # one template per weight: k and the route are fixed in it
-        line = (f"{t.k},{FMT},{FMT},%s,{route},{FMT},{FMT},{FMT},%d,%s\n")
+        line = f"{t.k},{FMT},{FMT},%s,{route},{FMT},{FMT},{FMT},%d,%s\n"
         text += "".join(line % row for row in zip(
             xs, ys, [regions[c] for c in t.cusp.tolist()], t.ratio.tolist(),
             t.ratio_over_k2.tolist(), t.bound.tolist(), t.bound_ok.tolist(),
