@@ -7,8 +7,8 @@ Runs a fixed list of commands in each checkout: every README command,
 ``scripts/run_scans.py``, all six ``verify`` suites, and scans with
 flagged, budget-cut and refused rows or refused options.  Each command
 runs in a fresh working directory that holds a link to the checkout's
-``data/`` and two fixed tuple files, with ``bergman`` imported from
-the checkout's ``src/``.  For every command it compares stdout, stderr,
+``data/``, the fixed tuple files and a three-form basis file
+(``INPUTS``), with ``bergman`` imported from the checkout's ``src/``.  For every command it compares stdout, stderr,
 the exit code and each file the command wrote there, prints every
 difference, and exits 1 if there is one (0 if all are identical).
 """
@@ -23,11 +23,24 @@ import tempfile
 from pathlib import Path
 
 FORMS = "data/delta_weight12.jsonl"
-TUPLES = {
+INPUTS = {
     "tuples.jsonl": "[[0.1,0.9],[-0.2,1.4]]\n[[0.0,1.2],[0.3,0.8]]\n",
     # the first tuple's points are 1e-7 apart: refused as near-diagonal
     "tuples_refused.jsonl": "[[0.1,0.9],[0.1,0.9000001]]\n"
                             "[[0.0,1.2],[0.3,0.8]]\n",
+    # three weight-12 forms, so that d = 3 takes the stacked closed form
+    "three.jsonl": "".join(
+        '{"label": "f%d", "weight": 12, "coefficients": [%s1.0, 0.5, 0.25]}\n'
+        % (j, "0.0, " * j) for j in range(3)),
+    # good tuples (one with x = -0.0), a near-diagonal one, and one whose
+    # covectors are dependent (z and z + 1 share q)
+    "tuples_d3.jsonl": "[[0.1,0.6],[-0.2,0.8],[0.3,0.7]]\n"
+                       "[[0.1,0.9],[0.1,0.9],[0.3,0.7]]\n"
+                       "[[-0.0,1.1],[0.2,0.7],[-0.25,0.9]]\n"
+                       "[[0.1,0.9],[1.1,0.9],[-0.3,0.65]]\n"
+                       "[[0.0,0.9],[0.25,0.55],[-0.3,0.65]]\n",
+    "tuples_three_coordinates.jsonl": "[[0.1,0.9],[-0.2,1.4]]\n"
+                                      "[[0.1,0.9,7],[0.2,1.1]]\n",
 }
 # (name, argv): argv after ``bergman``, or "run_scans" for the script
 COMMANDS = [
@@ -62,6 +75,16 @@ COMMANDS = [
                       "--grid=-0.2,0.2,0.8,1.6,2,2"]),
     ("sym-refused-tuple", ["sym-scan", "--forms", FORMS, "--k", "6",
                            "--d", "2", "--tuples", "tuples_refused.jsonl"]),
+    ("sym-d3-three-forms", ["sym-scan", "--forms", "three.jsonl", "--k", "6",
+                            "--d", "3", "--tuples", "tuples_d3.jsonl",
+                            "--out", "sym3.csv"]),
+    ("sym-grid-d2", ["sym-scan", "--forms", "three.jsonl", "--k", "6",
+                     "--d", "2", "--grid=-0.2,0.2,0.9,1.5,3,2"]),
+    ("sym-repeated-weight", ["sym-scan", "--forms", FORMS, "--k", "6,6",
+                             "--d", "2", "--tuples", "tuples.jsonl"]),
+    ("sym-three-coordinates", ["sym-scan", "--forms", FORMS, "--k", "6",
+                               "--d", "2", "--tuples",
+                               "tuples_three_coordinates.jsonl"]),
     ("empty-k", ["ratio-scan", "--forms", FORMS, "--k=,",
                  "--grid=0,0,1,1,1,1"]),
     ("c-gamma-nan", ["ratio-scan", "--group", "modular", "--k", "6",
@@ -75,7 +98,7 @@ def run(checkout: Path, argv, workdir: Path) -> dict:
     """Run one command in ``workdir``; its stdout, stderr, code and files."""
     workdir.mkdir(parents=True)
     (workdir / "data").symlink_to(checkout / "data")
-    for name, text in TUPLES.items():
+    for name, text in INPUTS.items():
         (workdir / name).write_text(text)
     before = set(os.listdir(workdir))
     if argv == "run_scans":

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -151,6 +152,9 @@ class RunConfig:
             raise ConfigError(f"bad k list {self.k!r}") from exc
         if not ks:
             raise ConfigError(f"--k {self.k!r} lists no weight")
+        for i, k in enumerate(ks):
+            if k in ks[:i]:
+                raise ConfigError(f"--k {self.k!r} repeats weight {k}")
         return ks
 
     def point(self) -> UhpPoint:
@@ -298,41 +302,57 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
     return 0 if all(s.within_limit and not s.flagged for s in summaries) else 1
 
 
-def _load_tuples(cfg: RunConfig):
+def _load_tuples(cfg: RunConfig) -> np.ndarray:
+    """The scan's tuples as a T x d complex array, row t tuple t."""
     if cfg.d < 1:
         raise ConfigError(f"--d must be at least 1, got {cfg.d}")
     if cfg.tuples and os.path.exists(cfg.tuples):
-        out = []
         with open(cfg.tuples) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
+            lines = [(n, s) for n, s in enumerate(
+                (line.strip() for line in fh), 1) if s]
+        if not lines:
+            raise ConfigError(f"no tuples in {cfg.tuples}")
+        text = ",".join(s for _, s in lines)
+        try:
+            raw = np.array(json.loads("[" + text + "]"))
+        except ValueError:
+            raw = np.zeros(0)
+        # One parse of the whole file.  A line ending in "]]" ends a tuple,
+        # as nothing in a T x d x 2 array nests deeper than a point; numpy
+        # reads JSON booleans as numbers.  On doubt, name the first bad line.
+        if not (raw.dtype.kind in "if" and raw.shape == (len(lines), cfg.d, 2)
+                and all(s.endswith("]]") for _, s in lines)
+                and "true" not in text and "false" not in text
+                and np.isfinite(raw).all() and (raw[..., 1] > 0).all()):
+            for lineno, line in lines:
                 try:
-                    tup = tuple(UhpPoint(float(p[0]), float(p[1]))
-                                for p in json.loads(line))
-                except (ValueError, TypeError, IndexError) as exc:
+                    points = json.loads(line)
+                    for p in points:  # conversion errors first, as before
+                        UhpPoint(float(p[0]), float(p[1]))
+                    for p in points:
+                        if (type(p) is not list or len(p) != 2
+                                or not {type(c) for c in p} <= {int, float}):
+                            raise ValueError(
+                                f"point {json.dumps(p)} is not two numbers")
+                except (ValueError, TypeError, LookupError,
+                        OverflowError) as exc:
                     raise ConfigError(
                         f"{cfg.tuples}:{lineno}: bad tuple: {exc}") from exc
-                if len(tup) != cfg.d:
+                if len(points) != cfg.d:
                     raise ConfigError(
-                        f"{cfg.tuples}:{lineno}: tuple has {len(tup)} "
+                        f"{cfg.tuples}:{lineno}: tuple has {len(points)} "
                         f"points, --d is {cfg.d}")
-                out.append(tup)
-        if not out:
-            raise ConfigError(f"no tuples in {cfg.tuples}")
-        return out
+        # every line is good (an integer past int64 made an object array)
+        return raw.astype(float).view(complex)[..., 0]
     if cfg.tuples:
         raise ConfigError(f"tuples file not found: {cfg.tuples}")
     # Cartesian power of the grid
-    base = cfg.grid_spec()
-    distinct = len({(p.x, p.y) for p in base})
-    if distinct < cfg.d:
-        raise ConfigError(f"--grid {cfg.grid!r} has {distinct} distinct "
+    base = [p.z for p in cfg.grid_spec()]
+    if len(set(base)) < cfg.d:
+        raise ConfigError(f"--grid {cfg.grid!r} has {len(set(base))} distinct "
                           f"points, fewer than --d {cfg.d}")
-    from itertools import product
-    return [tup for tup in product(base, repeat=cfg.d)
-            if len({(p.x, p.y) for p in tup}) == cfg.d]
+    return np.array([tup for tup in product(base, repeat=cfg.d)
+                     if len(set(tup)) == cfg.d])
 
 
 def cmd_sym_scan(cfg: RunConfig) -> int:
@@ -343,19 +363,21 @@ def cmd_sym_scan(cfg: RunConfig) -> int:
             raise ConfigError(f"forms have k={basis.k}, requested {k}")
         return basis
 
-    tuples = _load_tuples(cfg)
-    rows, summaries = volume_ratio_scan(basis_by_k, tuples, cfg.k_values())
-    line = f"%d,%s,%s,{FMT},{FMT},%d,%s\n"
-    text = "k,tuple,route,ratio,ratio_over_k2d,degenerate,error\n" + "".join(
-        line % (r.k, ";".join(FMT % p.x + "+" + FMT % p.y + "i" for p in r.z),
-                r.route, r.ratio, r.ratio_over_k2d, r.degenerate,
-                _cell(r.error) if r.error else "")
-        for r in rows)
-    for s in summaries:
-        text += ("# k=%d d=%d sup=" + FMT + " limit=" + FMT
-                 + " flagged=%d within=%s\n") % (
-                     s.k, s.d, s.sup_ratio_over_k2d, s.limit, s.flagged,
-                     s.within_limit)
+    pts = _load_tuples(cfg)
+    tables, summaries = volume_ratio_scan(basis_by_k, pts, cfg.k_values())
+    # x_1, y_1, ..., x_d, y_d as columns, shared by every weight's rows
+    coords = [c for z in pts.T for c in (z.real.tolist(), z.imag.tolist())]
+    tuple_cell = ";".join([f"{FMT}+{FMT}i"] * pts.shape[1])
+    text = "k,tuple,route,ratio,ratio_over_k2d,degenerate,error\n"
+    for t in tables:
+        # one template per weight: k and the route are fixed in it
+        line = f"{t.k},{tuple_cell},formula,{FMT},{FMT},%d,%s\n"
+        text += "".join(line % row for row in zip(
+            *coords, t.ratio.tolist(), t.ratio_over_k2d.tolist(),
+            t.degenerate.tolist(), [_cell(e) if e else "" for e in t.errors]))
+    summary = f"# k=%d d=%d sup={FMT} limit={FMT} flagged=%d within=%s\n"
+    text += "".join(summary % (s.k, s.d, s.sup_ratio_over_k2d, s.limit,
+                               s.flagged, s.within_limit) for s in summaries)
     _emit(text, cfg.out)
     return 0 if all(s.within_limit and not s.flagged for s in summaries) else 1
 

@@ -141,8 +141,6 @@ def nested_log_potential(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> float:
 
 @dataclass
 class FSVolumeSample:
-    z: list
-    k: int
     fs_volume_ratio: float
     per_factor_ratios: list
     hermitian_form: np.ndarray
@@ -172,12 +170,6 @@ def _near_diagonal(pts: np.ndarray) -> list:
     return refused
 
 
-def _guard_tuple(zs: Sequence[UhpPoint]):
-    refused = _near_diagonal(np.array([[z.z for z in zs]]))[0]
-    if refused:
-        raise refused
-
-
 def _assemble_forms(ys: np.ndarray, hessian_phi: np.ndarray, k: int):
     """Deliverable forms G and volume ratios from a stack of potential Hessians.
 
@@ -196,19 +188,10 @@ def _assemble_forms(ys: np.ndarray, hessian_phi: np.ndarray, k: int):
     return g_mat, per_factor, volume
 
 
-def _assemble_sample(zs, k, hessian_phi, route, degenerate=False):
-    """FSVolumeSample of one tuple from its potential Hessian."""
-    g_mat, per_factor, volume = _assemble_forms(
-        np.array([[z.y for z in zs]]), hessian_phi[None], k)
-    return FSVolumeSample(
-        z=list(zs), k=k, fs_volume_ratio=float(volume[0]),
-        per_factor_ratios=per_factor[0].tolist(),
-        hermitian_form=g_mat[0], route=route, degenerate=degenerate,
-    )
-
-
-def _fd_steps(zs, step: Optional[float]):
-    return [step or max(1e-4, 1e-4 * z.y) for z in zs]
+def _sample(forms, per_factor, volume, route, degenerate=False):
+    """FSVolumeSample of one tuple from the columns of a batch of one."""
+    return FSVolumeSample(float(volume[0]), per_factor[0].tolist(), forms[0],
+                          route, degenerate)
 
 
 def _conj_t(a: np.ndarray) -> np.ndarray:
@@ -230,24 +213,23 @@ def _stacked_qr(v: np.ndarray):
     return q, r[:, :v.shape[1]], dependent
 
 
-def _covector_qr(basis: CuspFormBasis, zs: Sequence[UhpPoint]):
-    """Q and R_1 of one tuple; refuses nearly dependent covectors."""
-    q, r1, dependent = _stacked_qr(basis.values(zs)[None])
-    if dependent[0]:
-        raise DomainError("evaluation covectors nearly dependent")
-    return q[0], r1[0]
+@dataclass
+class FSColumns:
+    """Fubini-Study pullbacks of a T x d stack of tuples, row t at tuple t.
+
+    A refused row holds NaN and the exception refusing it in
+    ``refusals`` (None for the others).  ``degenerate`` marks the n < d
+    product fallback, which a stack takes as a whole or not at all.
+    """
+    volume: np.ndarray          # T volume ratios
+    per_factor: np.ndarray      # T x d ratios 2 y_l^2 G_ll
+    forms: np.ndarray           # T x d x d Hermitian forms G
+    degenerate: bool
+    refusals: list
 
 
-def _tuple_length(tuples) -> int:
-    """The common number of points of the tuples; refuses mixed lengths."""
-    lengths = {len(zs) for zs in tuples}
-    if len(lengths) > 1:
-        raise DomainError(f"tuples of mixed lengths {sorted(lengths)}")
-    return lengths.pop() if lengths else 1
-
-
-def fs_form_batch(basis: CuspFormBasis, tuples, k: int) -> list:
-    """Fubini-Study pullbacks of equal-length tuples, evaluated as one stack.
+def fs_form_batch(basis: CuspFormBasis, pts: np.ndarray, k: int) -> FSColumns:
+    """Fubini-Study pullbacks of the tuples ``pts`` (T x d complex points).
 
     With D the rows f'(z_i), d_l dbar_m log det M = (D P D^H)_lm
     (M^-1)_ml, P the projector onto the orthogonal complement of the
@@ -257,60 +239,52 @@ def fs_form_batch(basis: CuspFormBasis, tuples, k: int) -> list:
     one batched evaluation, and the QR, inverse and determinant are
     each one stacked call.
 
-    Returns, per tuple, an FSVolumeSample or the exception refusing
-    it: NearDiagonal (checked first), then DomainError for nearly
-    dependent covectors.  A refused tuple's R_1 is replaced by the
-    identity before the stacked inverse, so it leaves the others as
-    they are.  When n < d each tuple takes the flagged product of its
-    one-slot ratios, from one batch of d = 1 over all the points.
+    A tuple is refused by NearDiagonal (checked first), then by a
+    DomainError for nearly dependent covectors.  A refused tuple's R_1
+    is replaced by the identity before the stacked inverse, so it
+    leaves the others as they are.  When n < d each tuple takes the
+    flagged product of its one-slot ratios, from one batch of d = 1
+    over all the points.
     """
     if not basis.orthonormal_flag:
         raise DomainError("basis must be orthonormal")
     if basis.size == 0:
         raise DomainError("basis has no forms")
-    d = _tuple_length(tuples)
-    if not tuples:
-        return []
-    pts = np.array([[z.z for z in zs] for zs in tuples], dtype=complex)
+    t, d = pts.shape
     refused = _near_diagonal(pts)
     if basis.size < d:
-        singles = fs_form_batch(basis, [(z,) for zs in tuples for z in zs], k)
-        out = []
-        for t, zs in enumerate(tuples):
-            slots = singles[t * d:(t + 1) * d]
-            err = refused[t] or next(
-                (s for s in slots if isinstance(s, Exception)), None)
-            out.append(err or _product_fallback(
-                zs, k, "formula", [s.fs_volume_ratio for s in slots]))
-        return out
-    v, dv = basis.jets(pts)
-    q, r1, dependent = _stacked_qr(v)
-    for t in np.flatnonzero(dependent):
-        refused[t] = refused[t] or DomainError(
-            "evaluation covectors nearly dependent")
-    r1[[err is not None for err in refused]] = np.eye(d)
-    w = dv @ q[:, :, d:]
-    rinv = np.linalg.inv(r1)
-    hess = (w @ _conj_t(w)) * (rinv @ _conj_t(rinv)).swapaxes(-1, -2)
-    g_mat, per_factor, volume = _assemble_forms(pts.imag, hess, k)
-    return [err or FSVolumeSample(
-                z=list(zs), k=k, fs_volume_ratio=float(volume[t]),
-                per_factor_ratios=per_factor[t].tolist(),
-                hermitian_form=g_mat[t], route="formula")
-            for t, (zs, err) in enumerate(zip(tuples, refused))]
+        one = fs_form_batch(basis, pts.reshape(-1, 1), k)
+        for row in range(t):
+            refused[row] = refused[row] or next(
+                (e for e in one.refusals[row * d:(row + 1) * d] if e), None)
+        per_factor = one.volume.reshape(t, d)
+        forms, volume = _product_forms(pts.imag, per_factor)
+    else:
+        v, dv = basis.jets(pts)
+        q, r1, dependent = _stacked_qr(v)
+        for row in np.flatnonzero(dependent):
+            refused[row] = refused[row] or DomainError(
+                "evaluation covectors nearly dependent")
+        r1[[err is not None for err in refused]] = np.eye(d)
+        w = dv @ q[:, :, d:]
+        rinv = np.linalg.inv(r1)
+        hess = (w @ _conj_t(w)) * (rinv @ _conj_t(rinv)).swapaxes(-1, -2)
+        forms, per_factor, volume = _assemble_forms(pts.imag, hess, k)
+    bad = [err is not None for err in refused]
+    for col in (volume, per_factor, forms):
+        col[bad] = np.nan
+    return FSColumns(volume, per_factor, forms, basis.size < d, refused)
 
 
 def fs_form_formula(basis: CuspFormBasis, zs: Sequence[UhpPoint],
                     k: int) -> FSVolumeSample:
-    """Fubini-Study pullback from the closed-form Levi form of log det M.
-
-    The batch of one of ``fs_form_batch``; raises what refuses the
-    tuple.
-    """
-    result = fs_form_batch(basis, [list(zs)], k)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    """Fubini-Study pullback from the closed-form Levi form of log det M:
+    the batch of one of ``fs_form_batch``, raising what refuses it."""
+    cols = fs_form_batch(basis, np.array([[z.z for z in zs]]), k)
+    if cols.refusals[0]:
+        raise cols.refusals[0]
+    return _sample(cols.forms, cols.per_factor, cols.volume, "formula",
+                   cols.degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +296,10 @@ def _projector(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> np.ndarray:
     Gauge-invariant: any frame choice for the span yields the same
     projector, so no column alignment across stencil points is needed.
     """
-    q1 = _covector_qr(basis, zs)[0][:, :len(zs)]
+    q, _, dependent = _stacked_qr(basis.values(zs)[None])
+    if dependent[0]:
+        raise DomainError("evaluation covectors nearly dependent")
+    q1 = q[0, :, :len(zs)]
     return q1 @ q1.conj().T
 
 
@@ -335,16 +312,19 @@ def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
     central differences; the Hessian of the potential is -2 Re-free
     equality FS_lm = d_l dbar_m log det M, checked in tests.
     """
-    _guard_tuple(zs)
+    refused = _near_diagonal(np.array([[z.z for z in zs]]))[0]
+    if refused:
+        raise refused
     if basis.size == 0:
         raise DomainError("basis has no forms")
     d = len(zs)
     if basis.size < d:
-        return _product_fallback(
-            zs, k, "oracle",
-            [fs_form_direct_oracle(basis, [z], k, step).fs_volume_ratio
-             for z in zs])
-    steps = _fd_steps(zs, step)
+        per_factor = np.array([[fs_form_direct_oracle(basis, [z], k, step)
+                                .fs_volume_ratio for z in zs]])
+        forms, volume = _product_forms(np.array([[z.y for z in zs]]),
+                                       per_factor)
+        return _sample(forms, per_factor, volume, "oracle", True)
+    steps = [step or max(1e-4, 1e-4 * z.y) for z in zs]
     base = [(z.x, z.y) for z in zs]
 
     def proj(deltas):
@@ -375,40 +355,41 @@ def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
         for m in range(d):
             fs[l, m] = np.trace(dp_dz[l] @ dp_dzbar[m] @ p0)
     # potential Hessian of log det M equals the FS trace form
-    return _assemble_sample(zs, k, fs, "oracle")
+    return _sample(*_assemble_forms(np.array([[z.y for z in zs]]), fs[None], k),
+                   "oracle")
 
 
 # ---------------------------------------------------------------------------
-# Degenerate fallback and asymptotics
+# Degenerate fallback
 
-def _product_fallback(zs, k, route, samples):
-    """Product of independent one-slot ratios when n < d.
+def _product_forms(ys: np.ndarray, per_factor: np.ndarray):
+    """Forms and volume ratios of the product fallback when n < d.
 
-    The two-point kernel matrix is singular (fewer forms than slots),
-    so the genuine d-slot form degenerates; the product of the one-slot
-    ratios ``samples`` is reported with the degenerate flag set.
+    The two-point kernel matrix is singular (fewer forms than slots), so
+    the genuine d-slot form degenerates; each tuple reports the product
+    of its one-slot ratios ``per_factor`` and the form diag r_l / 2 y_l^2.
     """
-    d = len(zs)
-    form = np.diag([samples[l] / (2.0 * zs[l].y ** 2) for l in range(d)])
-    return FSVolumeSample(
-        z=list(zs), k=k, fs_volume_ratio=math.prod(samples),
-        per_factor_ratios=samples, hermitian_form=form.astype(complex),
-        route=route, degenerate=True,
-    )
+    t, d = per_factor.shape
+    # Python's y ** 2 is C pow, which numpy's ys ** 2 (a product) can
+    # miss by one bit; the fallback has always squared with pow
+    squares = np.array([[y ** 2 for y in row] for row in ys.tolist()])
+    forms = np.zeros((t, d, d), dtype=complex)
+    forms[:, np.arange(d), np.arange(d)] = per_factor / (2.0 * squares)
+    return forms, math.prod(per_factor.T)
 
 
 # ---------------------------------------------------------------------------
 # Volume scan
 
 @dataclass
-class SymScanRow:
+class SymScanColumns:
+    """One weight's sym-scan rows, row t at tuple t; a refused row holds
+    NaN, degenerate False and ``"Type: message"`` in ``errors``."""
     k: int
-    z: list
-    ratio: float
-    ratio_over_k2d: float
-    route: str
-    degenerate: bool
-    error: Optional[str] = None
+    ratio: np.ndarray
+    ratio_over_k2d: np.ndarray
+    degenerate: np.ndarray
+    errors: list
 
 
 @dataclass
@@ -421,39 +402,34 @@ class SymScanSummary:
     flagged: int            # rows of this weight carrying an error
 
 
-def volume_ratio_scan(basis_by_k, tuples: Sequence[Sequence[UhpPoint]],
-                      k_list: Sequence[int]):
+def volume_ratio_scan(basis_by_k, pts: np.ndarray, k_list: Sequence[int]):
     """fs_volume_ratio / k^(2d) per tuple and per k, against (26/pi)^d.
 
-    Each weight's tuples are one stack (``fs_form_batch``); a refused
-    tuple is recorded inline.  Tuples of mixed lengths are refused.
+    ``pts`` holds the T tuples as a T x d complex array.  Each weight's
+    tuples are one stack (``fs_form_batch``) and give one
+    ``SymScanColumns``; a refused tuple is recorded in its row.
     """
-    d = _tuple_length(tuples)
-    rows, summaries = [], []
+    if np.ndim(pts) != 2:
+        raise DomainError(f"tuples must form a T x d array, got shape "
+                          f"{np.shape(pts)}")
+    t, d = pts.shape
+    tables, summaries = [], []
     for k in k_list:
         basis = basis_by_k(k)
         try:
-            samples = fs_form_batch(basis, tuples, k)
+            cols = fs_form_batch(basis, pts, k)
+            ratio, refusals = cols.volume, cols.refusals
+            degenerate = cols.degenerate
         except Exception as exc:  # a refused basis refuses every tuple
-            samples = [exc] * len(tuples)
-        results = [
-            (math.nan, "formula", False, f"{type(s).__name__}: {s}")
-            if isinstance(s, Exception)
-            else (s.fs_volume_ratio, s.route, s.degenerate, None)
-            for s in samples]
-
-        sup, flagged = -math.inf, 0
-        for zs, (ratio, route, degen, err) in zip(tuples, results):
-            over = abs(ratio) / k ** (2 * d) if not math.isnan(ratio) else math.nan
-            rows.append(SymScanRow(k=k, z=list(zs), ratio=ratio,
-                                   ratio_over_k2d=over, route=route,
-                                   degenerate=degen, error=err))
-            flagged += err is not None
-            if err is None and over > sup:
-                sup = over
-        limit = RATIO_LIMIT ** d
+            ratio, refusals, degenerate = np.full(t, np.nan), [exc] * t, False
+        errors = [None if e is None else f"{type(e).__name__}: {e}"
+                  for e in refusals]
+        ok = np.array([e is None for e in errors], dtype=bool)
+        over = np.abs(ratio) / float(k ** (2 * d))
         # a weight whose rows are all flagged has no sup to pass
+        sup = float(np.max(over[ok & ~np.isnan(over)], initial=-np.inf))
+        limit = RATIO_LIMIT ** d
+        tables.append(SymScanColumns(k, ratio, over, ok & degenerate, errors))
         summaries.append(SymScanSummary(
-            k=k, d=d, sup_ratio_over_k2d=sup, limit=limit,
-            within_limit=-math.inf < sup <= limit, flagged=flagged))
-    return rows, summaries
+            k, d, sup, limit, -math.inf < sup <= limit, t - int(ok.sum())))
+    return tables, summaries

@@ -214,19 +214,23 @@ def test_10_thm11_scan(delta_basis):
     coef = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
     basis = model_basis(8, coef.tolist())
     pts = [UhpPoint(x, y) for x in (-0.25, 0.0, 0.25) for y in (0.7, 1.1, 1.6)]
-    singles, _ = volume_ratio_scan(lambda k: basis, [(p,) for p in pts], [4])
-    one = {r.z[0]: r.ratio for r in singles}
+    singles, _ = volume_ratio_scan(lambda k: basis,
+                                   np.array([[p.z] for p in pts]), [4])
+    one = dict(zip(pts, singles[0].ratio.tolist()))
     sup_sep = max(abs(one[p] * one[q]) / 4 ** 4 for p in pts for q in pts)
-    sup1 = max(r.ratio_over_k2d for r in singles)
+    sup1 = max(singles[0].ratio_over_k2d.tolist())
     sep_rel = abs(sup_sep - sup1 ** 2) / sup1 ** 2
     # Delta-based d = 2 scan on a 5x5 grid of tuple slots (n_k = 1 < d:
     # the degenerate product fallback, flagged in the rows)
     grid5 = grid_points(-0.4, 0.4, 0.7, 3.0, 5, 5)
     tuples2 = [(p, q) for p in grid5 for q in grid5
                if hyp_distance(p, q) > 1e-2]
-    rows, dsum = volume_ratio_scan(lambda k: delta_basis, tuples2, [6])
-    delta_ok = dsum[0].within_limit and all(r.degenerate for r in rows
-                                            if r.error is None)
+    tables, dsum = volume_ratio_scan(
+        lambda k: delta_basis, np.array([[p.z, q.z] for p, q in tuples2]), [6])
+    delta_ok = dsum[0].within_limit and all(
+        degenerate for degenerate, error in zip(tables[0].degenerate.tolist(),
+                                                tables[0].errors)
+        if error is None)
     report(10, "Theorem 11 scan", sep_rel <= 1e-8 and delta_ok,
            f"separable factorization rel {sep_rel:.2e}; delta d=2 sup/k^4 "
            f"{dsum[0].sup_ratio_over_k2d:.3e} <= {dsum[0].limit:.3f}")

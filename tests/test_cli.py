@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import pathlib
@@ -8,7 +9,9 @@ from dataclasses import fields
 
 import pytest
 
-from bergman.cli import ConfigError, RunConfig, main
+from bergman.cli import FMT, ConfigError, RunConfig, _load_tuples, main
+from bergman.uhp import UhpPoint
+from test_symprod import per_tuple_formula
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data" / "delta_weight12.jsonl"
 
@@ -62,10 +65,12 @@ def test_config_unknown_key_rejected(tmp_path):
      "--c-gamma must be positive and finite, got inf"),
     ("ratio-scan", {"c_x": -1}, [], "--c-x must be at least 0 and finite, got -1.0"),
     ("verify", {}, ["--c-x", "nan"], "--c-x must be at least 0 and finite, got nan"),
+    ("sym-scan", {"k": "8,6,8"}, [], "--k '8,6,8' repeats weight 8"),
 ], ids=["d-string", "tol-string", "budget-bool", "grid-list", "grid-nx-0",
         "config-grid-ny-0", "not-an-object", "budget-0", "config-budget-negative",
         "tol-negative", "config-tol-0", "tol-inf", "tol-nan", "config-k-empty",
-        "config-c-gamma-0", "c-gamma-inf", "config-c-x-negative", "c-x-nan"])
+        "config-c-gamma-0", "c-gamma-inf", "config-c-x-negative", "c-x-nan",
+        "config-k-repeated"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags,
                                   message):
     cfg_path = tmp_path / "cfg.json"
@@ -132,10 +137,14 @@ def test_flag_forms_and_values():
     (["ratio-scan", "--c-gamma", "nan"],
      "--c-gamma must be positive and finite, got nan"),
     (["ratio-scan", "--c-x", "-1"], "--c-x must be at least 0 and finite, got -1.0"),
+    # a repeated weight would print its rows and summary twice
+    (["ratio-scan", "--group", "modular", "--k", "6,6", "--grid=0,0,1,1,1,1"],
+     "--k '6,6' repeats weight 6"),
 ], ids=["unknown", "underscore", "single-dash", "no-value", "flag-as-value",
         "d-string", "d-float", "tol-string", "domain", "config-domain",
         "no-command", "empty", "unknown-command", "two-commands",
-        "extra-positional", "k-empty", "c-gamma-nan", "c-x-negative"])
+        "extra-positional", "k-empty", "c-gamma-nan", "c-x-negative",
+        "k-repeated"])
 def test_bad_command_line_exits_2(tmp_path, capsys, argv, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"domain": "bogus"}))
@@ -334,7 +343,23 @@ def test_sym_scan_with_tuple_file(tmp_path):
     ("[[0.0,1.2]]", "tuples.jsonl:2: tuple has 1 points, --d is 2"),
     ("[[0.0,1.2],[0.3]]", "tuples.jsonl:2: bad tuple"),
     ("not json", "tuples.jsonl:2: bad tuple"),
-], ids=["short", "point", "json"])
+    # each point is a list of exactly two JSON numbers
+    ("[[0.1,0.9,7],[0.2,1.1]]",
+     "tuples.jsonl:2: bad tuple: point [0.1, 0.9, 7] is not two numbers"),
+    ('[["0.1",0.9],[0.2,1.1]]',
+     'tuples.jsonl:2: bad tuple: point ["0.1", 0.9] is not two numbers'),
+    ("[[0.1,0.9],[true,1.1]]",
+     "tuples.jsonl:2: bad tuple: point [true, 1.1] is not two numbers"),
+    # the whole-file checks hand these to the line-by-line messages
+    ("[[NaN,0.9],[0.2,1.1]]",
+     "tuples.jsonl:2: bad tuple: non-finite point (nan, 0.9)"),
+    ("[[0.1,0.9],[0.2,-1.1]]",
+     "tuples.jsonl:2: bad tuple: height must be positive, got -1.1"),
+    # joined, these three lines would parse as two tuples and a third
+    ("[[0.1,0.9],[0.2,1.1]],[[0.3,0.8],[0.4,1.0]]\n[[0.5,0.9]\n[0.2,1.1]]",
+     "tuples.jsonl:2: bad tuple: Extra data"),
+], ids=["short", "point", "json", "three-coordinates", "string", "boolean",
+        "nan", "height", "split-across-lines"])
 def test_sym_scan_refuses_bad_tuple_line(tmp_path, capsys, line, message):
     tuples = tmp_path / "tuples.jsonl"
     tuples.write_text('[[0.1,0.9],[-0.2,1.4]]\n' + line + '\n')
@@ -344,6 +369,69 @@ def test_sym_scan_refuses_bad_tuple_line(tmp_path, capsys, line, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sym_scan_reads_integer_and_huge_coordinates(tmp_path):
+    # integers are JSON numbers too; one beyond int64 is read line by line
+    tuples = tmp_path / "tuples.jsonl"
+    tuples.write_text("[[0,1],[1e-1,2]]\n[[0,1],[%d,2]]\n" % 10 ** 20)
+    _, cfg = RunConfig.from_argv(["sym-scan", "--d", "2",
+                                  "--tuples", str(tuples)])
+    assert _load_tuples(cfg).tolist() == [[1j, 0.1 + 2j], [1j, 1e20 + 2j]]
+
+
+def test_sym_scan_grid_tuples_are_the_distinct_cartesian_power():
+    # the grid lists each point twice; a tuple repeating one is dropped
+    for d in (1, 2, 3):
+        _, cfg = RunConfig.from_argv(["sym-scan", "--d", str(d),
+                                      "--grid=0,0,1,2,2,3"])
+        base = cfg.grid_spec()
+        ref = [[p.z for p in tup] for tup in itertools.product(base, repeat=d)
+               if len({(p.x, p.y) for p in tup}) == d]
+        assert _load_tuples(cfg).tolist() == ref
+
+
+def _three_forms(path):
+    """A weight-12 file of three forms, so that d = 3 takes the stacked
+    closed form instead of the product fallback."""
+    with open(path, "w") as fh:
+        for j in range(3):
+            fh.write(json.dumps({"label": f"f{j}", "weight": 12,
+                                 "coefficients": [0.0] * j + [1.0, 0.5, 0.25]})
+                     + "\n")
+
+
+def test_sym_scan_csv_rows_equal_the_per_tuple_formula(tmp_path):
+    forms, tuples = tmp_path / "three.jsonl", tmp_path / "tuples.jsonl"
+    _three_forms(forms)
+    z = UhpPoint(0.1, 0.9)
+    good = [[UhpPoint(0.1, 0.6), UhpPoint(-0.2, 0.8), UhpPoint(0.3, 0.7)],
+            [UhpPoint(0.0, 0.9), UhpPoint(0.25, 0.55), UhpPoint(-0.3, 0.65)]]
+    rows = [good[0], [z, z, UhpPoint(0.3, 0.7)],
+            [z, UhpPoint(z.x + 1.0, z.y), UhpPoint(-0.3, 0.65)], good[1]]
+    tuples.write_text("".join(json.dumps([[p.x, p.y] for p in zs]) + "\n"
+                              for zs in rows))
+    out = tmp_path / "sym.csv"
+    assert main(["sym-scan", "--forms", str(forms), "--k", "6", "--d", "3",
+                 "--tuples", str(tuples), "--out", str(out)]) == 1
+    header, *cells = _csv_rows(out)
+    assert header == ["k", "tuple", "route", "ratio", "ratio_over_k2d",
+                      "degenerate", "error"]
+    assert len(cells) == len(rows)
+    assert all(len(row) == len(header) for row in cells)
+    basis = RunConfig(forms=str(forms)).basis()
+    for row, zs in zip(cells, rows):
+        assert row[:3] == ["6", ";".join(f"{FMT % p.x}+{FMT % p.y}i"
+                                         for p in zs), "formula"]
+    for row, zs in zip(cells[0::3], good):
+        volume = per_tuple_formula(basis, zs, 6)[0]
+        assert row[3:] == [FMT % volume, FMT % (abs(volume) / 6 ** 6), "0", ""]
+    assert cells[1][3:] == ["nan", "nan", "0", "NearDiagonal: min pairwise "
+                                               "distance 0.00e+00"]
+    assert cells[2][3:] == ["nan", "nan", "0", "DomainError: evaluation "
+                                               "covectors nearly dependent"]
+    summary = out.read_text().splitlines()[-1]
+    assert summary.startswith("# k=6 d=3 sup=") and "flagged=2" in summary
 
 
 @pytest.mark.parametrize("args, message", [

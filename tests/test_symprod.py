@@ -10,7 +10,7 @@ from scipy.linalg import null_space
 
 from bergman.symprod import (DegenerateDivisor, Divisor, HypothesisViolated,
                              NearDiagonal, RATIO_LIMIT, SubspaceFrame,
-                             _covector_qr, dimensions, evaluation_matrix,
+                             _stacked_qr, dimensions, evaluation_matrix,
                              fs_form_batch, fs_form_direct_oracle,
                              fs_form_formula,
                              nested_log_potential,
@@ -28,6 +28,11 @@ def full_frame(basis):
 def subspace_kernel_diagonal(frame, basis, z, k):
     """Diagonal reproducing kernel y^(2k) ||.||^2 of the vanishing subspace."""
     return z.y ** (2 * k) * weight0_subspace_kernel(frame, basis, z)
+
+
+def stack(tuples):
+    """The T x d complex array of a list of UhpPoint tuples."""
+    return np.array([[z.z for z in zs] for zs in tuples], dtype=complex)
 
 
 def random_basis(seed, n=4, k=4, m=6):
@@ -173,7 +178,7 @@ def test_schur_telescoping_identity():
     # the numerically meaningful form of the telescoping identity
     assert phi == pytest.approx(logdet, abs=1e-3)
     # the closed-form route's factor: M = R_1^H R_1
-    _, r1 = _covector_qr(basis, zs)
+    r1 = _stacked_qr(v[None])[1][0]
     assert phi == pytest.approx(2 * np.sum(np.log(np.abs(np.diag(r1)))),
                                 abs=1e-3)
 
@@ -316,13 +321,13 @@ def test_volume_scan_separable_factorizes():
 
     pts = [UhpPoint(x, y) for x in (-0.2, 0.15) for y in (0.8, 1.3)]
     tuples = [(p, q) for p in pts for q in pts]
-    singles, _ = volume_ratio_scan(basis_by_k, [(p,) for p in pts], [4])
-    one = {r.z[0]: r.ratio for r in singles}
+    singles, _ = volume_ratio_scan(basis_by_k, stack([(p,) for p in pts]), [4])
+    one = dict(zip(pts, singles[0].ratio.tolist()))
     # the per-slot product model: one[p] one[q] / k^4 over the tuples
     sup_product = max(abs(one[p] * one[q]) / 4 ** 4 for p, q in tuples)
-    sup1 = max(r.ratio_over_k2d for r in singles)
+    sup1 = max(singles[0].ratio_over_k2d.tolist())
     assert sup_product == pytest.approx(sup1 ** 2, rel=1e-8)
-    _, summ = volume_ratio_scan(basis_by_k, tuples, [4])
+    _, summ = volume_ratio_scan(basis_by_k, stack(tuples), [4])
     assert summ[0].limit == pytest.approx(RATIO_LIMIT ** 2)
 
 
@@ -333,10 +338,11 @@ def test_volume_scan_reports_errors_inline():
         return basis
 
     z = UhpPoint(0.1, 0.9)
-    rows, summ = volume_ratio_scan(basis_by_k, [(z, z), (z, UhpPoint(0.3, 1.2))],
-                                   [4])
-    assert rows[0].error is not None and "NearDiagonal" in rows[0].error
-    assert rows[1].error is None
+    tables, summ = volume_ratio_scan(
+        basis_by_k, stack([(z, z), (z, UhpPoint(0.3, 1.2))]), [4])
+    errors = tables[0].errors
+    assert errors[0] is not None and "NearDiagonal" in errors[0]
+    assert errors[1] is None
     assert summ[0].within_limit and summ[0].flagged == 1
 
 
@@ -347,10 +353,10 @@ def test_volume_scan_refuses_dependent_covectors():
     def basis_by_k(k):
         return basis
 
-    rows, summ = volume_ratio_scan(
-        basis_by_k, [(UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4))], [4])
-    assert math.isnan(rows[0].ratio)
-    assert rows[0].error == \
+    tables, summ = volume_ratio_scan(
+        basis_by_k, stack([(UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4))]), [4])
+    assert math.isnan(tables[0].ratio[0])
+    assert tables[0].errors[0] == \
         "DomainError: evaluation covectors nearly dependent"
     assert not summ[0].within_limit
 
@@ -358,7 +364,9 @@ def test_volume_scan_refuses_dependent_covectors():
 def per_tuple_formula(basis, zs, k):
     """The per-tuple closed form that the stacked route replaced: two
     evaluations, one QR, one inverse and one determinant per tuple.
-    Returns the volume ratio, the per-factor ratios and the form G."""
+    Returns the volume ratio, the per-factor ratios and the form G.
+    Heights are squared as y * y, the product numpy's ``ys ** 2`` takes
+    (Python's ``y ** 2`` is C pow, which can differ in the last bit)."""
     d = len(zs)
     q, r = np.linalg.qr(basis.values(zs).conj().T, mode="complete")
     w = basis.values(zs, deriv_order=1) @ q[:, d:]
@@ -366,11 +374,11 @@ def per_tuple_formula(basis, zs, k):
     hess = (w @ w.conj().T) * (rinv @ rinv.conj().T).T
     g_mat = -hess / (2.0 * math.pi)
     for l, z in enumerate(zs):
-        g_mat[l, l] += k / (4.0 * math.pi * z.y ** 2)
-    per_factor = [float(2.0 * z.y ** 2 * g_mat[l, l].real)
+        g_mat[l, l] += k / (4.0 * math.pi * (z.y * z.y))
+    per_factor = [float(2.0 * (z.y * z.y) * g_mat[l, l].real)
                   for l, z in enumerate(zs)]
     volume = float(np.real(np.linalg.det(g_mat))) * math.prod(
-        2.0 * z.y ** 2 for z in zs)
+        2.0 * (z.y * z.y) for z in zs)
     return volume, per_factor, g_mat
 
 
@@ -393,12 +401,15 @@ def test_stacked_route_matches_per_tuple_route(d):
     for seed in range(4):
         basis = random_basis(100 * d + seed, n=d + 2, k=k, m=8)
         tuples = random_tuples(rng, d, 25)
-        for zs, s in zip(tuples, fs_form_batch(basis, tuples, k)):
+        cols = fs_form_batch(basis, stack(tuples), k)
+        for t, zs in enumerate(tuples):
             volume, per_factor, g_mat = per_tuple_formula(basis, zs, k)
-            assert not s.degenerate and s.route == "formula"
-            assert s.fs_volume_ratio == pytest.approx(volume, rel=1e-14)
-            assert s.per_factor_ratios == pytest.approx(per_factor, rel=1e-14)
-            assert np.max(np.abs(s.hermitian_form - g_mat)) <= \
+            assert not cols.degenerate and cols.refusals[t] is None
+            assert fs_form_formula(basis, zs, k).route == "formula"
+            assert cols.volume[t] == pytest.approx(volume, rel=1e-14)
+            assert cols.per_factor[t].tolist() == pytest.approx(per_factor,
+                                                                rel=1e-14)
+            assert np.max(np.abs(cols.forms[t] - g_mat)) <= \
                 1e-14 * np.max(np.abs(g_mat))
 
 
@@ -407,9 +418,9 @@ def test_stacked_route_full_rank_is_flat(d):
     rng = np.random.default_rng(50 + d)
     k = 18
     basis = random_basis(200 + d, n=d, k=k)
-    for s in fs_form_batch(basis, random_tuples(rng, d, 20), k):
-        assert s.fs_volume_ratio == pytest.approx((k / (2 * math.pi)) ** d,
-                                                  rel=1e-12)
+    for volume in fs_form_batch(basis, stack(random_tuples(rng, d, 20)),
+                                k).volume:
+        assert volume == pytest.approx((k / (2 * math.pi)) ** d, rel=1e-12)
 
 
 def test_stacked_fallback_is_product_of_one_slot_ratios():
@@ -417,12 +428,12 @@ def test_stacked_fallback_is_product_of_one_slot_ratios():
     k = 4
     basis = random_basis(300, n=2, k=k)  # n = 2 < d = 3
     tuples = random_tuples(rng, 3, 10)
-    for zs, s in zip(tuples, fs_form_batch(basis, tuples, k)):
+    cols = fs_form_batch(basis, stack(tuples), k)
+    for t, zs in enumerate(tuples):
         singles = [per_tuple_formula(basis, [z], k)[0] for z in zs]
-        assert s.degenerate
-        assert s.per_factor_ratios == pytest.approx(singles, rel=1e-14)
-        assert s.fs_volume_ratio == pytest.approx(math.prod(singles),
-                                                  rel=1e-14)
+        assert cols.degenerate and cols.refusals[t] is None
+        assert cols.per_factor[t].tolist() == pytest.approx(singles, rel=1e-14)
+        assert cols.volume[t] == pytest.approx(math.prod(singles), rel=1e-14)
 
 
 def test_volume_scan_isolates_refused_tuples():
@@ -440,24 +451,30 @@ def test_volume_scan_isolates_refused_tuples():
     # and would make the stacked inverse raise for the whole batch
     tuples = [good[0], (z, z), good[1], (z, UhpPoint(z.x + 1.0, z.y)),
               good[2], (z, UhpPoint(0.0, 200.0)), good[0]]
-    rows, summ = volume_ratio_scan(basis_by_k, tuples, [4])
+    tables, summ = volume_ratio_scan(basis_by_k, stack(tuples), [4])
+    cols = tables[0]
     assert summ[0].flagged == 3
-    assert rows[1].error == "NearDiagonal: min pairwise distance 0.00e+00"
+    assert cols.errors[1] == "NearDiagonal: min pairwise distance 0.00e+00"
     for i in (3, 5):
-        assert rows[i].error == \
+        assert cols.errors[i] == \
             "DomainError: evaluation covectors nearly dependent"
-    for row, zs in zip(rows[0::2], good + [good[0]]):
-        alone, _ = volume_ratio_scan(basis_by_k, [zs], [4])
-        assert row.error is None
-        assert row.ratio == alone[0].ratio
-        assert row.ratio_over_k2d == alone[0].ratio_over_k2d
+    for i, zs in zip(range(0, len(tuples), 2), good + [good[0]]):
+        alone, _ = volume_ratio_scan(basis_by_k, stack([zs]), [4])
+        assert cols.errors[i] is None
+        assert cols.ratio[i] == alone[0].ratio[0]
+        assert cols.ratio_over_k2d[i] == alone[0].ratio_over_k2d[0]
 
 
 def test_volume_scan_refuses_mixed_lengths():
+    # tuples of mixed lengths make no T x d array: numpy holds them as
+    # a one-dimensional array of objects, which the scan refuses
     basis = random_basis(12)
     tuples = [(UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4)), (UhpPoint(0.0, 1.2),)]
-    with pytest.raises(DomainError, match="mixed lengths"):
-        volume_ratio_scan(lambda k: basis, tuples, [4])
+    ragged = np.empty(len(tuples), dtype=object)
+    ragged[:] = [tuple(z.z for z in zs) for zs in tuples]
+    for pts in (ragged, stack(tuples[:1])[0]):
+        with pytest.raises(DomainError, match="T x d array"):
+            volume_ratio_scan(lambda k: basis, pts, [4])
 
 
 def test_batch_guard_refuses_only_the_near_diagonal_tuple():
@@ -468,15 +485,90 @@ def test_batch_guard_refuses_only_the_near_diagonal_tuple():
     same = (UhpPoint(0.2, 1.1), UhpPoint(0.2, 1.1), UhpPoint(-0.1, 0.8))
     good = [(UhpPoint(-0.2, 1.4), UhpPoint(0.3, 0.8), UhpPoint(0.0, 1.9)),
             (UhpPoint(0.05, 1.1), UhpPoint(-0.3, 0.7), UhpPoint(0.4, 1.3))]
-    out = fs_form_batch(basis, [good[0], near, good[1], same], 4)
-    assert isinstance(out[1], NearDiagonal)
-    assert str(out[1]) == \
+    out = fs_form_batch(basis, stack([good[0], near, good[1], same]), 4)
+    assert isinstance(out.refusals[1], NearDiagonal)
+    assert str(out.refusals[1]) == \
         f"min pairwise distance {hyp_distance(near[1], near[2]):.2e}"
-    assert isinstance(out[3], NearDiagonal)
-    assert str(out[3]) == "min pairwise distance 0.00e+00"
-    for got, zs in zip(out[0::2], good):
+    assert isinstance(out.refusals[3], NearDiagonal)
+    assert str(out.refusals[3]) == "min pairwise distance 0.00e+00"
+    for t, zs in zip((0, 2), good):
         alone = fs_form_formula(basis, zs, 4)
-        assert got.fs_volume_ratio == alone.fs_volume_ratio
-        assert np.array_equal(got.hermitian_form, alone.hermitian_form)
+        assert out.volume[t] == alone.fs_volume_ratio
+        assert np.array_equal(out.forms[t], alone.hermitian_form)
     with pytest.raises(NearDiagonal):
         fs_form_formula(basis, near, 4)
+
+
+def _assert_row_is_formula_of_one(cols, t, basis, zs, k):
+    """Row t of a batch equals fs_form_formula on its tuple, or both
+    refuse it with the same exception."""
+    if cols.refusals[t] is None:
+        alone = fs_form_formula(basis, zs, k)
+        assert cols.volume[t] == alone.fs_volume_ratio
+        assert cols.per_factor[t].tolist() == alone.per_factor_ratios
+        assert np.array_equal(cols.forms[t], alone.hermitian_form)
+        assert alone.degenerate == cols.degenerate
+        return
+    with pytest.raises(type(cols.refusals[t])) as refused:
+        fs_form_formula(basis, zs, k)
+    assert str(refused.value) == str(cols.refusals[t])
+    assert math.isnan(cols.volume[t])
+    assert np.isnan(cols.per_factor[t]).all()
+    assert np.isnan(cols.forms[t]).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batch_columns_equal_reference_routes(d):
+    # the stacked columns are the per-tuple closed form and the batch of
+    # one, bit for bit; refused rows hold NaN and refuse the same way
+    rng = np.random.default_rng(70 + d)
+    k = 6
+    basis = random_basis(400 + d, n=d + 2, k=k, m=8)
+    z = UhpPoint(0.1, 0.9)
+    tuples = random_tuples(rng, d, 30)
+    # y = 200 underflows every q-power: R_1 is exactly singular
+    tuples.insert(3, [UhpPoint(0.0, 200.0)] + tuples[3][1:])
+    if d > 1:
+        tuples.insert(5, [z, z] + tuples[5][2:])  # near-diagonal
+        # z + 1 has the same q as z: dependent covectors, far apart
+        tuples.insert(7, [z, UhpPoint(z.x + 1.0, z.y)] + tuples[7][2:])
+    cols = fs_form_batch(basis, stack(tuples), k)
+    refused = {3: DomainError} if d == 1 else \
+        {3: DomainError, 5: NearDiagonal, 7: DomainError}
+    assert not cols.degenerate
+    assert cols.volume.shape == (len(tuples),)
+    assert cols.per_factor.shape == (len(tuples), d)
+    assert cols.forms.shape == (len(tuples), d, d)
+    for t, zs in enumerate(tuples):
+        assert type(cols.refusals[t]) is refused.get(t, type(None))
+        if cols.refusals[t] is None:
+            volume, per_factor, g_mat = per_tuple_formula(basis, zs, k)
+            assert cols.volume[t] == volume
+            assert cols.per_factor[t].tolist() == per_factor
+            assert np.array_equal(cols.forms[t], g_mat)
+        _assert_row_is_formula_of_one(cols, t, basis, zs, k)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fallback_columns_equal_reference_routes(d):
+    # n < d: every row is the product of its one-slot closed forms
+    rng = np.random.default_rng(80 + d)
+    k = 6
+    basis = random_basis(500 + d, n=d - 1, k=k, m=8)
+    z = UhpPoint(0.1, 0.9)
+    tuples = random_tuples(rng, d, 20)
+    tuples.insert(2, [z, z] + tuples[2][2:])                  # near-diagonal
+    tuples.insert(4, tuples[4][:-1] + [UhpPoint(0.0, 200.0)])  # one slot refused
+    cols = fs_form_batch(basis, stack(tuples), k)
+    assert cols.degenerate
+    assert isinstance(cols.refusals[2], NearDiagonal)
+    assert str(cols.refusals[4]) == "evaluation covectors nearly dependent"
+    for t, zs in enumerate(tuples):
+        if t not in (2, 4):
+            singles = [per_tuple_formula(basis, [p], k)[0] for p in zs]
+            assert cols.refusals[t] is None
+            assert cols.per_factor[t].tolist() == singles
+            assert cols.volume[t] == math.prod(singles)
+            assert np.array_equal(cols.forms[t], np.diag(
+                [r / (2.0 * p.y ** 2) for r, p in zip(singles, zs)]))
+        _assert_row_is_formula_of_one(cols, t, basis, zs, k)
