@@ -10,16 +10,23 @@ pair to pair; pair i uses seed ``--seed + i`` (plus 100 per workload).
 The JSON written to ``--out`` holds, per workload and end-to-end
 metric, the median and quartiles of each side, the number of pairs in
 which the change was better, and each side's failed row counts.
+
+Both checkouts must be clean copies (``git ls-files | tar``): a
+``__pycache__`` under ``src/`` would be loaded instead of compiling
+its modules and skew ``setup_s``, so the script names it and exits 2
+before it runs anything.  Its runs write no bytecode.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
 from importlib.metadata import version
+from pathlib import Path
 
 WORKLOADS = ("poincare-scan", "delta-scan", "sym-scan")
 METRICS = ("cpu_s", "setup_s", "peak_rss_mb")
@@ -31,7 +38,8 @@ def run(checkout, workload, seed):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -47,6 +55,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    stale = [path for side in (args.parent, args.change)
+             for path in sorted(Path(side, "src").rglob("__pycache__"))]
+    for path in stale:
+        print(f"error: {path}: bytecode in a benchmarked checkout; "
+              f"benchmark a clean copy (git ls-files | tar)", file=sys.stderr)
+    if stale:
+        return 2
     report = {"pairs": PAIRS, "seconds": SECONDS,
               "python": platform.python_version(),
               "numpy": version("numpy"), "workloads": {}}

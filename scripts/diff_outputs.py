@@ -4,18 +4,21 @@
     python3 scripts/diff_outputs.py PARENT_DIR CHANGE_DIR
 
 Runs a fixed list of commands in each checkout: every README command,
-``scripts/run_scans.py``, all six ``verify`` suites, and scans with
-flagged, budget-cut and refused rows or refused options.  Each command
-runs in a fresh working directory that holds a link to the checkout's
-``data/``, the fixed tuple files and a three-form basis file
-(``INPUTS``), with ``bergman`` imported from the checkout's ``src/``.  For every command it compares stdout, stderr,
-the exit code and each file the command wrote there, prints every
-difference, and exits 1 if there is one (0 if all are identical).
+``scripts/run_scans.py``, all six ``verify`` suites, scans with
+flagged, budget-cut and refused rows or refused options, and forms
+files whose Gram is singular or does not converge.  Each command runs
+in a fresh working directory that holds a link to the checkout's
+``data/``, the fixed tuple and forms files (``INPUTS``), with
+``bergman`` imported from the checkout's ``src/``.  For every command
+it compares stdout, stderr, the exit code and each file the command
+wrote there, prints every difference, and exits 1 if there is one (0
+if all are identical).
 """
 from __future__ import annotations
 
 import argparse
 import difflib
+import math
 import os
 import subprocess
 import sys
@@ -41,6 +44,12 @@ INPUTS = {
                        "[[0.0,0.9],[0.25,0.55],[-0.3,0.65]]\n",
     "tuples_three_coordinates.jsonl": "[[0.1,0.9],[-0.2,1.4]]\n"
                                       "[[0.1,0.9,7],[0.2,1.1]]\n",
+    # two identical forms: a singular Gram
+    "twins.jsonl": '{"label": "f0", "weight": 12, "coefficients": [1.0]}\n'
+                   '{"label": "f1", "weight": 12, "coefficients": [1.0]}\n',
+    # a_m = e^(5.44 m): a Gram quadrature that does not converge
+    "steep.jsonl": '{"label": "steep", "weight": 12, "coefficients": [%s]}\n'
+                   % ", ".join(repr(math.exp(5.44 * m)) for m in range(1, 120)),
 }
 # (name, argv): argv after ``bergman``, or "run_scans" for the script
 COMMANDS = [
@@ -60,7 +69,10 @@ COMMANDS = [
      for suite in ("kernel-oracle", "lemma4", "prop3", "prop9", "thm10",
                    "sym")] + [
     ("kernel-two-weights", ["kernel", "--k", "6,8", "--out", "kernel.json"]),
-    ("gram-strip", ["gram", "--forms", FORMS, "--domain", "strip"]),
+    ("gram-domain-refused", ["gram", "--forms", FORMS, "--domain", "strip"]),
+    ("gram-unconverged", ["gram", "--forms", "steep.jsonl"]),
+    ("scan-singular-gram", ["ratio-scan", "--forms", "twins.jsonl", "--k", "6",
+                            "--grid=0,0,1,1,1,1"]),
     ("scan-budget-cut", ["ratio-scan", "--group", "modular", "--k", "6",
                          "--grid=0,0,1,1,1,1", "--budget", "50"]),
     ("scan-flagged-cusp", ["ratio-scan", "--group", "modular", "--k", "6,8",

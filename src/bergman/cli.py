@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import (CuspFormBasis, QuadratureDomain, delta_form, load_forms,
+from .forms import (CuspFormBasis, GramSingular, QuadratureDomain,
+                    QuadratureNotConverged, delta_form, load_forms,
                     model_basis, orthonormal_basis, petersson_gram, save_forms)
-from .groups import DEFAULT_C_GAMMA, Region, group_by_name
+from .groups import DEFAULT_BUDGET, DEFAULT_C_GAMMA, Region, group_by_name
 from .kernel import bergman_kernel_diagonal, parabolic_term_bound
 from .metric import (BasisSource, PoincareSource,
                      RATIO_LIMIT, bergman_metric_ratio, fd_log_ratio,
@@ -50,9 +51,8 @@ class RunConfig:
     c_gamma: float = DEFAULT_C_GAMMA
     c_x: float = 0.0
     bound: float = 150.0
-    budget: int = 200_000
+    budget: int = DEFAULT_BUDGET
     z: str = "0.0,1.0"
-    domain: str = "modular"
     suite: Optional[str] = None
     threads: int = 1  # accepted and ignored: scans run on one thread
     out: Optional[str] = None
@@ -116,9 +116,6 @@ class RunConfig:
         if not (math.isfinite(cfg.c_x) and cfg.c_x >= 0.0):
             raise ConfigError(
                 f"--c-x must be at least 0 and finite, got {cfg.c_x}")
-        if cfg.domain not in ("modular", "strip"):
-            raise ConfigError(f"--domain must be modular or strip, "
-                              f"got {cfg.domain!r}")
         return command, cfg
 
     def _apply_config(self, path: str):
@@ -175,19 +172,27 @@ class RunConfig:
                               f"least 1")
         return grid_points(x0, x1, y0, y1, nx, ny)
 
-    def basis(self) -> CuspFormBasis:
+    def raw_basis(self) -> CuspFormBasis:
+        """The --forms file's basis with its Petersson Gram; a quadrature
+        that does not converge is an error naming the file."""
         if self.forms is None:
             raise ConfigError("this command needs --forms")
         if not os.path.exists(self.forms):
             raise ConfigError(f"forms file not found: {self.forms}")
         raw = CuspFormBasis(forms=load_forms(self.forms))
-        raw.gram = petersson_gram(raw, self.quadrature_domain())
-        return orthonormal_basis(raw)
+        try:
+            raw.gram = petersson_gram(raw, QuadratureDomain())
+        except QuadratureNotConverged as exc:
+            raise DomainError(f"{self.forms}: {exc}") from None
+        return raw
 
-    def quadrature_domain(self) -> QuadratureDomain:
-        if self.domain == "modular":
-            return QuadratureDomain()
-        return QuadratureDomain(kind="strip", y0=0.8)
+    def basis(self) -> CuspFormBasis:
+        """The --forms file's basis, orthonormalized; a singular Gram is
+        an error naming the file."""
+        try:
+            return orthonormal_basis(self.raw_basis())
+        except GramSingular as exc:
+            raise DomainError(f"{self.forms}: {exc}") from None
 
 
 def _emit(text: str, path: Optional[str]):
@@ -251,14 +256,11 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
 
 def cmd_gram(cfg: RunConfig) -> int:
-    if cfg.forms is None or not os.path.exists(cfg.forms or ""):
-        raise ConfigError(f"forms file not found: {cfg.forms}")
-    raw = CuspFormBasis(forms=load_forms(cfg.forms))
-    gram = petersson_gram(raw, cfg.quadrature_domain())
+    raw = cfg.raw_basis()
     line = "%s,%s," + FMT + "," + FMT + "\n"
     _emit("form_i,form_j,re,im\n" + "".join(
-        line % (_cell(str(fi.label)), _cell(str(fj.label)), gram[i, j].real,
-                gram[i, j].imag)
+        line % (_cell(str(fi.label)), _cell(str(fj.label)),
+                raw.gram[i, j].real, raw.gram[i, j].imag)
         for i, fi in enumerate(raw.forms) for j, fj in enumerate(raw.forms)),
         cfg.out)
     return 0
@@ -419,8 +421,7 @@ def suite_lemma4(cfg: RunConfig):
     k = basis.k
     worst = 0.0
     for z in grid_points(-0.4, 0.4, 0.8, 2.4, 5, 5):
-        r1 = bergman_metric_ratio(kernel_derivatives(src, z), z, k,
-                                  cfg.c_gamma).ratio
+        r1 = bergman_metric_ratio(kernel_derivatives(src, z), z, k).ratio
         r2 = fd_log_ratio(src, z, k)
         worst = max(worst, abs(r1 - r2) / max(abs(r1), 1e-12))
     return worst <= cfg.tol, {"max_two_route_rel": worst}, {"rel": cfg.tol}
@@ -446,7 +447,7 @@ def suite_prop9(cfg: RunConfig):
     k = basis.k
     betas = []
     for y in (4.0, 6.0, 8.0):
-        s = cusp_ratio_expansion(basis, UhpPoint(0.1, y), k, cfg.c_gamma)
+        s = cusp_ratio_expansion(basis, UhpPoint(0.1, y), k)
         betas.append(abs(s.correction))
     if max(betas) < 1e-12:
         return True, {"betas": betas, "degenerate_basis": True}, {"abs": 1e-12}

@@ -202,10 +202,10 @@ class CuspFormBasis:
 
 
 def model_basis(weight: int, coefficient_rows: Sequence[Sequence[complex]],
-                label: str = "model", orthonormal: bool = True) -> CuspFormBasis:
+                orthonormal: bool = True) -> CuspFormBasis:
     """Synthetic basis declared orthonormal; for formula-level checks."""
     forms = [
-        QExpansionForm(label=f"{label}{i + 1}", weight=weight,
+        QExpansionForm(label=f"model{i + 1}", weight=weight,
                        coefficients=tuple(complex(c) for c in row))
         for i, row in enumerate(coefficient_rows)
     ]
@@ -272,57 +272,20 @@ def delta_form(m_max: int = 200) -> QExpansionForm:
 
 @dataclass(frozen=True)
 class QuadratureDomain:
-    """Fundamental-domain description for the Petersson integral.
+    """Quadrature rule for the Petersson integral over the modular domain
+    |x| <= 1/2, |z| >= 1.
 
-    Above the cutoff height the integral is completed analytically from
-    the q-expansions (``_tail_gram``), which is exact when the x-width
-    is a full period; quadrature covers the rest.
-
-    kind "modular": |x| <= 1/2, |z| >= 1 (the classical domain).  Above
-    y = 1, the top of the arc, the domain is a full period, so the
-    cutoff defaults to 1 and the quadrature covers only the sliver
+    Above the cutoff height the domain is a full period, and the
+    integral is completed analytically from the q-expansions
+    (``_tail_gram``); quadrature covers the rest.  The cutoff defaults
+    to 1, the top of the arc, so the quadrature covers only the sliver
     between |z| = 1 and y = 1: 2 x-panels, 1 y-panel, 12 nodes.
-    kind "strip": x in [x0, x1], y >= y0, with the cutoff at
-    max(4, 3k/2pi) and 4 x-panels, 8 y-panels, 16 nodes.
-    A cutoff or panel count given explicitly overrides the default.
     """
 
-    kind: str = "modular"
-    x0: float = -0.5
-    x1: float = 0.5
-    y0: float = 1.0
-    cutoff: Optional[float] = None
-    x_panels: Optional[int] = None
-    y_panels: Optional[int] = None
-    nodes: Optional[int] = None
-
-    def __post_init__(self):
-        arc = self.kind == "modular"
-        defaults = {"cutoff": 1.0 if arc else None,
-                    "x_panels": 2 if arc else 4,
-                    "y_panels": 1 if arc else 8,
-                    "nodes": 12 if arc else 16}
-        for name, value in defaults.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
-
-    def cutoff_height(self, k: int) -> float:
-        """Height above which the tail is taken analytically, for weight 2k."""
-        return self.cutoff or max(4.0, 3.0 * (2 * k) / (4.0 * math.pi))
-
-    def x_range(self):
-        if self.kind == "modular":
-            return (-0.5, 0.5)
-        return (self.x0, self.x1)
-
-    def y_lower(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "modular":
-            return np.sqrt(np.maximum(1.0 - x * x, 0.0))
-        return np.full_like(x, self.y0)
-
-    def full_period(self) -> bool:
-        lo, hi = self.x_range()
-        return abs((hi - lo) - 1.0) < 1e-12
+    cutoff: float = 1.0
+    x_panels: int = 2
+    y_panels: int = 1
+    nodes: int = 12
 
 
 def scaled_upper_gamma(s: int, x: np.ndarray) -> np.ndarray:
@@ -379,21 +342,20 @@ def _tail_gram(basis: CuspFormBasis, cutoff: float) -> np.ndarray:
     return (mat * integral) @ mat.conj().T
 
 
-def _gram_nodes(domain: QuadratureDomain, k: int, x_panels: int,
-                y_panels: int, nodes: int):
+def _gram_nodes(domain: QuadratureDomain, k: int):
     """Gauss-Legendre nodes z and weights w y^(2k-2) of the Gram quadrature.
 
     Panels of equal width in x and, above each x node, of equal height
-    from the domain's lower edge up to the cutoff; x-outer order.
+    from the arc |z| = 1 up to the cutoff; x-outer order.
     """
-    cutoff = domain.cutoff_height(k)
-    t, w = gauss_legendre(nodes)
-    xlo, xhi = domain.x_range()
-    xe = xlo + (xhi - xlo) * np.arange(x_panels + 1) / x_panels
+    cutoff, x_panels, y_panels = (domain.cutoff, domain.x_panels,
+                                  domain.y_panels)
+    t, w = gauss_legendre(domain.nodes)
+    xe = -0.5 + np.arange(x_panels + 1) / x_panels
     a, b = xe[:-1, None], xe[1:, None]
     xs = (0.5 * (b - a) * t + 0.5 * (a + b)).ravel()
     wx = (w * 0.5 * (b - a)).ravel()
-    ylo = domain.y_lower(xs)
+    ylo = np.sqrt(np.maximum(1.0 - xs * xs, 0.0))
     keep = ylo < cutoff
     # axes: x node, y panel, y node
     xs, wx, ylo = (v[keep, None, None] for v in (xs, wx, ylo))
@@ -405,10 +367,9 @@ def _gram_nodes(domain: QuadratureDomain, k: int, x_panels: int,
     return zs, (wx * (w * 0.5 * (yb - ya)) * ys ** (2 * k - 2)).ravel()
 
 
-def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
-               x_panels: int, y_panels: int, nodes: int) -> np.ndarray:
+def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain) -> np.ndarray:
     """Quadrature Gram V diag(w) V^H over ``_gram_nodes``, plus the tail."""
-    zs, ws = _gram_nodes(domain, basis.k, x_panels, y_panels, nodes)
+    zs, ws = _gram_nodes(domain, basis.k)
     gram = np.zeros((basis.size, basis.size), dtype=complex)
     # blocks of GRAM_CHUNK nodes, each summing the terms ``evaluate``
     # would at its lowest node, found by one term_counts call
@@ -417,23 +378,21 @@ def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain,
     for lo, m in zip(starts.tolist(), counts.tolist()):
         v = q_powers(zs[lo:lo + GRAM_CHUNK], m) @ basis.coefficients[:, :m].T
         gram += v.T @ (ws[lo:lo + GRAM_CHUNK, None] * v.conj())
-    if domain.full_period():
-        gram += _tail_gram(basis, domain.cutoff_height(basis.k))
-    return gram
+    return gram + _tail_gram(basis, domain.cutoff)
 
 
-def petersson_gram(basis: CuspFormBasis, domain: QuadratureDomain,
-                   tol: float = 1e-8) -> np.ndarray:
-    """Petersson Gram matrix with a refinement-based error estimate."""
-    coarse = _gram_once(basis, domain, domain.x_panels, domain.y_panels,
-                        domain.nodes)
-    fine = _gram_once(basis, domain, domain.x_panels, 2 * domain.y_panels,
-                      domain.nodes + 8)
+def petersson_gram(basis: CuspFormBasis,
+                   domain: QuadratureDomain) -> np.ndarray:
+    """Petersson Gram matrix with a refinement-based error estimate: the
+    rule with twice the y-panels and 8 more nodes must agree to 1e-8."""
+    coarse = _gram_once(basis, domain)
+    fine = _gram_once(basis, replace(domain, y_panels=2 * domain.y_panels,
+                                     nodes=domain.nodes + 8))
     scale = max(np.max(np.abs(fine)), 1e-300)
     err = np.max(np.abs(fine - coarse)) / scale
-    if err > tol:
+    if err > 1e-8:
         raise QuadratureNotConverged(
-            f"refinement change {err:.3e} exceeds tolerance {tol:.3e}")
+            f"refinement change {err:.3e} exceeds tolerance {1e-8:.3e}")
     # enforce exact Hermitian symmetry of the numerical result
     return 0.5 * (fine + fine.conj().T)
 

@@ -25,6 +25,8 @@ from .uhp import (
 )
 
 DEFAULT_C_GAMMA = 4.0 * math.pi
+# most expansions, cosets or orbit elements one enumeration may list
+DEFAULT_BUDGET = 200_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -148,9 +150,7 @@ def load_group(path: str) -> FuchsianGroup:
 
 @dataclass
 class OrbitEnumeration:
-    base_point: UhpPoint
     elements: list  # (MoebiusTransform, cosh2 half displacement), sorted
-    displacement_bound: float
     exhaustive_flag: bool
     frontier_count: int = 0
     expanded: int = 0
@@ -168,14 +168,13 @@ def enumerate_group_elements(
     group: FuchsianGroup,
     z: UhpPoint,
     displacement_bound: float,
-    budget: int = 200_000,
-    slack: float = 1.0,
+    budget: int = DEFAULT_BUDGET,
 ) -> OrbitEnumeration:
     """Breadth-first closure of generator words below a displacement bound.
 
     ``displacement_bound`` is in cosh^2(d/2) units.  Words are expanded
     while their displacement stays below the bound plus a conservative
-    slack of twice the largest generator displacement (plus ``slack``),
+    slack of twice the largest generator displacement (at least 2),
     allowing paths that dip back under the bound; the budget caps the
     number of expansions.  Elements are deduplicated in PSL(2).
     """
@@ -188,7 +187,7 @@ def enumerate_group_elements(
     d_bound = 2.0 * math.acosh(math.sqrt(displacement_bound))
     gen_disp = max((hyp_distance(z, apply_moebius(g, z)) for g in gens),
                    default=0.0)
-    d_expand = d_bound + 2.0 * max(gen_disp, slack)
+    d_expand = d_bound + 2.0 * max(gen_disp, 1.0)
 
     ident = MoebiusTransform.identity()
     seen = {ident.key()}
@@ -226,9 +225,7 @@ def enumerate_group_elements(
 
     results.sort(key=lambda item: (item[1],) + item[0].key())
     return OrbitEnumeration(
-        base_point=z,
         elements=results,
-        displacement_bound=displacement_bound,
         exhaustive_flag=exhaustive,
         frontier_count=frontier_count,
         expanded=expanded,
@@ -278,7 +275,7 @@ def _reduce_to_strip(a, b, c, d, zc: complex):
 
 
 def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
-                budget: int = 200_000) -> CosetList:
+                budget: int = DEFAULT_BUDGET) -> CosetList:
     """Cosets Gamma_inf gamma with Im(gamma z) >= h = y / norm_bound.
 
     Equivalently |cz+d|^2 <= norm_bound.  Breadth-first over cosets,
@@ -358,7 +355,7 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
 
 
 def modular_cosets(z: UhpPoint, norm_bound: float,
-                   budget: int = 200_000) -> CosetList:
+                   budget: int = DEFAULT_BUDGET) -> CosetList:
     """The cosets of ``walk_cosets`` on PSL(2, Z), sieved from bottom rows.
 
     The classes Gamma_inf gamma of PSL(2, Z) are the coprime bottom rows
@@ -432,12 +429,6 @@ class Region(Enum):
     CUSP_NEIGHBORHOOD = "CuspNeighborhood"
 
 
-@dataclass(frozen=True)
-class RegionTag:
-    tag: Region
-    threshold_height: float
-
-
 def cusp_threshold(k: int, c_gamma: float = DEFAULT_C_GAMMA) -> float:
     """Height c_gamma * log(k) / (2*pi) where the cusp neighborhood starts."""
     if k < 2:
@@ -445,11 +436,3 @@ def cusp_threshold(k: int, c_gamma: float = DEFAULT_C_GAMMA) -> float:
     if c_gamma <= 0:
         raise DomainError("c_gamma must be positive")
     return c_gamma * math.log(k) / (2.0 * math.pi)
-
-
-def classify_region(z: UhpPoint, k: int, c_gamma: float = DEFAULT_C_GAMMA) -> RegionTag:
-    """Cusp neighborhood iff y >= cusp_threshold(k, c_gamma), closed condition."""
-    threshold = cusp_threshold(k, c_gamma)
-    tag = Region.CUSP_NEIGHBORHOOD if z.y >= threshold else Region.COMPACT_PART
-    return RegionTag(tag=tag, threshold_height=threshold)
-

@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import CosetList, FuchsianGroup, enumerate_group_elements
+from .groups import (DEFAULT_BUDGET, CosetList, FuchsianGroup,
+                     enumerate_group_elements)
 from .uhp import DomainError, MoebiusTransform, UhpPoint, apply_moebius
 
 TWO_PI = 2.0 * math.pi
@@ -61,30 +62,22 @@ def parabolic_term_bound(y: float, k: int) -> float:
     return y * (2 * k - 1) / math.sqrt(math.pi) * gamma_ratio(k)
 
 
-@dataclass(frozen=True)
-class CXConstant:
-    r_x: float
-    k: int
-    value: float
-
-
-def cx_constant(r_x: float, k: int) -> CXConstant:
+def cx_constant(r_x: float, k: int) -> float:
     """Explicit constant bounding the non-parabolic block of the series."""
     if r_x <= 0:
         raise DomainError("injectivity radius must be positive")
     if k < 3:
         raise DomainError("k must be >= 3")
     if math.isinf(r_x):
-        return CXConstant(r_x=r_x, k=k, value=0.0)
+        return 0.0
     ch4 = math.cosh(r_x / 4.0)
     ch2 = math.cosh(r_x / 2.0)
     sh4 = math.sinh(r_x / 4.0)
-    value = (2 * k - 1) / (4.0 * math.pi) * (
+    return (2 * k - 1) / (4.0 * math.pi) * (
         16.0 / ch4 ** (2 * k - 4) + 8.0 / ch2 ** (2 * k - 3)
     ) + (2 * k - 1) / (2.0 * math.pi * sh4 * sh4) * (
         1.0 / ch2 ** (2 * k - 3) + 1.0 / ch2 ** (2 * k - 4)
     )
-    return CXConstant(r_x=r_x, k=k, value=value)
 
 
 @dataclass
@@ -130,7 +123,7 @@ def bergman_kernel_diagonal(
     z: UhpPoint,
     k: int,
     displacement_bound: float = 100.0,
-    budget: int = 200_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> KernelEvaluation:
     """Diagonal Petersson norm of the kernel by truncated orbit summation.
 

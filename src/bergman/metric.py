@@ -16,12 +16,11 @@ import numpy as np
 from .forms import (CuspFormBasis, basis_weight0_bundle, basis_weight0_grid,
                     first_coefficient_mass)
 from .groups import (
+    DEFAULT_BUDGET,
     DEFAULT_C_GAMMA,
     BudgetExceeded,
     CosetList,
     FuchsianGroup,
-    RegionTag,
-    classify_region,
     cusp_threshold,
     enumerate_group_elements,
     modular_cosets,
@@ -83,7 +82,6 @@ class RatioSample:
     ratio: float
     identity_part: float
     correction: float
-    region: RegionTag
     error_bound: float = 0.0
 
 
@@ -126,7 +124,8 @@ class PoincareSource:
     with the unit translation walks them from its generators.
     """
 
-    def __init__(self, group: FuchsianGroup, k: int, budget: int = 200_000):
+    def __init__(self, group: FuchsianGroup, k: int,
+                 budget: int = DEFAULT_BUDGET):
         self.group = group
         self.k = k
         self.budget = budget
@@ -214,23 +213,19 @@ def ratio_parts(bundle, y, k: int):
     return k / (2.0 * math.pi) + corr, corr, bound
 
 
-def ratio_error_bound(bundle: DerivativeBundle, z: UhpPoint) -> float:
-    """Absolute error bound of the ratio (``ratio_parts``)."""
-    return float(ratio_parts(bundle, z.y, 0)[2])
-
-
-def bergman_metric_ratio(bundle: DerivativeBundle, z: UhpPoint, k: int,
-                         c_gamma: float = DEFAULT_C_GAMMA) -> RatioSample:
+def bergman_metric_ratio(bundle: DerivativeBundle, z: UhpPoint,
+                         k: int) -> RatioSample:
     """Ratio of Bergman to hyperbolic metric from a derivative bundle."""
     if bundle.value <= 1e-300:
         raise KernelVanishes(f"kernel value {bundle.value} at {z}")
+    if k < 2:
+        raise DomainError("k must be >= 2")
     ratio, corr, bound = map(float, ratio_parts(bundle, z.y, k))
     return RatioSample(z=z, k=k, ratio=ratio, identity_part=k / (2.0 * math.pi),
-                       correction=corr, region=classify_region(z, k, c_gamma),
-                       error_bound=bound)
+                       correction=corr, error_bound=bound)
 
 
-def fd_log_ratio(source, z: UhpPoint, k: int, step: Optional[float] = None) -> float:
+def fd_log_ratio(source, z: UhpPoint, k: int) -> float:
     """Independent route: -(y^2 / 4 pi) Laplacian of log(y^(2k) B(z)).
 
     Five-point finite-difference Laplacian of the log of the diagonal
@@ -250,7 +245,7 @@ def fd_log_ratio(source, z: UhpPoint, k: int, step: Optional[float] = None) -> f
 
     # step large enough that series-evaluation noise, amplified by
     # 1/h^2 in the Laplacian, stays below the two-route tolerance
-    h = step or max(1e-3, 1e-3 * z.y)
+    h = max(1e-3, 1e-3 * z.y)
     val = (4 * lap(h / 2) - lap(h)) / 3
     return -(z.y ** 2 / (4.0 * math.pi)) * val
 
@@ -305,13 +300,13 @@ def kernel_lower_surrogate(k: int, measured_min: float) -> float:
 # ---------------------------------------------------------------------------
 # Cusp expansion
 
-def cusp_ratio_expansion(basis: CuspFormBasis, z: UhpPoint, k: int,
-                         c_gamma: float = DEFAULT_C_GAMMA) -> RatioSample:
+def cusp_ratio_expansion(basis: CuspFormBasis, z: UhpPoint,
+                         k: int) -> RatioSample:
     """Ratio through the q-expansion route in the cusp neighborhood."""
     if first_coefficient_mass(basis) <= 0.0:
         raise FirstCoefficientZero("sum |a_{j,1}|^2 vanishes")
     bundle = kernel_derivatives(BasisSource(basis), z)
-    return bergman_metric_ratio(bundle, z, k, c_gamma)
+    return bergman_metric_ratio(bundle, z, k)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -303,8 +303,8 @@ def _projector(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> np.ndarray:
     return q1 @ q1.conj().T
 
 
-def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
-                          step: Optional[float] = None) -> FSVolumeSample:
+def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint],
+                          k: int) -> FSVolumeSample:
     """Independent route: trace form of the moving projector.
 
     FS_lm = tr(dP/dz_l . dP/dzbar_m . P) with P the projector onto the
@@ -319,12 +319,12 @@ def fs_form_direct_oracle(basis: CuspFormBasis, zs: Sequence[UhpPoint], k: int,
         raise DomainError("basis has no forms")
     d = len(zs)
     if basis.size < d:
-        per_factor = np.array([[fs_form_direct_oracle(basis, [z], k, step)
+        per_factor = np.array([[fs_form_direct_oracle(basis, [z], k)
                                 .fs_volume_ratio for z in zs]])
         forms, volume = _product_forms(np.array([[z.y for z in zs]]),
                                        per_factor)
         return _sample(forms, per_factor, volume, "oracle", True)
-    steps = [step or max(1e-4, 1e-4 * z.y) for z in zs]
+    steps = [max(1e-4, 1e-4 * z.y) for z in zs]
     base = [(z.x, z.y) for z in zs]
 
     def proj(deltas):

@@ -79,29 +79,24 @@ class MoebiusTransform:
     def inverse(self) -> "MoebiusTransform":
         return MoebiusTransform(self.d, -self.b, -self.c, self.a)
 
-    def key(self, quantum: float = 1e-9) -> tuple:
-        """Hashable canonical form for PSL(2) deduplication."""
+    def key(self) -> tuple:
+        """Hashable canonical form for PSL(2) deduplication, to 1e-9."""
         return (
-            round(self.a / quantum),
-            round(self.b / quantum),
-            round(self.c / quantum),
-            round(self.d / quantum),
+            round(self.a / 1e-9),
+            round(self.b / 1e-9),
+            round(self.c / 1e-9),
+            round(self.d / 1e-9),
         )
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return (
-            abs(self.a - 1.0) <= tol
-            and abs(self.b) <= tol
-            and abs(self.c) <= tol
-            and abs(self.d - 1.0) <= tol
-        )
+    def is_identity(self) -> bool:
+        return self.is_cusp_translation() and abs(self.b) <= 1e-9
 
-    def is_cusp_translation(self, tol: float = 1e-9) -> bool:
+    def is_cusp_translation(self) -> bool:
         """True for elements of the stabilizer of i*infinity (1, n; 0, 1)."""
         return (
-            abs(self.c) <= tol
-            and abs(self.a - 1.0) <= tol
-            and abs(self.d - 1.0) <= tol
+            abs(self.c) <= 1e-9
+            and abs(self.a - 1.0) <= 1e-9
+            and abs(self.d - 1.0) <= 1e-9
         )
 
     def __repr__(self):

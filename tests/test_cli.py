@@ -123,10 +123,9 @@ def test_flag_forms_and_values():
     (["sym-scan", "--d", "x"], "--d must be int, got 'x'"),
     (["sym-scan", "--d=2.0"], "--d must be int, got '2.0'"),
     (["ratio-scan", "--tol", "x"], "--tol must be float, got 'x'"),
-    (["gram", "--domain", "bogus"],
-     "--domain must be modular or strip, got 'bogus'"),
-    (["gram", "--config", "CFG"],
-     "--domain must be modular or strip, got 'bogus'"),
+    # the Petersson Gram has one domain, the modular one
+    (["gram", "--domain", "strip"], "unknown flag --domain"),
+    (["gram", "--config", "CFG"], "unknown config key 'domain'"),
     (["--k", "6"], "missing command"),
     ([], "missing command"),
     (["scan", "--k", "6"], "unknown command 'scan'"),
@@ -147,7 +146,7 @@ def test_flag_forms_and_values():
         "k-repeated"])
 def test_bad_command_line_exits_2(tmp_path, capsys, argv, message):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"domain": "bogus"}))
+    cfg_path.write_text(json.dumps({"domain": "strip"}))
     out = tmp_path / "out.txt"
     argv = [str(cfg_path) if a == "CFG" else a for a in argv]
     code = main(argv + ["--forms", str(DATA), "--out", str(out)])
@@ -232,6 +231,41 @@ def test_gram_csv(capsys):
     label, _, re, im = lines[1].split(",")
     assert label == "delta"
     assert float(re) == pytest.approx(1.03536205680e-06, rel=1e-9)
+
+
+def _gram_failure(tmp_path, capsys, command, rows):
+    """Exit code and stderr of a command on a weight-12 forms file."""
+    forms = tmp_path / "forms.jsonl"
+    forms.write_text("".join(
+        json.dumps({"label": f"f{i}", "weight": 12, "coefficients": row})
+        + "\n" for i, row in enumerate(rows)))
+    out = tmp_path / "out.txt"
+    code = main([command, "--forms", str(forms), "--k", "6", "--d", "1",
+                 "--grid=0,0,1,1,1,1", "--suite", "lemma4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    return code, captured.err, forms
+
+
+@pytest.mark.parametrize("command", ["ratio-scan", "sym-scan", "verify"])
+def test_singular_gram_exits_2(tmp_path, capsys, command):
+    # two identical forms: their Gram is singular
+    code, err, forms = _gram_failure(tmp_path, capsys, command,
+                                     [[1.0, 0.5, 0.25]] * 2)
+    assert code == 2
+    assert err == f"error: {forms}: smallest eigenvalue ratio 0.000e+00\n"
+
+
+@pytest.mark.parametrize("command", ["gram", "ratio-scan", "sym-scan",
+                                     "verify"])
+def test_unconverged_gram_exits_2(tmp_path, capsys, command):
+    # a_m = e^(5.44 m): the refined quadrature moves the Gram by 1.3e-5
+    code, err, forms = _gram_failure(
+        tmp_path, capsys, command,
+        [[math.exp(5.44 * m) for m in range(1, 120)]])
+    assert code == 2
+    assert err == (f"error: {forms}: refinement change 1.295e-05 exceeds "
+                   f"tolerance 1.000e-08\n")
 
 
 def test_verify_kernel_oracle_trivial_group(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -245,20 +246,19 @@ def test_gauss_legendre_matches_leggauss_and_extended_precision():
                 assert abs(wi - ref_w) <= bound * ref_w
 
 
-def _node_accumulation(basis, domain, x_panels, y_panels, nodes):
+def _node_accumulation(basis, domain):
     """Per-node reference Gram: one outer product per quadrature node."""
     k = basis.k
-    cutoff = domain.cutoff_height(k)
-    xn, xw = roots_legendre(nodes)
+    cutoff, x_panels, y_panels = (domain.cutoff, domain.x_panels,
+                                  domain.y_panels)
+    xn, xw = roots_legendre(domain.nodes)
     gram = np.zeros((basis.size, basis.size), dtype=complex)
-    xlo, xhi = domain.x_range()
     for px in range(x_panels):
-        a = xlo + (xhi - xlo) * px / x_panels
-        b = xlo + (xhi - xlo) * (px + 1) / x_panels
+        a = -0.5 + px / x_panels
+        b = -0.5 + (px + 1) / x_panels
         xs = 0.5 * (b - a) * xn + 0.5 * (a + b)
         for x, wx in zip(xs, xw * 0.5 * (b - a)):
-            ylo = (math.sqrt(max(1.0 - x * x, 0.0)) if domain.kind == "modular"
-                   else domain.y0)
+            ylo = math.sqrt(max(1.0 - x * x, 0.0))
             if ylo >= cutoff:
                 continue
             for py in range(y_panels):
@@ -268,46 +268,41 @@ def _node_accumulation(basis, domain, x_panels, y_panels, nodes):
                 for y, wy in zip(ys, xw * 0.5 * (yb - ya)):
                     v = _power_formula(basis, UhpPoint(x, y))
                     gram += np.outer(v, v.conj()) * (wx * wy * y ** (2 * k - 2))
-    if domain.full_period():
-        for m, col in enumerate(basis.coefficients.T, start=1):
-            a = 4.0 * math.pi * m
-            tail = (math.exp(gammaln(2 * k - 1) - (2 * k - 1) * math.log(a))
-                    * gammaincc(2 * k - 1, a * cutoff))
-            gram += np.outer(col, col.conj()) * tail
+    for m, col in enumerate(basis.coefficients.T, start=1):
+        a = 4.0 * math.pi * m
+        tail = (math.exp(gammaln(2 * k - 1) - (2 * k - 1) * math.log(a))
+                * gammaincc(2 * k - 1, a * cutoff))
+        gram += np.outer(col, col.conj()) * tail
     return gram
 
 
-@pytest.mark.parametrize("domain", [QuadratureDomain(),
-                                    QuadratureDomain(kind="strip", y0=0.8)],
-                         ids=["modular", "strip"])
+@pytest.mark.parametrize("domain", [QuadratureDomain(y_panels=3, nodes=6)],
+                         ids=["modular"])
 @pytest.mark.parametrize("make", [lambda: CuspFormBasis(forms=[delta_form(200)]),
                                   _three_form_basis], ids=["delta", "three"])
 def test_gram_contraction_matches_node_accumulation(make, domain):
     basis = make()
-    got = _gram_once(basis, domain, 2, 3, 6)
-    ref = _node_accumulation(basis, domain, 2, 3, 6)
+    got = _gram_once(basis, domain)
+    ref = _node_accumulation(basis, domain)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("domain", [QuadratureDomain(),
-                                    QuadratureDomain(kind="strip", y0=0.8)],
-                         ids=["modular", "strip"])
+@pytest.mark.parametrize("domain", [QuadratureDomain()], ids=["modular"])
 @pytest.mark.parametrize("make", CUT_BASES, ids=["delta", "three", "slow"])
 def test_gram_blocks_equal_per_block_evaluate(make, domain):
     # one term_counts call for every block keeps each block's own term
     # count, so the Gram is the per-block evaluate route's to the bit
     basis = make()
-    for panels in ((domain.x_panels, domain.y_panels, domain.nodes),
-                   (domain.x_panels, 2 * domain.y_panels, domain.nodes + 8)):
-        zs, ws = _gram_nodes(domain, basis.k, *panels)
+    for rule in (domain, replace(domain, y_panels=2 * domain.y_panels,
+                                 nodes=domain.nodes + 8)):
+        zs, ws = _gram_nodes(rule, basis.k)
         ref = np.zeros((basis.size, basis.size), dtype=complex)
         for lo in range(0, len(zs), GRAM_CHUNK):
             v = basis.evaluate(zs[lo:lo + GRAM_CHUNK])
             ref += v.T @ (ws[lo:lo + GRAM_CHUNK, None] * v.conj())
-        if domain.full_period():
-            ref += _tail_gram(basis, domain.cutoff_height(basis.k))
+        ref += _tail_gram(basis, rule.cutoff)
         assert len(zs) > GRAM_CHUNK
-        assert np.array_equal(_gram_once(basis, domain, *panels), ref)
+        assert np.array_equal(_gram_once(basis, rule), ref)
 
 
 @pytest.mark.parametrize("k", [2, 6, 18, 30])
@@ -366,7 +361,7 @@ def test_arc_gram_matches_tall_domain(make):
     tall = petersson_gram(basis, QuadratureDomain(
         cutoff=max(4.0, 3.0 * k / (2.0 * math.pi)), x_panels=4, y_panels=8,
         nodes=16))
-    assert QuadratureDomain().cutoff_height(k) == 1.0
+    assert QuadratureDomain().cutoff == 1.0
     assert np.max(np.abs(arc - tall)) <= 1e-13 * np.max(np.abs(tall))
 
 
@@ -399,7 +394,7 @@ def test_gram_hermitian_and_positive():
     coef = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
     raw = CuspFormBasis(forms=model_basis(12, coef.tolist(),
                                           orthonormal=False).forms)
-    gram = petersson_gram(raw, QuadratureDomain(kind="strip", y0=0.8))
+    gram = petersson_gram(raw, QuadratureDomain())
     assert np.allclose(gram, gram.conj().T)
     assert np.all(np.linalg.eigvalsh(gram) > 0)
 
@@ -409,7 +404,7 @@ def test_orthonormalization_round_trip():
     coef = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
     raw = CuspFormBasis(forms=model_basis(12, coef.tolist(),
                                           orthonormal=False).forms)
-    domain = QuadratureDomain(kind="strip", y0=0.8)
+    domain = QuadratureDomain()
     raw.gram = petersson_gram(raw, domain)
     onb = orthonormal_basis(raw)
     regram = petersson_gram(onb, domain)

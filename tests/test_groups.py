@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from bergman.forms import model_basis
 from bergman.groups import (DEFAULT_C_GAMMA, BudgetExceeded, FuchsianGroup,
-                            Region, classify_region, enumerate_group_elements,
+                            cusp_threshold, enumerate_group_elements,
                             free_product_group, group_by_name, modular_cosets,
                             modular_group, translation_group, trivial_group,
                             walk_cosets)
 from bergman.kernel import coset_norm_bound
+from bergman.metric import BasisSource, ratio_scan
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, cosh2_half_distance)
 
@@ -100,13 +102,14 @@ def test_enumeration_input_validation():
 
 
 def test_region_split():
+    # the scan's region column: the cusp neighborhood is y >= threshold
     k = 10
     threshold = DEFAULT_C_GAMMA * math.log(k) / (2 * math.pi)
-    low = classify_region(UhpPoint(0, threshold * 0.9), k)
-    high = classify_region(UhpPoint(0, threshold), k)
-    assert low.tag is Region.COMPACT_PART
-    assert high.tag is Region.CUSP_NEIGHBORHOOD  # closed condition
-    assert high.threshold_height == pytest.approx(threshold)
+    grid = [UhpPoint(0, threshold * 0.9), UhpPoint(0, threshold)]
+    basis = model_basis(2 * k, [[1.0]])
+    (cols,), _ = ratio_scan(lambda kk: BasisSource(basis), [k], grid)
+    assert cols.cusp.tolist() == [False, True]  # closed condition
+    assert cusp_threshold(k) == pytest.approx(threshold)
 
 
 def test_free2_group_enumeration_exhaustive():

@@ -80,11 +80,10 @@ def test_parabolic_term_bound_frozen():
 
 
 def test_cx_constant_frozen_and_monotone():
-    assert cx_constant(1.0, 3).value == pytest.approx(26.70899296756098,
-                                                      rel=1e-12)
+    assert cx_constant(1.0, 3) == pytest.approx(26.70899296756098, rel=1e-12)
     # decreasing in k at fixed radius, zero at infinite radius
-    assert cx_constant(1.0, 20).value < cx_constant(1.0, 10).value
-    assert cx_constant(math.inf, 5).value == 0.0
+    assert cx_constant(1.0, 20) < cx_constant(1.0, 10)
+    assert cx_constant(math.inf, 5) == 0.0
     with pytest.raises(DomainError):
         cx_constant(0.0, 3)
 

@@ -7,9 +7,9 @@ import pytest
 from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
                            model_basis, orthonormal_basis, petersson_gram)
 import bergman.metric
-from bergman.groups import (BudgetExceeded, Region, free_product_group,
-                            group_by_name, modular_group, trivial_group,
-                            walk_cosets)
+from bergman.groups import (BudgetExceeded, cusp_threshold,
+                            free_product_group, group_by_name, modular_group,
+                            trivial_group, walk_cosets)
 from bergman.kernel import NORM_CAP, coset_norm_bound
 from bergman.metric import (BasisSource, ErrorBoundExceeded,
                             FirstCoefficientZero, KernelColumns,
@@ -18,7 +18,7 @@ from bergman.metric import (BasisSource, ErrorBoundExceeded,
                             cusp_ratio_expansion, DerivativeBundle,
                             fd_log_ratio, grid_points,
                             kernel_derivatives, kernel_lower_surrogate,
-                            prop8_bound, ratio_error_bound, ratio_scan)
+                            prop8_bound, ratio_parts, ratio_scan)
 from bergman.uhp import DomainError, UhpPoint
 
 
@@ -99,6 +99,13 @@ def test_vanishing_kernel_raises():
     bundle = DerivativeBundle(value=0.0, dz=0j, dzdzbar=0j)
     with pytest.raises(KernelVanishes):
         bergman_metric_ratio(bundle, UhpPoint(0.0, 1.0), 5)
+
+
+def test_ratio_refuses_weight_below_4():
+    # weight 2 (k = 1) is refused, as ratio_scan refuses it
+    bundle = DerivativeBundle(value=1.0, dz=0j, dzdzbar=0j)
+    with pytest.raises(DomainError, match="k must be >= 2"):
+        bergman_metric_ratio(bundle, UhpPoint(0.0, 1.0), 1)
 
 
 def test_single_form_collapse_to_k_over_2pi(delta_basis):
@@ -298,9 +305,9 @@ def _assert_columns_equal_batch_of_one(factory, ks, grid):
             assert t.errors[i] is None
             assert t.ratio[i] == one.ratio
             assert t.ratio_over_k2[i] == abs(one.ratio) / (k * k)
-            assert t.error_bound[i] == one.error_bound == ratio_error_bound(
-                kernel_derivatives(src, z), z)
-            assert t.cusp[i] == (one.region.tag is Region.CUSP_NEIGHBORHOOD)
+            assert t.error_bound[i] == one.error_bound == float(ratio_parts(
+                kernel_derivatives(src, z), z.y, 0)[2])
+            assert t.cusp[i] == (z.y >= cusp_threshold(k))
         assert s.flagged == sum(e is not None for e in t.errors)
     return refused
 
