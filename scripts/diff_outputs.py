@@ -5,8 +5,9 @@
 
 Runs a fixed list of commands in each checkout: every README command,
 ``scripts/run_scans.py``, all six ``verify`` suites, scans with
-flagged, budget-cut and refused rows or refused options, and forms
-files whose Gram is singular or does not converge.  Each command runs
+flagged, budget-cut and refused rows or refused options, forms files
+whose Gram is singular or does not converge, and forms files that the
+verify suites or the requested weights refuse.  Each command runs
 in a fresh working directory that holds a link to the checkout's
 ``data/``, the fixed tuple and forms files (``INPUTS``), with
 ``bergman`` imported from the checkout's ``src/``.  For every command
@@ -26,6 +27,18 @@ import tempfile
 from pathlib import Path
 
 FORMS = "data/delta_weight12.jsonl"
+
+
+def delta_squared(m: int) -> list:
+    """Coefficients b_1..b_m of Delta^2 = q^2 prod (1 - q^n)^48, exactly."""
+    e = [1] + [0] * m
+    for n in range(1, m + 1):
+        for _ in range(48):
+            for i in range(m, n - 1, -1):
+                e[i] -= e[i - n]
+    return [0] + e[:m - 1]
+
+
 INPUTS = {
     "tuples.jsonl": "[[0.1,0.9],[-0.2,1.4]]\n[[0.0,1.2],[0.3,0.8]]\n",
     # the first tuple's points are 1e-7 apart: refused as near-diagonal
@@ -50,6 +63,11 @@ INPUTS = {
     # a_m = e^(5.44 m): a Gram quadrature that does not converge
     "steep.jsonl": '{"label": "steep", "weight": 12, "coefficients": [%s]}\n'
                    % ", ".join(repr(math.exp(5.44 * m)) for m in range(1, 120)),
+    # Delta^2, weight 24: its first coefficient is 0
+    "delta2.jsonl": '{"label": "delta2", "weight": 24, "coefficients": [%s]}\n'
+                    % ", ".join(map(str, delta_squared(30))),
+    # weight 2, k = 1: below what the verify suites accept
+    "weight2.jsonl": '{"label": "w2", "weight": 2, "coefficients": [1.0, 0.5]}\n',
 }
 # (name, argv): argv after ``bergman``, or "run_scans" for the script
 COMMANDS = [
@@ -103,6 +121,16 @@ COMMANDS = [
                      "--grid=0,0,1,1,1,1", "--c-gamma", "nan"]),
     ("c-x-negative", ["ratio-scan", "--group", "modular", "--k", "6",
                       "--grid=0,0,1,1,1,1", "--c-x", "-1"]),
+    ("ingest-no-forms", ["ingest"]),
+    ("verify-prop9-zero-a1", ["verify", "--suite", "prop9", "--forms",
+                              "delta2.jsonl"]),
+] + [(f"verify-weight2-{suite}", ["verify", "--suite", suite, "--forms",
+                                  "weight2.jsonl"])
+     for suite in ("lemma4", "prop9")] + [
+    ("ratio-scan-forms-two-weights", ["ratio-scan", "--forms", FORMS, "--k",
+                                      "6,8", "--grid=0,0,1,1,1,1"]),
+    ("sym-scan-forms-two-weights", ["sym-scan", "--forms", FORMS, "--k", "6,8",
+                                    "--d", "2", "--tuples", "tuples.jsonl"]),
 ]
 
 

@@ -12,8 +12,8 @@ from .uhp import MoebiusTransform, UhpPoint, apply_moebius, hyp_distance
 from .groups import FuchsianGroup, enumerate_group_elements, group_by_name
 from .kernel import KernelEvaluation, bergman_kernel_diagonal
 from .forms import CuspFormBasis, delta_form, orthonormal_basis, petersson_gram
-from .metric import (BoundLedger, RatioSample, bergman_metric_ratio,
-                     bound_ledger, kernel_derivatives, ratio_scan)
+from .metric import (BoundLedger, bound_ledger, kernel_derivatives,
+                     ratio_parts, ratio_scan)
 from .symprod import (Divisor, FSVolumeSample, SubspaceFrame, dimensions,
                       fs_form_direct_oracle, fs_form_formula,
                       vanishing_subspace, volume_ratio_scan)
@@ -23,8 +23,8 @@ __all__ = [
     "FuchsianGroup", "enumerate_group_elements", "group_by_name",
     "KernelEvaluation", "bergman_kernel_diagonal",
     "CuspFormBasis", "delta_form", "orthonormal_basis", "petersson_gram",
-    "BoundLedger", "RatioSample", "bergman_metric_ratio", "bound_ledger",
-    "kernel_derivatives", "ratio_scan",
+    "BoundLedger", "bound_ledger", "kernel_derivatives", "ratio_parts",
+    "ratio_scan",
     "Divisor", "FSVolumeSample", "SubspaceFrame", "dimensions",
     "fs_form_direct_oracle", "fs_form_formula", "vanishing_subspace",
     "volume_ratio_scan",

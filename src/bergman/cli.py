@@ -23,9 +23,9 @@ from .forms import (CuspFormBasis, GramSingular, QuadratureDomain,
                     model_basis, orthonormal_basis, petersson_gram, save_forms)
 from .groups import DEFAULT_BUDGET, DEFAULT_C_GAMMA, Region, group_by_name
 from .kernel import bergman_kernel_diagonal, parabolic_term_bound
-from .metric import (BasisSource, PoincareSource,
-                     RATIO_LIMIT, bergman_metric_ratio, fd_log_ratio,
-                     grid_points, kernel_derivatives, ratio_scan)
+from .metric import (BasisSource, KernelVanishes, PoincareSource,
+                     RATIO_LIMIT, fd_log_ratio, grid_points, ratio_parts,
+                     ratio_scan)
 from .symprod import fs_form_direct_oracle, fs_form_formula, volume_ratio_scan
 from .uhp import DomainError, UhpPoint
 
@@ -172,14 +172,18 @@ class RunConfig:
                               f"least 1")
         return grid_points(x0, x1, y0, y1, nx, ny)
 
-    def raw_basis(self) -> CuspFormBasis:
-        """The --forms file's basis with its Petersson Gram; a quadrature
-        that does not converge is an error naming the file."""
+    def forms_path(self) -> str:
+        """The --forms file, which must be given and exist."""
         if self.forms is None:
             raise ConfigError("this command needs --forms")
         if not os.path.exists(self.forms):
             raise ConfigError(f"forms file not found: {self.forms}")
-        raw = CuspFormBasis(forms=load_forms(self.forms))
+        return self.forms
+
+    def raw_basis(self) -> CuspFormBasis:
+        """The --forms file's basis with its Petersson Gram; a quadrature
+        that does not converge is an error naming the file."""
+        raw = CuspFormBasis(forms=load_forms(self.forms_path()))
         try:
             raw.gram = petersson_gram(raw, QuadratureDomain())
         except QuadratureNotConverged as exc:
@@ -193,6 +197,12 @@ class RunConfig:
             return orthonormal_basis(self.raw_basis())
         except GramSingular as exc:
             raise DomainError(f"{self.forms}: {exc}") from None
+
+    def check_weight(self, basis: CuspFormBasis):
+        """Refuse a --k list that asks for a weight the forms do not have."""
+        for k in self.k_values():
+            if k != basis.k:
+                raise ConfigError(f"forms have k={basis.k}, requested {k}")
 
 
 def _emit(text: str, path: Optional[str]):
@@ -215,9 +225,7 @@ def _cell(text: str) -> str:
 # Subcommands
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    if cfg.forms is None or not os.path.exists(cfg.forms or ""):
-        raise ConfigError(f"forms file not found: {cfg.forms}")
-    forms = load_forms(cfg.forms)
+    forms = load_forms(cfg.forms_path())
     basis = CuspFormBasis(forms=forms)
     report = {
         "forms": len(forms),
@@ -270,21 +278,15 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
     grid = cfg.grid_spec()
     if cfg.forms:
         basis = cfg.basis()
-        route = "basis"
-
-        def factory(k):
-            if basis.k != k:
-                raise ConfigError(f"forms have k={basis.k}, requested {k}")
-            return BasisSource(basis)
+        cfg.check_weight(basis)
+        route, sources = "basis", [BasisSource(basis)]
     else:
         group = group_by_name(cfg.group)
         route = "poincare"
-
-        def factory(k):
-            return PoincareSource(group, k, cfg.budget)
-
-    tables, summaries = ratio_scan(factory, cfg.k_values(), grid,
-                                   cfg.c_gamma, cfg.c_x, tol=cfg.tol)
+        sources = [PoincareSource(group, k, cfg.budget)
+                   for k in cfg.k_values()]
+    tables, summaries = ratio_scan(sources, grid, cfg.c_gamma, cfg.c_x,
+                                   tol=cfg.tol)
     xs, ys = [z.x for z in grid], [z.y for z in grid]
     regions = (Region.COMPACT_PART.value, Region.CUSP_NEIGHBORHOOD.value)
     text = "k,x,y,region,route,ratio,ratio_over_k2,bound,bound_ok,error\n"
@@ -359,40 +361,49 @@ def _load_tuples(cfg: RunConfig) -> np.ndarray:
 
 def cmd_sym_scan(cfg: RunConfig) -> int:
     basis = cfg.basis()
-
-    def basis_by_k(k):
-        if basis.k != k:
-            raise ConfigError(f"forms have k={basis.k}, requested {k}")
-        return basis
-
     pts = _load_tuples(cfg)
-    tables, summaries = volume_ratio_scan(basis_by_k, pts, cfg.k_values())
-    # x_1, y_1, ..., x_d, y_d as columns, shared by every weight's rows
+    cfg.check_weight(basis)
+    t, s = volume_ratio_scan(basis, pts)
+    # x_1, y_1, ..., x_d, y_d as columns
     coords = [c for z in pts.T for c in (z.real.tolist(), z.imag.tolist())]
     tuple_cell = ";".join([f"{FMT}+{FMT}i"] * pts.shape[1])
-    text = "k,tuple,route,ratio,ratio_over_k2d,degenerate,error\n"
-    for t in tables:
-        # one template per weight: k and the route are fixed in it
-        line = f"{t.k},{tuple_cell},formula,{FMT},{FMT},%d,%s\n"
-        text += "".join(line % row for row in zip(
+    # one template: k and the route are fixed in it
+    line = f"{t.k},{tuple_cell},formula,{FMT},{FMT},%d,%s\n"
+    text = "k,tuple,route,ratio,ratio_over_k2d,degenerate,error\n" + "".join(
+        line % row for row in zip(
             *coords, t.ratio.tolist(), t.ratio_over_k2d.tolist(),
             t.degenerate.tolist(), [_cell(e) if e else "" for e in t.errors]))
-    summary = f"# k=%d d=%d sup={FMT} limit={FMT} flagged=%d within=%s\n"
-    text += "".join(summary % (s.k, s.d, s.sup_ratio_over_k2d, s.limit,
-                               s.flagged, s.within_limit) for s in summaries)
+    text += (f"# k=%d d=%d sup={FMT} limit={FMT} flagged=%d within=%s\n"
+             % (s.k, s.d, s.sup_ratio_over_k2d, s.limit, s.flagged,
+                s.within_limit))
     _emit(text, cfg.out)
-    return 0 if all(s.within_limit and not s.flagged for s in summaries) else 1
+    return 0 if s.within_limit and not s.flagged else 1
 
 
 # ---------------------------------------------------------------------------
 # Verification suites
 
 def _delta_basis(cfg: RunConfig) -> CuspFormBasis:
+    """The --forms basis, or Delta without it; the suites need k >= 2."""
     if cfg.forms:
-        return cfg.basis()
+        basis = cfg.basis()
+        if basis.k < 2:
+            raise DomainError("k must be >= 2")
+        return basis
     raw = CuspFormBasis(forms=[delta_form()])
     raw.gram = petersson_gram(raw, QuadratureDomain())
     return orthonormal_basis(raw)
+
+
+def _basis_ratios(basis: CuspFormBasis, grid):
+    """The basis route's ratios and corrections at the grid points, as
+    lists; a kernel value of at most 1e-300 refuses the suite."""
+    cols = BasisSource(basis).bundles(grid)
+    for z, value in zip(grid, cols.value.tolist()):
+        if value <= 1e-300:
+            raise KernelVanishes(f"kernel value {value} at {z}")
+    ratio, corr, _ = ratio_parts(cols, np.array([z.y for z in grid]), basis.k)
+    return ratio.tolist(), corr.tolist()
 
 
 def suite_kernel_oracle(cfg: RunConfig):
@@ -405,12 +416,12 @@ def suite_kernel_oracle(cfg: RunConfig):
         return dev == 0.0, {"deviation": dev}, {"deviation": 0.0}
     basis = _delta_basis(cfg)
     k = basis.k
-    src = BasisSource(basis)
     worst = 0.0
     points = [UhpPoint(0.0, 1.0), UhpPoint(0.5, math.sqrt(3) / 2)]
-    for z in points:
+    values = BasisSource(basis).bundles(points).value.tolist()
+    for z, value in zip(points, values):
         ev = bergman_kernel_diagonal(group, z, k, cfg.bound, cfg.budget)
-        ref = kernel_derivatives(src, z).value * z.y ** (2 * k)
+        ref = value * z.y ** (2 * k)
         worst = max(worst, abs(ev.value_diagonal - ref) / abs(ref))
     return worst <= cfg.tol, {"max_rel_deviation": worst}, {"rel": cfg.tol}
 
@@ -418,11 +429,10 @@ def suite_kernel_oracle(cfg: RunConfig):
 def suite_lemma4(cfg: RunConfig):
     basis = _delta_basis(cfg)
     src = BasisSource(basis)
-    k = basis.k
+    grid = grid_points(-0.4, 0.4, 0.8, 2.4, 5, 5)
     worst = 0.0
-    for z in grid_points(-0.4, 0.4, 0.8, 2.4, 5, 5):
-        r1 = bergman_metric_ratio(kernel_derivatives(src, z), z, k).ratio
-        r2 = fd_log_ratio(src, z, k)
+    for z, r1 in zip(grid, _basis_ratios(basis, grid)[0]):
+        r2 = fd_log_ratio(src, z, basis.k)
         worst = max(worst, abs(r1 - r2) / max(abs(r1), 1e-12))
     return worst <= cfg.tol, {"max_two_route_rel": worst}, {"rel": cfg.tol}
 
@@ -442,13 +452,11 @@ def suite_prop3(cfg: RunConfig):
 
 
 def suite_prop9(cfg: RunConfig):
-    from .metric import cusp_ratio_expansion
     basis = _delta_basis(cfg)
-    k = basis.k
-    betas = []
-    for y in (4.0, 6.0, 8.0):
-        s = cusp_ratio_expansion(basis, UhpPoint(0.1, y), k)
-        betas.append(abs(s.correction))
+    if not basis.coefficients[:, 0].any():
+        raise DomainError(f"{cfg.forms}: sum |a_{{j,1}}|^2 vanishes")
+    _, corr = _basis_ratios(basis, [UhpPoint(0.1, y) for y in (4.0, 6.0, 8.0)])
+    betas = [abs(c) for c in corr]
     if max(betas) < 1e-12:
         return True, {"betas": betas, "degenerate_basis": True}, {"abs": 1e-12}
     decreasing = betas[0] >= betas[1] >= betas[2]
@@ -460,14 +468,9 @@ def suite_prop9(cfg: RunConfig):
 
 
 def suite_thm10(cfg: RunConfig):
-    basis = _delta_basis(cfg)
-    k = basis.k
-
-    def factory(kk):
-        return BasisSource(basis)
-
     grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
-    _, summaries = ratio_scan(factory, [k], grid, cfg.c_gamma, cfg.c_x)
+    _, summaries = ratio_scan([BasisSource(_delta_basis(cfg))], grid,
+                              cfg.c_gamma, cfg.c_x)
     s = summaries[0]
     return s.within_limit, \
         {"sup_ratio_over_k2": s.sup_ratio_over_k2,

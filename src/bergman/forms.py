@@ -220,41 +220,17 @@ def model_basis(weight: int, coefficient_rows: Sequence[Sequence[complex]],
 
 @lru_cache(maxsize=None)
 def ramanujan_tau(m_max: int) -> tuple:
-    """tau(1..m_max) from the 24th power of the Euler product."""
-    # Euler function via pentagonal number theorem
-    euler = [0] * (m_max + 1)
-    euler[0] = 1
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 > m_max:
-            break
-        sign = -1 if j % 2 else 1
-        if g1 <= m_max:
-            euler[g1] += sign
-        if g2 <= m_max:
-            euler[g2] += sign
-        j += 1
-
-    def mult(p, q):
-        out = [0] * (m_max + 1)
-        for i, pi in enumerate(p):
-            if pi == 0:
-                continue
-            for jj, qj in enumerate(q):
-                if i + jj > m_max:
-                    break
-                out[i + jj] += pi * qj
-        return out
-
-    e2 = mult(euler, euler)
-    e4 = mult(e2, e2)
-    e8 = mult(e4, e4)
-    e16 = mult(e8, e8)
-    e24 = mult(e16, e8)
-    # Delta = q * e24: tau(m) = e24[m-1]
-    return tuple(e24[m - 1] for m in range(1, m_max + 1))
+    """tau(1..m_max): Delta = q prod (1 - q^n)^24 = q (prod (1 - q^n)^3)^8."""
+    # coefficients of q^0..q^(m_max-1); each factor 1 - q^n multiplies
+    # in place, high powers first, three times
+    e = [1] + [0] * (m_max - 1)
+    for n in range(1, m_max):
+        for _ in range(3):
+            for i in range(m_max - 1, n - 1, -1):
+                e[i] -= e[i - n]
+    for _ in range(3):  # the eighth power by three squarings
+        e = [sum(e[j] * e[i - j] for j in range(i + 1)) for i in range(m_max)]
+    return tuple(e)
 
 
 def delta_form(m_max: int = 200) -> QExpansionForm:
@@ -397,13 +373,11 @@ def petersson_gram(basis: CuspFormBasis,
     return 0.5 * (fine + fine.conj().T)
 
 
-def orthonormal_basis(basis: CuspFormBasis,
-                      gram: Optional[np.ndarray] = None) -> CuspFormBasis:
-    """Coefficient-level change of basis making the Gram the identity."""
-    g = gram if gram is not None else basis.gram
-    if g is None:
+def orthonormal_basis(basis: CuspFormBasis) -> CuspFormBasis:
+    """Coefficient-level change of basis making ``basis.gram`` the identity."""
+    if basis.gram is None:
         raise DomainError("gram matrix not computed")
-    g = np.asarray(g, dtype=complex)
+    g = np.asarray(basis.gram, dtype=complex)
     ev = np.linalg.eigvalsh(g)
     if ev[0] < 1e-12 * max(ev[-1], 1e-300):
         raise GramSingular(f"smallest eigenvalue ratio {ev[0] / ev[-1]:.3e}")
@@ -437,13 +411,6 @@ def basis_weight0_bundle(basis: CuspFormBasis, z: UhpPoint):
     """Weight-0 kernel B(z) = sum |f_j|^2 and its Wirtinger derivatives."""
     value, d1, d2 = basis_weight0_grid(basis, np.array([z.z]))
     return float(value[0]), complex(d1[0]), float(d2[0])
-
-
-def first_coefficient_mass(basis: CuspFormBasis) -> float:
-    """Sum of |a_{j,1}|^2 over an orthonormal basis."""
-    if not basis.orthonormal_flag:
-        raise DomainError("basis must be orthonormal")
-    return float(sum(abs(complex(f.coefficients[0])) ** 2 for f in basis.forms))
 
 
 # ---------------------------------------------------------------------------

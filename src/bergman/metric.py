@@ -2,8 +2,8 @@
 
 The ratio at a point is k/(2*pi) plus a correction built from Wirtinger
 derivatives of the weight-0 kernel; the bound ledger collects every
-explicit constant; the cusp expansion checks the y^2 exp(-2*pi*y)
-decay; the scan table compares sup |ratio|/k^2 against 26/pi.
+explicit constant; the scan table compares sup |ratio|/k^2 against
+26/pi.
 """
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import (CuspFormBasis, basis_weight0_bundle, basis_weight0_grid,
-                    first_coefficient_mass)
+from .forms import CuspFormBasis, basis_weight0_bundle, basis_weight0_grid
 from .groups import (
     DEFAULT_BUDGET,
     DEFAULT_C_GAMMA,
@@ -50,10 +49,6 @@ class ErrorBoundExceeded(RuntimeError):
     """The ratio's error bound exceeds the requested tolerance."""
 
 
-class FirstCoefficientZero(RuntimeError):
-    pass
-
-
 @dataclass
 class DerivativeBundle:
     value: float            # weight-0 kernel B(z)
@@ -73,16 +68,6 @@ class KernelColumns:
     dzdzbar: np.ndarray
     errors: np.ndarray
     refusals: list
-
-
-@dataclass
-class RatioSample:
-    z: UhpPoint
-    k: int
-    ratio: float
-    identity_part: float
-    correction: float
-    error_bound: float = 0.0
 
 
 @dataclass
@@ -213,18 +198,6 @@ def ratio_parts(bundle, y, k: int):
     return k / (2.0 * math.pi) + corr, corr, bound
 
 
-def bergman_metric_ratio(bundle: DerivativeBundle, z: UhpPoint,
-                         k: int) -> RatioSample:
-    """Ratio of Bergman to hyperbolic metric from a derivative bundle."""
-    if bundle.value <= 1e-300:
-        raise KernelVanishes(f"kernel value {bundle.value} at {z}")
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    ratio, corr, bound = map(float, ratio_parts(bundle, z.y, k))
-    return RatioSample(z=z, k=k, ratio=ratio, identity_part=k / (2.0 * math.pi),
-                       correction=corr, error_bound=bound)
-
-
 def fd_log_ratio(source, z: UhpPoint, k: int) -> float:
     """Independent route: -(y^2 / 4 pi) Laplacian of log(y^(2k) B(z)).
 
@@ -298,18 +271,6 @@ def kernel_lower_surrogate(k: int, measured_min: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cusp expansion
-
-def cusp_ratio_expansion(basis: CuspFormBasis, z: UhpPoint,
-                         k: int) -> RatioSample:
-    """Ratio through the q-expansion route in the cusp neighborhood."""
-    if first_coefficient_mass(basis) <= 0.0:
-        raise FirstCoefficientZero("sum |a_{j,1}|^2 vanishes")
-    bundle = kernel_derivatives(BasisSource(basis), z)
-    return bergman_metric_ratio(bundle, z, k)
-
-
-# ---------------------------------------------------------------------------
 # Scan
 
 @dataclass
@@ -343,23 +304,24 @@ def grid_points(x0: float, x1: float, y0: float, y1: float,
     return [UhpPoint(x, y) for y in ys for x in xs]
 
 
-def ratio_scan(source_factory, k_list: Sequence[int], grid: Sequence[UhpPoint],
+def ratio_scan(sources, grid: Sequence[UhpPoint],
                c_gamma: float = DEFAULT_C_GAMMA, c_x: float = 0.0,
                tol: float = 1e-5):
     """Per-weight ratio columns plus per-k sup |ratio|/k^2 summaries.
 
-    ``source_factory(k)`` returns a kernel source for each weight.  The
-    source gives the columns of the whole grid (``bundles``), a point's
-    numbers depending on that point alone, and ``ratio_parts`` the ratio
-    at every point.  A point is refused, in this order, by the source,
-    when B <= 1e-300 (``KernelVanishes``), or when its ratio error bound
-    exceeds ``tol`` times max(|ratio|, k/(2 pi)) (``ErrorBoundExceeded``).
-    Returns one ``ScanColumns`` per weight.
+    Each kernel source, of weight ``source.k``, gives the columns of the
+    whole grid (``bundles``), a point's numbers depending on that point
+    alone, and ``ratio_parts`` the ratio at every point.  A point is
+    refused, in this order, by the source, when B <= 1e-300
+    (``KernelVanishes``), or when its ratio error bound exceeds ``tol``
+    times max(|ratio|, k/(2 pi)) (``ErrorBoundExceeded``).  Returns one
+    ``ScanColumns`` per source.
     """
     y = np.array([z.y for z in grid])
     tables, summaries = [], []
-    for k in k_list:
-        cols = source_factory(k).bundles(grid)
+    for source in sources:
+        k = source.k
+        cols = source.bundles(grid)
         ratio, _, err = ratio_parts(cols, y, k)
         threshold = cusp_threshold(k, c_gamma)
         vanishes = cols.value <= 1e-300

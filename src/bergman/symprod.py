@@ -402,34 +402,32 @@ class SymScanSummary:
     flagged: int            # rows of this weight carrying an error
 
 
-def volume_ratio_scan(basis_by_k, pts: np.ndarray, k_list: Sequence[int]):
-    """fs_volume_ratio / k^(2d) per tuple and per k, against (26/pi)^d.
+def volume_ratio_scan(basis: CuspFormBasis, pts: np.ndarray):
+    """fs_volume_ratio / k^(2d) per tuple at the basis's weight k, against
+    (26/pi)^d.
 
-    ``pts`` holds the T tuples as a T x d complex array.  Each weight's
-    tuples are one stack (``fs_form_batch``) and give one
-    ``SymScanColumns``; a refused tuple is recorded in its row.
+    ``pts`` holds the T tuples as a T x d complex array.  The tuples are
+    one stack (``fs_form_batch``) and give one ``SymScanColumns`` and its
+    ``SymScanSummary``; a refused tuple is recorded in its row.
     """
     if np.ndim(pts) != 2:
         raise DomainError(f"tuples must form a T x d array, got shape "
                           f"{np.shape(pts)}")
     t, d = pts.shape
-    tables, summaries = [], []
-    for k in k_list:
-        basis = basis_by_k(k)
-        try:
-            cols = fs_form_batch(basis, pts, k)
-            ratio, refusals = cols.volume, cols.refusals
-            degenerate = cols.degenerate
-        except Exception as exc:  # a refused basis refuses every tuple
-            ratio, refusals, degenerate = np.full(t, np.nan), [exc] * t, False
-        errors = [None if e is None else f"{type(e).__name__}: {e}"
-                  for e in refusals]
-        ok = np.array([e is None for e in errors], dtype=bool)
-        over = np.abs(ratio) / float(k ** (2 * d))
-        # a weight whose rows are all flagged has no sup to pass
-        sup = float(np.max(over[ok & ~np.isnan(over)], initial=-np.inf))
-        limit = RATIO_LIMIT ** d
-        tables.append(SymScanColumns(k, ratio, over, ok & degenerate, errors))
-        summaries.append(SymScanSummary(
-            k, d, sup, limit, -math.inf < sup <= limit, t - int(ok.sum())))
-    return tables, summaries
+    k = basis.k
+    try:
+        cols = fs_form_batch(basis, pts, k)
+        ratio, refusals = cols.volume, cols.refusals
+        degenerate = cols.degenerate
+    except Exception as exc:  # a refused basis refuses every tuple
+        ratio, refusals, degenerate = np.full(t, np.nan), [exc] * t, False
+    errors = [None if e is None else f"{type(e).__name__}: {e}"
+              for e in refusals]
+    ok = np.array([e is None for e in errors], dtype=bool)
+    over = np.abs(ratio) / float(k ** (2 * d))
+    # a scan whose rows are all flagged has no sup to pass
+    sup = float(np.max(over[ok & ~np.isnan(over)], initial=-np.inf))
+    limit = RATIO_LIMIT ** d
+    return (SymScanColumns(k, ratio, over, ok & degenerate, errors),
+            SymScanSummary(k, d, sup, limit, -math.inf < sup <= limit,
+                           t - int(ok.sum())))

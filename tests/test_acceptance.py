@@ -19,9 +19,8 @@ from bergman.groups import (enumerate_group_elements, modular_group,
 from bergman.kernel import (bergman_kernel_diagonal, identity_term,
                             parabolic_term_bound)
 from bergman.metric import (BasisSource, PoincareSource, RATIO_LIMIT,
-                            bergman_metric_ratio, cusp_ratio_expansion,
                             fd_log_ratio, grid_points, kernel_derivatives,
-                            ratio_scan)
+                            ratio_parts, ratio_scan)
 from bergman.symprod import (dimensions, fs_form_direct_oracle,
                              fs_form_formula, volume_ratio_scan)
 from bergman.uhp import UhpPoint, apply_moebius, hyp_distance
@@ -81,13 +80,13 @@ def test_03_lemma4_two_routes(delta_basis):
     worst_basis = 0.0
     bsrc = BasisSource(delta_basis)
     for z in grid:
-        r1 = bergman_metric_ratio(kernel_derivatives(bsrc, z), z, 6).ratio
+        r1 = ratio_parts(kernel_derivatives(bsrc, z), z.y, 6)[0]
         r2 = fd_log_ratio(bsrc, z, 6)
         worst_basis = max(worst_basis, abs(r1 - r2) / abs(r1))
     worst_poincare = 0.0
     psrc = PoincareSource(modular_group(), 6)
     for z in grid[::10]:  # one column; each point shares one truncation
-        r1 = bergman_metric_ratio(kernel_derivatives(psrc, z), z, 6).ratio
+        r1 = ratio_parts(kernel_derivatives(psrc, z), z.y, 6)[0]
         r2 = fd_log_ratio(psrc, z, 6)
         worst_poincare = max(worst_poincare, abs(r1 - r2) / abs(r1))
     elapsed = time.monotonic() - start
@@ -104,8 +103,8 @@ def test_04_one_dimensional_collapse(delta_basis):
     for _ in range(100):
         z = UhpPoint(float(rng.uniform(-0.5, 0.5)),
                      float(rng.uniform(0.4, 4.0)))
-        sample = bergman_metric_ratio(kernel_derivatives(src, z), z, 6)
-        worst = max(worst, abs(sample.ratio - 6 / (2 * math.pi)))
+        ratio = ratio_parts(kernel_derivatives(src, z), z.y, 6)[0]
+        worst = max(worst, abs(ratio - 6 / (2 * math.pi)))
     report(4, "one-dimensional collapse", worst <= 1e-10,
            f"max |ratio - k/2pi| {worst:.3e} over 100 points")
 
@@ -134,12 +133,16 @@ def test_06_prop9_decay(delta_basis):
     # the shipped space is one-dimensional, so beta vanishes
     # identically (degenerate case of the decay bound); the synthetic
     # multi-form model exercises the genuine decay path
-    betas = [abs(cusp_ratio_expansion(delta_basis, UhpPoint(0.1, y), 6)
-                 .correction) for y in (4.0, 6.0, 8.0)]
+    def betas_at(basis, heights):
+        grid = [UhpPoint(0.1, y) for y in heights]
+        corr = ratio_parts(BasisSource(basis).bundles(grid),
+                           np.array(heights), 6)[1]
+        return [abs(c) for c in corr.tolist()]
+
+    betas = betas_at(delta_basis, (4.0, 6.0, 8.0))
     degenerate_ok = max(betas) < 1e-12
     synth = model_basis(12, [[1.0, 0.4, 0.1], [0.0, 1.0, -0.2]])
-    sb = [abs(cusp_ratio_expansion(synth, UhpPoint(0.1, y), 6).correction)
-          for y in (1.2, 1.6, 2.0)]
+    sb = betas_at(synth, (1.2, 1.6, 2.0))
     envs = [y * y * math.exp(-2 * math.pi * y) for y in (1.2, 1.6, 2.0)]
     quot = [b / e for b, e in zip(sb, envs)]
     synth_ok = sb[0] > sb[1] > sb[2] and max(quot) / quot[0] <= 2.0
@@ -151,7 +154,7 @@ def test_06_prop9_decay(delta_basis):
 
 def test_07_thm10_scan(delta_basis):
     grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
-    _, summaries = ratio_scan(lambda k: BasisSource(delta_basis), [6], grid)
+    _, summaries = ratio_scan([BasisSource(delta_basis)], grid)
     delta_ok = summaries[0].within_limit
     sup_delta = summaries[0].sup_ratio_over_k2
 
@@ -160,7 +163,7 @@ def test_07_thm10_scan(delta_basis):
     small = grid_points(-0.4, 0.4, 0.7, 3.0, 6, 6)
     ks = list(range(2, 51))
     _, synth_sum = ratio_scan(
-        lambda k: BasisSource(model_basis(2 * k, coef.tolist())), ks, small)
+        [BasisSource(model_basis(2 * k, coef.tolist())) for k in ks], small)
     synth_ok = all(s.within_limit for s in synth_sum)
     worst_synth = max(s.sup_ratio_over_k2 for s in synth_sum)
     report(7, "Theorem 10 scan", delta_ok and synth_ok,
@@ -214,26 +217,25 @@ def test_10_thm11_scan(delta_basis):
     coef = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
     basis = model_basis(8, coef.tolist())
     pts = [UhpPoint(x, y) for x in (-0.25, 0.0, 0.25) for y in (0.7, 1.1, 1.6)]
-    singles, _ = volume_ratio_scan(lambda k: basis,
-                                   np.array([[p.z] for p in pts]), [4])
-    one = dict(zip(pts, singles[0].ratio.tolist()))
+    singles, _ = volume_ratio_scan(basis, np.array([[p.z] for p in pts]))
+    one = dict(zip(pts, singles.ratio.tolist()))
     sup_sep = max(abs(one[p] * one[q]) / 4 ** 4 for p in pts for q in pts)
-    sup1 = max(singles[0].ratio_over_k2d.tolist())
+    sup1 = max(singles.ratio_over_k2d.tolist())
     sep_rel = abs(sup_sep - sup1 ** 2) / sup1 ** 2
     # Delta-based d = 2 scan on a 5x5 grid of tuple slots (n_k = 1 < d:
     # the degenerate product fallback, flagged in the rows)
     grid5 = grid_points(-0.4, 0.4, 0.7, 3.0, 5, 5)
     tuples2 = [(p, q) for p in grid5 for q in grid5
                if hyp_distance(p, q) > 1e-2]
-    tables, dsum = volume_ratio_scan(
-        lambda k: delta_basis, np.array([[p.z, q.z] for p, q in tuples2]), [6])
-    delta_ok = dsum[0].within_limit and all(
-        degenerate for degenerate, error in zip(tables[0].degenerate.tolist(),
-                                                tables[0].errors)
+    cols, dsum = volume_ratio_scan(
+        delta_basis, np.array([[p.z, q.z] for p, q in tuples2]))
+    delta_ok = dsum.within_limit and all(
+        degenerate for degenerate, error in zip(cols.degenerate.tolist(),
+                                                cols.errors)
         if error is None)
     report(10, "Theorem 11 scan", sep_rel <= 1e-8 and delta_ok,
            f"separable factorization rel {sep_rel:.2e}; delta d=2 sup/k^4 "
-           f"{dsum[0].sup_ratio_over_k2d:.3e} <= {dsum[0].limit:.3f}")
+           f"{dsum.sup_ratio_over_k2d:.3e} <= {dsum.limit:.3f}")
 
 
 def test_11_determinism(tmp_path):

@@ -10,6 +10,7 @@ from dataclasses import fields
 import pytest
 
 from bergman.cli import FMT, ConfigError, RunConfig, _load_tuples, main
+from bergman.forms import ramanujan_tau
 from bergman.uhp import UhpPoint
 from test_symprod import per_tuple_formula
 
@@ -186,6 +187,59 @@ def test_missing_forms_exits_2(capsys):
     code = main(["verify", "--suite", "lemma4", "--forms", "/no/such.jsonl"])
     assert code == 2
     assert "/no/such.jsonl" in capsys.readouterr().err
+
+
+def test_ingest_without_forms_exits_2(capsys):
+    assert main(["ingest"]) == 2
+    assert capsys.readouterr() == ("", "error: this command needs --forms\n")
+
+
+def _forms(path, weight, rows):
+    """A forms file of the given weight, one form per coefficient row."""
+    path.write_text("".join(
+        json.dumps({"label": f"f{i}", "weight": weight, "coefficients": row})
+        + "\n" for i, row in enumerate(rows)))
+    return path
+
+
+def test_verify_suites_refuse_weight_2(tmp_path, capsys):
+    # k = 1: the suites' ratios need k >= 2, whatever --k says
+    forms = _forms(tmp_path / "w2.jsonl", 2, [[1.0, 0.5]])
+    for suite in ("kernel-oracle", "lemma4", "prop9", "thm10"):
+        assert main(["verify", "--suite", suite, "--forms", str(forms)]) == 2
+        assert capsys.readouterr() == ("", "error: k must be >= 2\n")
+
+
+def test_verify_prop9_refuses_zero_first_coefficient(tmp_path, capsys):
+    # Delta^2 (weight 24) starts at q^2: sum |a_(j,1)|^2 over the
+    # orthonormalized forms vanishes, so Prop 9's decay has no leading term
+    tau = (0,) + ramanujan_tau(40)
+    square = [sum(tau[i] * tau[m - i] for i in range(m + 1))
+              for m in range(1, 41)]
+    forms = _forms(tmp_path / "delta2.jsonl", 24, [square])
+    assert main(["verify", "--suite", "prop9", "--forms", str(forms)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {forms}: sum |a_{{j,1}}|^2 vanishes\n")
+    # one form with a_1 != 0 is enough: the suite runs
+    forms = _forms(tmp_path / "two.jsonl", 12, [[1.0, 2.0], [0.0, 1.0]])
+    assert main(["verify", "--suite", "prop9", "--forms", str(forms)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("ratio-scan", [], "forms have k=6, requested 8"),
+    ("sym-scan", [], "forms have k=6, requested 8"),
+    ("sym-scan", ["--tuples", "short.jsonl"], "tuple has 1 points, --d is 2"),
+], ids=["ratio-scan", "sym-scan", "sym-scan-tuples-first"])
+def test_forms_weight_mismatch_exits_2(tmp_path, monkeypatch, capsys, command,
+                                       args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.jsonl").write_text("[[0.1,0.9]]\n")
+    code = main([command, "--forms", str(DATA), "--k", "6,8", "--d", "2",
+                 "--grid=-0.2,0.2,1,1.5,2,2", "--out", "out.csv"] + args)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_unknown_suite_exits_2(capsys):

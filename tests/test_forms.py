@@ -16,7 +16,7 @@ from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
                            GRAM_CHUNK,
                            basis_weight0_bundle, basis_weight0_grid, delta_form,
                            evaluate_q_expansion,
-                           first_coefficient_mass, gauss_legendre, load_forms,
+                           gauss_legendre, load_forms,
                            model_basis, modularity_defect, orthonormal_basis,
                            petersson_gram, q_powers, ramanujan_tau,
                            save_forms, scaled_upper_gamma)
@@ -414,9 +414,9 @@ def test_orthonormalization_round_trip():
 
 def test_orthonormalization_rejects_singular_gram():
     basis = model_basis(12, [[1.0, 0.0], [1.0, 0.0]], orthonormal=False)
-    gram = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+    basis.gram = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(GramSingular):
-        orthonormal_basis(basis, gram)
+        orthonormal_basis(basis)
 
 
 def test_kernel_routes_agree_for_modular_group():
@@ -430,13 +430,6 @@ def test_kernel_routes_agree_for_modular_group():
         series = bergman_kernel_diagonal(group, z, 6,
                                          displacement_bound=300.0)
         assert series.value_diagonal == pytest.approx(direct, rel=1e-6)
-
-
-def test_first_coefficient_mass():
-    basis = model_basis(12, [[1.0, 2.0], [0.0, 1.0]])
-    assert first_coefficient_mass(basis) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        first_coefficient_mass(model_basis(12, [[1.0]], orthonormal=False))
 
 
 def test_forms_io_round_trip(tmp_path):

@@ -107,7 +107,7 @@ def test_region_split():
     threshold = DEFAULT_C_GAMMA * math.log(k) / (2 * math.pi)
     grid = [UhpPoint(0, threshold * 0.9), UhpPoint(0, threshold)]
     basis = model_basis(2 * k, [[1.0]])
-    (cols,), _ = ratio_scan(lambda kk: BasisSource(basis), [k], grid)
+    (cols,), _ = ratio_scan([BasisSource(basis)], grid)
     assert cols.cusp.tolist() == [False, True]  # closed condition
     assert cusp_threshold(k) == pytest.approx(threshold)
 

@@ -11,11 +11,10 @@ from bergman.groups import (BudgetExceeded, cusp_threshold,
                             free_product_group, group_by_name, modular_group,
                             trivial_group, walk_cosets)
 from bergman.kernel import NORM_CAP, coset_norm_bound
-from bergman.metric import (BasisSource, ErrorBoundExceeded,
-                            FirstCoefficientZero, KernelColumns,
+from bergman.cli import _basis_ratios
+from bergman.metric import (BasisSource, ErrorBoundExceeded, KernelColumns,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
-                            bergman_metric_ratio, bound_ledger,
-                            cusp_ratio_expansion, DerivativeBundle,
+                            bound_ledger, DerivativeBundle,
                             fd_log_ratio, grid_points,
                             kernel_derivatives, kernel_lower_surrogate,
                             prop8_bound, ratio_parts, ratio_scan)
@@ -90,22 +89,16 @@ def test_series_vs_finite_difference(synthetic_basis):
 
 def test_constant_kernel_fiction_gives_identity_ratio():
     bundle = DerivativeBundle(value=1.0, dz=0j, dzdzbar=0j)
-    sample = bergman_metric_ratio(bundle, UhpPoint(0.1, 1.7), 7)
-    assert sample.ratio == pytest.approx(7 / (2 * math.pi), rel=1e-15)
-    assert sample.correction == 0.0
+    ratio, correction, _ = ratio_parts(bundle, 1.7, 7)
+    assert ratio == pytest.approx(7 / (2 * math.pi), rel=1e-15)
+    assert correction == 0.0
 
 
 def test_vanishing_kernel_raises():
-    bundle = DerivativeBundle(value=0.0, dz=0j, dzdzbar=0j)
-    with pytest.raises(KernelVanishes):
-        bergman_metric_ratio(bundle, UhpPoint(0.0, 1.0), 5)
-
-
-def test_ratio_refuses_weight_below_4():
-    # weight 2 (k = 1) is refused, as ratio_scan refuses it
-    bundle = DerivativeBundle(value=1.0, dz=0j, dzdzbar=0j)
-    with pytest.raises(DomainError, match="k must be >= 2"):
-        bergman_metric_ratio(bundle, UhpPoint(0.0, 1.0), 1)
+    # q^40 underflows at y = 2.4: the suites' ratios refuse the point
+    basis = model_basis(12, [[0.0] * 39 + [1.0]])
+    with pytest.raises(KernelVanishes, match="kernel value 0.0 at"):
+        _basis_ratios(basis, [UhpPoint(0.0, 1.0), UhpPoint(0.0, 2.4)])
 
 
 def test_single_form_collapse_to_k_over_2pi(delta_basis):
@@ -114,14 +107,14 @@ def test_single_form_collapse_to_k_over_2pi(delta_basis):
     for _ in range(25):
         z = UhpPoint(float(rng.uniform(-0.5, 0.5)),
                      float(rng.uniform(0.5, 3.0)))
-        sample = bergman_metric_ratio(kernel_derivatives(src, z), z, 6)
-        assert abs(sample.ratio - 6 / (2 * math.pi)) < 1e-10
+        ratio = ratio_parts(kernel_derivatives(src, z), z.y, 6)[0]
+        assert abs(ratio - 6 / (2 * math.pi)) < 1e-10
 
 
 def test_two_route_equality_basis(synthetic_basis):
     src = BasisSource(synthetic_basis)
     for z in grid_points(-0.3, 0.3, 0.8, 2.0, 3, 3):
-        r1 = bergman_metric_ratio(kernel_derivatives(src, z), z, 5).ratio
+        r1 = ratio_parts(kernel_derivatives(src, z), z.y, 5)[0]
         r2 = fd_log_ratio(src, z, 5)
         assert r2 == pytest.approx(r1, rel=1e-5, abs=1e-8)
 
@@ -129,7 +122,7 @@ def test_two_route_equality_basis(synthetic_basis):
 def test_two_route_equality_poincare():
     src = PoincareSource(modular_group(), 6)
     z = UhpPoint(0.1, 1.3)
-    r1 = bergman_metric_ratio(kernel_derivatives(src, z), z, 6).ratio
+    r1 = ratio_parts(kernel_derivatives(src, z), z.y, 6)[0]
     r2 = fd_log_ratio(src, z, 6)
     assert r2 == pytest.approx(r1, rel=1e-5)
 
@@ -162,8 +155,8 @@ def test_poincare_and_basis_routes_agree(delta_basis):
     psrc = PoincareSource(modular_group(), 6)
     bsrc = BasisSource(delta_basis)
     z = UhpPoint(0.22, 1.4)
-    rp = bergman_metric_ratio(kernel_derivatives(psrc, z), z, 6).ratio
-    rb = bergman_metric_ratio(kernel_derivatives(bsrc, z), z, 6).ratio
+    rp = ratio_parts(kernel_derivatives(psrc, z), z.y, 6)[0]
+    rb = ratio_parts(kernel_derivatives(bsrc, z), z.y, 6)[0]
     assert rp == pytest.approx(rb, rel=1e-8)
 
 
@@ -203,22 +196,19 @@ def test_kernel_lower_surrogate():
 
 def test_cusp_expansion_single_term_beta_zero():
     basis = model_basis(12, [[1.0]])
-    s = cusp_ratio_expansion(basis, UhpPoint(0.0, 3.0), 6)
-    assert abs(s.correction) < 1e-12
-
-
-def test_cusp_expansion_first_coefficient_zero():
-    basis = model_basis(12, [[0.0, 1.0]])
-    with pytest.raises(FirstCoefficientZero):
-        cusp_ratio_expansion(basis, UhpPoint(0.0, 3.0), 6)
+    z = UhpPoint(0.0, 3.0)
+    correction = ratio_parts(kernel_derivatives(BasisSource(basis), z),
+                             z.y, 6)[1]
+    assert abs(correction) < 1e-12
 
 
 def test_beta_decay_synthetic_multiform():
     basis = model_basis(16, [[1.0, 0.4, 0.1], [0.0, 1.0, -0.2]])
     heights = (1.2, 1.6, 2.0, 2.4)
-    samples = [cusp_ratio_expansion(basis, UhpPoint(0.07, y), 8)
-               for y in heights]
-    betas = [abs(s.correction) for s in samples]
+    _, corr, _ = ratio_parts(
+        BasisSource(basis).bundles([UhpPoint(0.07, y) for y in heights]),
+        np.array(heights), 8)
+    betas = [abs(c) for c in corr.tolist()]
     assert betas == sorted(betas, reverse=True)
     quotients = [beta / (y * y * math.exp(-2 * math.pi * y))
                  for beta, y in zip(betas, heights)]
@@ -232,11 +222,8 @@ def test_beta_decay_synthetic_multiform():
 
 
 def test_ratio_scan_summary_and_rows(delta_basis):
-    def factory(k):
-        return BasisSource(delta_basis)
-
     grid = grid_points(-0.4, 0.4, 0.7, 3.5, 4, 4)
-    (rows,), summaries = ratio_scan(factory, [6], grid)
+    (rows,), summaries = ratio_scan([BasisSource(delta_basis)], grid)
     assert len(rows.errors) == len(rows.ratio) == 16
     assert all(e is None for e in rows.errors)
     assert rows.bound_ok.all()
@@ -247,11 +234,9 @@ def test_ratio_scan_summary_and_rows(delta_basis):
 
 def test_ratio_scan_summary_counts_its_own_flagged_rows():
     # y = 6 is refused at k = 6 but not at k = 8; y = 8 at both
-    def factory(k):
-        return PoincareSource(modular_group(), k)
-
     grid = [UhpPoint(0.0, 1.0), UhpPoint(0.0, 6.0), UhpPoint(0.0, 8.0)]
-    tables, summaries = ratio_scan(factory, [6, 8], grid)
+    tables, summaries = ratio_scan(
+        [PoincareSource(modular_group(), k) for k in (6, 8)], grid)
     for s in summaries:
         assert s.flagged == sum(e is not None for t in tables if t.k == s.k
                                 for e in t.errors)
@@ -259,13 +244,11 @@ def test_ratio_scan_summary_counts_its_own_flagged_rows():
 
 
 def test_basis_scan_row_does_not_depend_on_grid(delta_basis):
-    def factory(k):
-        return BasisSource(delta_basis)
-
+    sources = [BasisSource(delta_basis)]
     grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
-    (rows,), _ = ratio_scan(factory, [6], grid)
+    (rows,), _ = ratio_scan(sources, grid)
     for i in range(0, len(grid), 37):
-        (alone,), _ = ratio_scan(factory, [6], [grid[i]])
+        (alone,), _ = ratio_scan(sources, [grid[i]])
         assert alone.errors[0] is None and rows.errors[i] is None
         assert alone.cusp[0] == rows.cusp[i]
         assert alone.ratio[0] == pytest.approx(rows.ratio[i], rel=1e-14)
@@ -274,26 +257,27 @@ def test_basis_scan_row_does_not_depend_on_grid(delta_basis):
 
 
 def _batch_of_one(source, z, k, tol=1e-5):
-    """The scan's row at z from the one-point functions: the sample, or
-    the error text of the refusal."""
+    """The scan's row at z from the one-point functions: the ratio and
+    its error bound, or the error text of the refusal."""
     try:
-        sample = bergman_metric_ratio(kernel_derivatives(source, z), z, k)
-        scale = max(abs(sample.ratio), sample.identity_part)
-        if not sample.error_bound <= tol * scale:
+        bundle = kernel_derivatives(source, z)
+        if bundle.value <= 1e-300:
+            raise KernelVanishes(f"kernel value {bundle.value} at {z}")
+        ratio, _, bound = map(float, ratio_parts(bundle, z.y, k))
+        if not bound <= tol * max(abs(ratio), k / (2 * math.pi)):
             raise ErrorBoundExceeded(
-                f"ratio {sample.ratio:.12g} +- {sample.error_bound:.3g} "
-                f"exceeds tol {tol:g}")
+                f"ratio {ratio:.12g} +- {bound:.3g} exceeds tol {tol:g}")
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-    return sample
+    return ratio, bound
 
 
-def _assert_columns_equal_batch_of_one(factory, ks, grid):
+def _assert_columns_equal_batch_of_one(sources, grid):
     """Every row equals the batch of one exactly; returns the refused count."""
-    tables, summaries = ratio_scan(factory, ks, grid)
+    tables, summaries = ratio_scan(sources, grid)
     refused = 0
-    for k, t, s in zip(ks, tables, summaries):
-        src = factory(k)
+    for src, t, s in zip(sources, tables, summaries):
+        k = src.k
         for i, z in enumerate(grid):
             one = _batch_of_one(src, z, k)
             if isinstance(one, str):
@@ -302,10 +286,11 @@ def _assert_columns_equal_batch_of_one(factory, ks, grid):
                 assert math.isnan(t.ratio[i]) and math.isnan(t.bound[i])
                 assert not t.bound_ok[i]
                 continue
+            ratio, bound = one
             assert t.errors[i] is None
-            assert t.ratio[i] == one.ratio
-            assert t.ratio_over_k2[i] == abs(one.ratio) / (k * k)
-            assert t.error_bound[i] == one.error_bound == float(ratio_parts(
+            assert t.ratio[i] == ratio
+            assert t.ratio_over_k2[i] == abs(ratio) / (k * k)
+            assert t.error_bound[i] == bound == float(ratio_parts(
                 kernel_derivatives(src, z), z.y, 0)[2])
             assert t.cusp[i] == (z.y >= cusp_threshold(k))
         assert s.flagged == sum(e is not None for e in t.errors)
@@ -315,7 +300,7 @@ def _assert_columns_equal_batch_of_one(factory, ks, grid):
 def test_scan_columns_equal_batch_of_one_on_delta_grid(delta_basis):
     grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
     assert _assert_columns_equal_batch_of_one(
-        lambda k: BasisSource(delta_basis), [6], grid) == 0
+        [BasisSource(delta_basis)], grid) == 0
 
 
 def test_scan_columns_equal_batch_of_one_with_refused_rows():
@@ -323,12 +308,13 @@ def test_scan_columns_equal_batch_of_one_with_refused_rows():
     grid = [UhpPoint(0.0, 1.0), UhpPoint(0.3, 2.0), UhpPoint(0.0, 6.0),
             UhpPoint(0.0, 8.0)]
     assert _assert_columns_equal_batch_of_one(
-        lambda k: PoincareSource(modular_group(), k), [6, 8], grid) == 3
+        [PoincareSource(modular_group(), k) for k in (6, 8)], grid) == 3
 
 
 class _StubSource:
     """B and the error bound e0 of B chosen per height, dB = d2B = 0."""
 
+    k = 6
     ROWS = {1.0: (0.0, 0.0, DomainError("stub refuses")),
             2.0: (0.0, 0.0, None), 3.0: (math.nan, 0.0, None),
             4.0: (1.0, 0.0, None), 5.0: (1.0, 2.0, None)}
@@ -346,7 +332,7 @@ def test_scan_refuses_in_order_source_vanishing_then_bound():
     # B = 0 under a source refusal shows the source's refusal; B = NaN
     # is not caught as vanishing, its NaN bound exceeds any tolerance
     grid = [UhpPoint(0.1, y) for y in (1.0, 2.0, 3.0, 4.0, 5.0)]
-    (t,), (s,) = ratio_scan(lambda k: _StubSource(), [6], grid)
+    (t,), (s,) = ratio_scan([_StubSource()], grid)
     assert t.errors == [
         "DomainError: stub refuses",
         "KernelVanishes: kernel value 0.0 at UhpPoint(0.1, 2.0)",
@@ -355,8 +341,7 @@ def test_scan_refuses_in_order_source_vanishing_then_bound():
         "ErrorBoundExceeded: ratio 0.954929658551 +- inf exceeds tol 1e-05"]
     assert s.flagged == 4 and s.sup_point == grid[3]
     assert t.ratio[3] == 6 / (2 * math.pi) and t.bound_ok[3]
-    assert _assert_columns_equal_batch_of_one(
-        lambda k: _StubSource(), [6], grid) == 4
+    assert _assert_columns_equal_batch_of_one([_StubSource()], grid) == 4
 
 
 def test_prop8_bound_is_the_ledger_value_at_every_height():
@@ -375,10 +360,10 @@ def test_coset_route_error_envelope(k):
     src = PoincareSource(modular_group(), k)
     for y in (0.6, 1.0, 2.3, 4.0, 6.0, 8.0):
         z = UhpPoint(0.314368, y)
-        sample = bergman_metric_ratio(kernel_derivatives(src, z), z, k)
-        assert abs(sample.ratio - k / (2 * math.pi)) <= sample.error_bound
+        ratio, _, bound = ratio_parts(kernel_derivatives(src, z), z.y, k)
+        assert abs(ratio - k / (2 * math.pi)) <= bound
         if y <= 4.0:
-            assert sample.error_bound < 1e-7
+            assert bound < 1e-7
 
 
 def test_translation_free_group_sums_single_elements():
@@ -389,11 +374,7 @@ def test_translation_free_group_sums_single_elements():
     cosets = src.cosets(z)
     assert len(cosets) == 1 and not cosets.translates
 
-    def factory(k):
-        return PoincareSource(trivial_group(), k)
-
-    (rows,), _ = ratio_scan(factory, [6],
-                            grid_points(-0.2, 0.2, 0.8, 1.6, 2, 2))
+    (rows,), _ = ratio_scan([src], grid_points(-0.2, 0.2, 0.8, 1.6, 2, 2))
     assert all(e is None for e in rows.errors)
     assert all(abs(r) < 1e-12 for r in rows.ratio)
 
@@ -408,10 +389,8 @@ def test_poincare_scan_walks_cosets_not_elements(monkeypatch):
     monkeypatch.setattr(bergman.groups, "enumerate_group_elements", refuse)
     monkeypatch.setattr(bergman.metric, "enumerate_group_elements", refuse)
 
-    def factory(k):
-        return PoincareSource(modular_group(), k)
-
-    (rows,), summaries = ratio_scan(factory, [6], [UhpPoint(0.1, 1.2)])
+    (rows,), summaries = ratio_scan([PoincareSource(modular_group(), 6)],
+                                    [UhpPoint(0.1, 1.2)])
     assert rows.errors[0] is None and summaries[0].within_limit
     assert rows.ratio[0] == pytest.approx(6 / (2 * math.pi), rel=1e-10)
 
@@ -453,5 +432,5 @@ def test_small_weight_walk_capped_and_bounded():
     assert coset_norm_bound(1.0, 4) == NORM_CAP
     src = PoincareSource(free_product_group(), 4)
     z = UhpPoint(0.1, 1.0)
-    sample = bergman_metric_ratio(kernel_derivatives(src, z), z, 4)
-    assert abs(sample.ratio - 4 / (2 * math.pi)) <= sample.error_bound < 1e-7
+    ratio, _, bound = ratio_parts(kernel_derivatives(src, z), z.y, 4)
+    assert abs(ratio - 4 / (2 * math.pi)) <= bound < 1e-7

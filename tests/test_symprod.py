@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergman.forms import CuspFormBasis, model_basis
-from bergman.metric import BasisSource, bergman_metric_ratio, kernel_derivatives
+from bergman.metric import BasisSource, kernel_derivatives, ratio_parts
 from scipy.linalg import null_space
 
 from bergman.symprod import (DegenerateDivisor, Divisor, HypothesisViolated,
@@ -188,7 +188,7 @@ def test_fs_d1_matches_metric_ratio():
     z = UhpPoint(0.12, 0.95)
     sample = fs_form_formula(basis, [z], 4)
     src = BasisSource(basis)
-    ratio = bergman_metric_ratio(kernel_derivatives(src, z), z, 4).ratio
+    ratio = ratio_parts(kernel_derivatives(src, z), z.y, 4)[0]
     assert sample.fs_volume_ratio == pytest.approx(ratio, rel=1e-4)
     assert sample.per_factor_ratios[0] == pytest.approx(ratio, rel=1e-4)
 
@@ -315,50 +315,38 @@ def test_ma_closed_form_projection_oracle():
 
 def test_volume_scan_separable_factorizes():
     basis = random_basis(9)
-
-    def basis_by_k(k):
-        return basis
-
     pts = [UhpPoint(x, y) for x in (-0.2, 0.15) for y in (0.8, 1.3)]
     tuples = [(p, q) for p in pts for q in pts]
-    singles, _ = volume_ratio_scan(basis_by_k, stack([(p,) for p in pts]), [4])
-    one = dict(zip(pts, singles[0].ratio.tolist()))
+    singles, _ = volume_ratio_scan(basis, stack([(p,) for p in pts]))
+    one = dict(zip(pts, singles.ratio.tolist()))
     # the per-slot product model: one[p] one[q] / k^4 over the tuples
     sup_product = max(abs(one[p] * one[q]) / 4 ** 4 for p, q in tuples)
-    sup1 = max(singles[0].ratio_over_k2d.tolist())
+    sup1 = max(singles.ratio_over_k2d.tolist())
     assert sup_product == pytest.approx(sup1 ** 2, rel=1e-8)
-    _, summ = volume_ratio_scan(basis_by_k, stack(tuples), [4])
-    assert summ[0].limit == pytest.approx(RATIO_LIMIT ** 2)
+    _, summ = volume_ratio_scan(basis, stack(tuples))
+    assert summ.limit == pytest.approx(RATIO_LIMIT ** 2)
 
 
 def test_volume_scan_reports_errors_inline():
     basis = random_basis(10)
-
-    def basis_by_k(k):
-        return basis
-
     z = UhpPoint(0.1, 0.9)
-    tables, summ = volume_ratio_scan(
-        basis_by_k, stack([(z, z), (z, UhpPoint(0.3, 1.2))]), [4])
-    errors = tables[0].errors
+    cols, summ = volume_ratio_scan(
+        basis, stack([(z, z), (z, UhpPoint(0.3, 1.2))]))
+    errors = cols.errors
     assert errors[0] is not None and "NearDiagonal" in errors[0]
     assert errors[1] is None
-    assert summ[0].within_limit and summ[0].flagged == 1
+    assert summ.within_limit and summ.flagged == 1
 
 
 def test_volume_scan_refuses_dependent_covectors():
     # two proportional forms: M is singular at every tuple
     basis = model_basis(8, [[1.0, 0.5], [2.0, 1.0]])
-
-    def basis_by_k(k):
-        return basis
-
-    tables, summ = volume_ratio_scan(
-        basis_by_k, stack([(UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4))]), [4])
-    assert math.isnan(tables[0].ratio[0])
-    assert tables[0].errors[0] == \
+    cols, summ = volume_ratio_scan(
+        basis, stack([(UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.4))]))
+    assert math.isnan(cols.ratio[0])
+    assert cols.errors[0] == \
         "DomainError: evaluation covectors nearly dependent"
-    assert not summ[0].within_limit
+    assert not summ.within_limit
 
 
 def per_tuple_formula(basis, zs, k):
@@ -438,10 +426,6 @@ def test_stacked_fallback_is_product_of_one_slot_ratios():
 
 def test_volume_scan_isolates_refused_tuples():
     basis = random_basis(11)
-
-    def basis_by_k(k):
-        return basis
-
     z = UhpPoint(0.1, 0.9)
     good = [(UhpPoint(-0.2, 1.4), UhpPoint(0.3, 0.8)),
             (UhpPoint(0.05, 1.1), UhpPoint(-0.3, 0.7)),
@@ -451,18 +435,17 @@ def test_volume_scan_isolates_refused_tuples():
     # and would make the stacked inverse raise for the whole batch
     tuples = [good[0], (z, z), good[1], (z, UhpPoint(z.x + 1.0, z.y)),
               good[2], (z, UhpPoint(0.0, 200.0)), good[0]]
-    tables, summ = volume_ratio_scan(basis_by_k, stack(tuples), [4])
-    cols = tables[0]
-    assert summ[0].flagged == 3
+    cols, summ = volume_ratio_scan(basis, stack(tuples))
+    assert summ.flagged == 3
     assert cols.errors[1] == "NearDiagonal: min pairwise distance 0.00e+00"
     for i in (3, 5):
         assert cols.errors[i] == \
             "DomainError: evaluation covectors nearly dependent"
     for i, zs in zip(range(0, len(tuples), 2), good + [good[0]]):
-        alone, _ = volume_ratio_scan(basis_by_k, stack([zs]), [4])
+        alone, _ = volume_ratio_scan(basis, stack([zs]))
         assert cols.errors[i] is None
-        assert cols.ratio[i] == alone[0].ratio[0]
-        assert cols.ratio_over_k2d[i] == alone[0].ratio_over_k2d[0]
+        assert cols.ratio[i] == alone.ratio[0]
+        assert cols.ratio_over_k2d[i] == alone.ratio_over_k2d[0]
 
 
 def test_volume_scan_refuses_mixed_lengths():
@@ -474,7 +457,7 @@ def test_volume_scan_refuses_mixed_lengths():
     ragged[:] = [tuple(z.z for z in zs) for zs in tuples]
     for pts in (ragged, stack(tuples[:1])[0]):
         with pytest.raises(DomainError, match="T x d array"):
-            volume_ratio_scan(lambda k: basis, pts, [4])
+            volume_ratio_scan(basis, pts)
 
 
 def test_batch_guard_refuses_only_the_near_diagonal_tuple():
