@@ -412,6 +412,16 @@ def test_orthonormalization_round_trip():
     assert np.max(np.abs(regram - np.eye(3))) < 1e-4
 
 
+def test_first_coefficient_mass():
+    # sum |a_(j,1)|^2 over an orthonormalized basis, the leading term that
+    # verify --suite prop9 checks before it runs
+    basis = model_basis(12, [[1.0, 2.0], [0.0, 1.0]])
+    assert basis.orthonormal_flag
+    mass = float(np.sum(np.abs(basis.coefficients[:, 0]) ** 2))
+    assert mass == pytest.approx(1.0)
+    assert not model_basis(12, [[0.0, 1.0]]).coefficients[:, 0].any()
+
+
 def test_orthonormalization_rejects_singular_gram():
     basis = model_basis(12, [[1.0, 0.0], [1.0, 0.0]], orthonormal=False)
     basis.gram = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)

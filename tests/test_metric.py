@@ -11,7 +11,7 @@ from bergman.groups import (BudgetExceeded, cusp_threshold,
                             free_product_group, group_by_name, modular_group,
                             trivial_group, walk_cosets)
 from bergman.kernel import NORM_CAP, coset_norm_bound
-from bergman.cli import _basis_ratios
+from bergman.cli import _basis_ratios, main
 from bergman.metric import (BasisSource, ErrorBoundExceeded, KernelColumns,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
                             bound_ledger, DerivativeBundle,
@@ -200,6 +200,15 @@ def test_cusp_expansion_single_term_beta_zero():
     correction = ratio_parts(kernel_derivatives(BasisSource(basis), z),
                              z.y, 6)[1]
     assert abs(correction) < 1e-12
+
+
+def test_cusp_expansion_first_coefficient_zero(tmp_path, capsys):
+    # a basis with a_1 = 0 has no leading cusp term: prop9 refuses it
+    path = tmp_path / "q2.jsonl"
+    path.write_text('{"label": "f", "weight": 12, "coefficients": [0.0, 1.0]}\n')
+    assert main(["verify", "--suite", "prop9", "--forms", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: sum |a_{{j,1}}|^2 vanishes\n")
 
 
 def test_beta_decay_synthetic_multiform():
