@@ -7,9 +7,14 @@
 Each of ten pairs runs ``perfbench/run.py --seconds 16`` once in each
 checkout, on the same seed, the side that goes first alternating from
 pair to pair; pair i uses seed ``--seed + i`` (plus 100 per workload).
-The JSON written to ``--out`` holds, per workload and end-to-end
-metric, the median and quartiles of each side, the number of pairs in
-which the change was better, and each side's failed row counts.
+The JSON written to ``--out`` holds, per workload, the side that ran
+first in each pair and each side's failed row counts, and per
+end-to-end metric the median and quartiles of each side and the number
+of pairs in which the change was better: in all, and apart for the
+pairs in which the change ran first and those in which it ran second.
+A drift over the run (a machine warming up or slowing down) favours
+one place in the order, so it shows as a split between those two
+counts rather than as a one-sided difference.
 
 Both checkouts must be clean copies (``git ls-files | tar``): a
 ``__pycache__`` under ``src/`` would be loaded instead of compiling
@@ -68,25 +73,32 @@ def main(argv=None):
     for w, workload in enumerate(WORKLOADS):
         sides = {"parent": [], "change": []}
         seeds = [args.seed + 100 * w + i for i in range(PAIRS)]
+        first = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change")[::1 if i % 2 == 0 else -1]
+            first.append(order[0])
             for side in order:
                 sides[side].append(run(getattr(args, side), workload, seed))
             cpu = {s: runs[-1]["metrics"]["cpu_s"]["value"]
                    for s, runs in sides.items()}
             print(workload, seed, cpu, file=sys.stderr)
-        entry = {"seeds": seeds, "metrics": {},
+        entry = {"seeds": seeds, "first": first, "metrics": {},
                  "failed": {s: [r["failed"] for r in runs]
                             for s, runs in sides.items()},
                  "attempted": sides["change"][0]["attempted"]}
         for metric in METRICS:
             values = {s: [r["metrics"][metric]["value"] for r in runs]
                       for s, runs in sides.items()}
+            better = [c < p for p, c in zip(values["parent"],
+                                            values["change"])]
             entry["metrics"][metric] = {
                 "parent": summary(values["parent"]),
                 "change": summary(values["change"]),
-                "change_better": sum(c < p for p, c in zip(values["parent"],
-                                                           values["change"])),
+                "change_better": sum(better),
+                "change_better_first": sum(
+                    b for b, f in zip(better, first) if f == "change"),
+                "change_better_second": sum(
+                    b for b, f in zip(better, first) if f == "parent"),
             }
         report["workloads"][workload] = entry
     with open(args.out, "w") as fh:

@@ -5,7 +5,8 @@
 
 Runs a fixed list of commands in each checkout: every README command,
 ``scripts/run_scans.py``, all six ``verify`` suites, scans with
-flagged, budget-cut and refused rows or refused options, forms files
+flagged, budget-cut and refused rows (a ``sym-scan`` with every tuple
+refused among them) or refused options, forms files
 whose Gram is singular or does not converge, and forms files that the
 verify suites or the requested weights refuse.  Each command runs
 in a fresh working directory that holds a link to the checkout's
@@ -55,6 +56,9 @@ INPUTS = {
                        "[[-0.0,1.1],[0.2,0.7],[-0.25,0.9]]\n"
                        "[[0.1,0.9],[1.1,0.9],[-0.3,0.65]]\n"
                        "[[0.0,0.9],[0.25,0.55],[-0.3,0.65]]\n",
+    # every tuple near-diagonal: a scan with no row to take a sup over
+    "tuples_all_refused.jsonl": "[[0.1,0.9],[0.1,0.9000001]]\n"
+                                "[[0.0,1.2],[0.0,1.2000001]]\n",
     "tuples_three_coordinates.jsonl": "[[0.1,0.9],[-0.2,1.4]]\n"
                                       "[[0.1,0.9,7],[0.2,1.1]]\n",
     # two identical forms: a singular Gram
@@ -131,6 +135,10 @@ COMMANDS = [
                                       "6,8", "--grid=0,0,1,1,1,1"]),
     ("sym-scan-forms-two-weights", ["sym-scan", "--forms", FORMS, "--k", "6,8",
                                     "--d", "2", "--tuples", "tuples.jsonl"]),
+    ("threads-refused", ["ratio-scan", "--forms", FORMS, "--k", "6",
+                         "--grid=0,0,1,1,1,1", "--threads", "2"]),
+    ("sym-all-refused", ["sym-scan", "--forms", FORMS, "--k", "6", "--d", "2",
+                         "--tuples", "tuples_all_refused.jsonl"]),
 ]
 
 

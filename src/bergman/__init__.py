@@ -14,9 +14,8 @@ from .kernel import KernelEvaluation, bergman_kernel_diagonal
 from .forms import CuspFormBasis, delta_form, orthonormal_basis, petersson_gram
 from .metric import (BoundLedger, bound_ledger, kernel_derivatives,
                      ratio_parts, ratio_scan)
-from .symprod import (Divisor, FSVolumeSample, SubspaceFrame, dimensions,
-                      fs_form_direct_oracle, fs_form_formula,
-                      vanishing_subspace, volume_ratio_scan)
+from .symprod import (FSVolumeSample, dimensions, fs_form_direct_oracle,
+                      fs_form_formula, vanishing_subspace, volume_ratio_scan)
 
 __all__ = [
     "MoebiusTransform", "UhpPoint", "apply_moebius", "hyp_distance",
@@ -25,7 +24,7 @@ __all__ = [
     "CuspFormBasis", "delta_form", "orthonormal_basis", "petersson_gram",
     "BoundLedger", "bound_ledger", "kernel_derivatives", "ratio_parts",
     "ratio_scan",
-    "Divisor", "FSVolumeSample", "SubspaceFrame", "dimensions",
+    "FSVolumeSample", "dimensions",
     "fs_form_direct_oracle", "fs_form_formula", "vanishing_subspace",
     "volume_ratio_scan",
 ]

@@ -3,8 +3,7 @@
 Subcommands: ingest, kernel, gram, ratio-scan, sym-scan, verify.
 Exit codes: 0 pass, 1 suite failure (a scan summary outside its limit or
 a flagged row), 2 usage/config error.  Tables are CSV with 12
-significant digits; reports are JSON.  Scans run on one thread;
---threads is accepted and ignored.
+significant digits; reports are JSON.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import numpy as np
 from .forms import (CuspFormBasis, GramSingular, QuadratureDomain,
                     QuadratureNotConverged, delta_form, load_forms,
                     model_basis, orthonormal_basis, petersson_gram, save_forms)
-from .groups import DEFAULT_BUDGET, DEFAULT_C_GAMMA, Region, group_by_name
+from .groups import DEFAULT_BUDGET, DEFAULT_C_GAMMA, group_by_name
 from .kernel import bergman_kernel_diagonal, parabolic_term_bound
 from .metric import (BasisSource, KernelVanishes, PoincareSource,
                      RATIO_LIMIT, fd_log_ratio, grid_points, ratio_parts,
@@ -54,7 +53,6 @@ class RunConfig:
     budget: int = DEFAULT_BUDGET
     z: str = "0.0,1.0"
     suite: Optional[str] = None
-    threads: int = 1  # accepted and ignored: scans run on one thread
     out: Optional[str] = None
     tol: float = 1e-5
 
@@ -254,9 +252,9 @@ def cmd_kernel(cfg: RunConfig) -> int:
             "parabolic_part": float(FMT % ev.parabolic_part.real),
             "rest_part": float(FMT % ev.rest_part.real),
             "imag_residual": float(FMT % ev.imag_residual),
-            "terms_used": ev.truncation.terms_used,
-            "tail_estimate": float(FMT % ev.truncation.tail_estimate),
-            "exhaustive": ev.truncation.exhaustive,
+            "terms_used": ev.terms_used,
+            "tail_estimate": float(FMT % ev.tail_estimate),
+            "exhaustive": ev.exhaustive,
         }
         text += json.dumps(doc, indent=2) + "\n"
     _emit(text, cfg.out)
@@ -288,7 +286,7 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
     tables, summaries = ratio_scan(sources, grid, cfg.c_gamma, cfg.c_x,
                                    tol=cfg.tol)
     xs, ys = [z.x for z in grid], [z.y for z in grid]
-    regions = (Region.COMPACT_PART.value, Region.CUSP_NEIGHBORHOOD.value)
+    regions = ("CompactPart", "CuspNeighborhood")
     text = "k,x,y,region,route,ratio,ratio_over_k2,bound,bound_ok,error\n"
     for t in tables:
         # one template per weight: k and the route are fixed in it
@@ -300,8 +298,7 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
     for s in summaries:
         text += ("# k=%d sup_ratio_over_k2=" + FMT + " limit=" + FMT
                  + " flagged=%d within=%s\n") % (
-                     s.k, s.sup_ratio_over_k2, s.limit, s.flagged,
-                     s.within_limit)
+                     s.k, s.sup, s.limit, s.flagged, s.within_limit)
     _emit(text, cfg.out)
     return 0 if all(s.within_limit and not s.flagged for s in summaries) else 1
 
@@ -374,8 +371,7 @@ def cmd_sym_scan(cfg: RunConfig) -> int:
             *coords, t.ratio.tolist(), t.ratio_over_k2d.tolist(),
             t.degenerate.tolist(), [_cell(e) if e else "" for e in t.errors]))
     text += (f"# k=%d d=%d sup={FMT} limit={FMT} flagged=%d within=%s\n"
-             % (s.k, s.d, s.sup_ratio_over_k2d, s.limit, s.flagged,
-                s.within_limit))
+             % (s.k, pts.shape[1], s.sup, s.limit, s.flagged, s.within_limit))
     _emit(text, cfg.out)
     return 0 if s.within_limit and not s.flagged else 1
 
@@ -446,7 +442,7 @@ def suite_prop3(cfg: RunConfig):
             ev = bergman_kernel_diagonal(group, z, k, cfg.bound, cfg.budget)
             alpha = ev.value_diagonal - ev.identity_part
             bound = parabolic_term_bound(z.y, k)
-            ok = ok and abs(alpha) <= bound and ev.truncation.exhaustive
+            ok = ok and abs(alpha) <= bound and ev.exhaustive
             worst = max(worst, abs(alpha) - bound)
     return ok, {"max_alpha_minus_bound": worst}, {"margin": 0.0}
 
@@ -472,9 +468,10 @@ def suite_thm10(cfg: RunConfig):
     _, summaries = ratio_scan([BasisSource(_delta_basis(cfg))], grid,
                               cfg.c_gamma, cfg.c_x)
     s = summaries[0]
+    at = None if s.sup_index is None else grid[s.sup_index]
     return s.within_limit, \
-        {"sup_ratio_over_k2": s.sup_ratio_over_k2,
-         "sup_point": [s.sup_point.x, s.sup_point.y] if s.sup_point else None}, \
+        {"sup_ratio_over_k2": s.sup,
+         "sup_point": None if at is None else [at.x, at.y]}, \
         {"limit": RATIO_LIMIT}
 
 

@@ -56,7 +56,7 @@ class QExpansionForm:
 
 def evaluate_q_expansion(form: QExpansionForm, z: UhpPoint,
                          deriv_order: int = 0) -> complex:
-    """Sum a_m q^m, or its deriv_order-th z-derivative (factor (2 pi i m)^r)."""
+    """Sum a_m q^m, or its z-derivative (deriv_order 1, factor 2 pi i m)."""
     return complex(CuspFormBasis(forms=[form]).values(z, deriv_order)[0])
 
 
@@ -150,31 +150,16 @@ class CuspFormBasis:
             counts[lo:lo + 64] = m - ok.sum(axis=2).min(axis=1)
         return counts[np.searchsorted(found, steps)]
 
-    def evaluate(self, z: np.ndarray, deriv_order: int = 0) -> np.ndarray:
-        """Rows (f_1, ..., f_n) or their z-derivatives at the complex z[i].
-
-        The call is one row: values and first derivatives sum the
-        ``term_counts`` leading terms at its lowest point, higher
-        derivatives all M.
-        """
-        z = np.asarray(z, dtype=complex)
-        coef = self.coefficients
-        if deriv_order:
-            coef = coef * self.derivative_factors ** deriv_order
-        m = coef.shape[1]
-        if deriv_order <= 1 and z.size:
-            m = self.term_counts([z.imag.min()])[0]
-        return q_powers(z, m) @ coef[:, :m].T
-
     def jets(self, z: np.ndarray):
         """Values and first z-derivatives at a T x d array of complex points.
 
         Returns two T x d x n stacks.  Each row of d points sums the
-        same ``term_counts`` leading terms as ``evaluate`` on those d
-        points and is contracted as one d x T block of a stacked
-        matmul over the rows sharing its count, so its values do not
-        depend on the other rows; one q-power array per block of at
-        most GRAM_CHUNK points serves both contractions.
+        ``term_counts`` leading terms at its lowest point and is
+        contracted as one d x T block of a stacked matmul over the rows
+        sharing its count, so its values do not depend on the other
+        rows; one q-power array per block of at most GRAM_CHUNK points
+        serves both contractions.  This is the only q-series
+        contraction apart from the Gram's block sum.
         """
         z = np.asarray(z, dtype=complex)
         t, d = z.shape
@@ -195,10 +180,13 @@ class CuspFormBasis:
         return v, dv
 
     def values(self, z, deriv_order: int = 0) -> np.ndarray:
-        """Vector (f_1(z), ..., f_n(z)) or its z-derivatives; rows for a list."""
+        """Vector (f_1(z), ..., f_n(z)) or its first z-derivative; rows
+        for a list, which is one row of ``jets``."""
+        if deriv_order not in (0, 1):
+            raise DomainError(f"deriv_order must be 0 or 1, got {deriv_order}")
         if isinstance(z, UhpPoint):
-            return self.evaluate(np.array([z.z]), deriv_order)[0]
-        return self.evaluate(np.array([p.z for p in z], complex), deriv_order)
+            return self.jets(np.array([[z.z]]))[deriv_order][0, 0]
+        return self.jets(np.array([[p.z for p in z]], complex))[deriv_order][0]
 
 
 def model_basis(weight: int, coefficient_rows: Sequence[Sequence[complex]],
@@ -347,8 +335,8 @@ def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain) -> np.ndarray:
     """Quadrature Gram V diag(w) V^H over ``_gram_nodes``, plus the tail."""
     zs, ws = _gram_nodes(domain, basis.k)
     gram = np.zeros((basis.size, basis.size), dtype=complex)
-    # blocks of GRAM_CHUNK nodes, each summing the terms ``evaluate``
-    # would at its lowest node, found by one term_counts call
+    # blocks of GRAM_CHUNK nodes, each summing the terms a row of
+    # ``jets`` would at its lowest node, found by one term_counts call
     starts = np.arange(0, len(zs), GRAM_CHUNK)
     counts = basis.term_counts(np.minimum.reduceat(zs.imag, starts))
     for lo, m in zip(starts.tolist(), counts.tolist()):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -422,11 +421,6 @@ def _unimodular_tops(c: np.ndarray, d: np.ndarray):
         more = ~done
         live, r0, r1, s0, s1 = (v[more] for v in (live, r0, r1, s0, s1))
     return a, (a * d - 1) // c
-
-
-class Region(Enum):
-    COMPACT_PART = "CompactPart"
-    CUSP_NEIGHBORHOOD = "CuspNeighborhood"
 
 
 def cusp_threshold(k: int, c_gamma: float = DEFAULT_C_GAMMA) -> float:

@@ -81,19 +81,16 @@ def cx_constant(r_x: float, k: int) -> float:
 
 
 @dataclass
-class TruncationReport:
-    terms_used: int
-    tail_estimate: float
-    exhaustive: bool
-
-
-@dataclass
 class KernelEvaluation:
     value_diagonal: float
     identity_part: float
     parabolic_part: complex
     rest_part: complex
-    truncation: TruncationReport
+    # the truncation: orbit elements summed, the tail bound beyond them
+    # and whether the enumeration closed its frontier
+    terms_used: int
+    tail_estimate: float
+    exhaustive: bool
     imag_residual: float = 0.0
 
 
@@ -154,11 +151,9 @@ def bergman_kernel_diagonal(
         identity_part=id_coeff,
         parabolic_part=parabolic,
         rest_part=rest,
-        truncation=TruncationReport(
-            terms_used=len(enum.elements),
-            tail_estimate=tail,
-            exhaustive=enum.exhaustive_flag,
-        ),
+        terms_used=len(enum.elements),
+        tail_estimate=tail,
+        exhaustive=enum.exhaustive_flag,
         imag_residual=abs(parabolic.imag + rest.imag),
     )
 

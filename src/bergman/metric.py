@@ -289,12 +289,30 @@ class ScanColumns:
 
 @dataclass
 class ScanSummary:
+    """A weight's sup of |ratio|/k^2 (or of the volume ratio / k^(2d)),
+    at row ``sup_index``, against its limit."""
     k: int
-    sup_ratio_over_k2: float
+    sup: float
     limit: float
     within_limit: bool
-    sup_point: Optional[UhpPoint]
+    sup_index: Optional[int]
     flagged: int            # rows of this weight carrying an error
+
+
+def summarize(k: int, over: np.ndarray, refused: np.ndarray,
+              limit: float) -> ScanSummary:
+    """The sup of ``over`` over the rows neither refused nor NaN.
+
+    A scan with no such row has sup -inf, no sup_index and is not
+    within its limit: it has no sup to pass.
+    """
+    valid = ~refused & ~np.isnan(over)
+    sup, sup_index = -math.inf, None
+    if valid.any():
+        sup_index = int(np.argmax(np.where(valid, over, -np.inf)))
+        sup = float(over[sup_index])
+    return ScanSummary(k, sup, limit, -math.inf < sup <= limit, sup_index,
+                       int(refused.sum()))
 
 
 def grid_points(x0: float, x1: float, y0: float, y1: float,
@@ -347,20 +365,11 @@ def ratio_scan(sources, grid: Sequence[UhpPoint],
         klower = kernel_lower_surrogate(
             k, float(norms[ok].min()) if ok.any() else 0.0)
         bound = prop8_bound(k, klower, c_x, c_gamma) if k >= 3 else math.inf
-        sup_val, sup_point = -math.inf, None
-        if ok.any():
-            i = int(np.argmax(np.where(ok, over, -np.inf)))
-            sup_val, sup_point = float(over[i]), grid[i]
         tables.append(ScanColumns(
             k=k, cusp=y >= threshold, ratio=np.where(ok, ratio, np.nan),
             ratio_over_k2=np.where(ok, over, np.nan),
             error_bound=np.where(ok, err, np.nan),
             bound=np.where(ok, bound, np.nan),
             bound_ok=ok & (np.abs(ratio) <= bound), errors=errors))
-        # a weight whose rows are all flagged has no sup to pass
-        summaries.append(ScanSummary(
-            k=k, sup_ratio_over_k2=sup_val, limit=RATIO_LIMIT,
-            within_limit=-math.inf < sup_val <= RATIO_LIMIT,
-            sup_point=sup_point, flagged=int(refused.sum()),
-        ))
+        summaries.append(summarize(k, over, refused, RATIO_LIMIT))
     return tables, summaries

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .forms import CuspFormBasis
-from .metric import RATIO_LIMIT
+from .metric import RATIO_LIMIT, summarize
 from .uhp import DomainError, UhpPoint
 
 
@@ -51,51 +51,16 @@ def dimensions(g: int, k: int, d: int):
     return n_k, n_k - d
 
 
-@dataclass(frozen=True)
-class Divisor:
-    points: tuple  # of (UhpPoint, multiplicity)
-
-    def __post_init__(self):
-        if not self.points:
-            raise DomainError("divisor needs at least one point")
-        for _, m in self.points:
-            if m < 1:
-                raise DomainError("multiplicities must be positive")
-        locs = [(p.x, p.y) for p, _ in self.points]
-        if len(set(locs)) != len(locs):
-            raise DomainError("divisor points must be distinct")
-
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.points)
-
-    @classmethod
-    def simple(cls, zs: Sequence[UhpPoint]) -> "Divisor":
-        return cls(points=tuple((z, 1) for z in zs))
-
-
-@dataclass
-class SubspaceFrame:
-    coefficients: np.ndarray  # n x r, columns orthonormal
-
-    @property
-    def rank(self) -> int:
-        return self.coefficients.shape[1]
-
-
-def evaluation_matrix(basis: CuspFormBasis, divisor: Divisor) -> np.ndarray:
-    """d x n matrix of the functionals f -> (d/dz)^j f(z_i), j < mult_i."""
-    zs, mults = zip(*divisor.points)
-    by_order = [basis.values(zs, deriv_order=j) for j in range(max(mults))]
-    return np.array([by_order[j][i] for i, mult in enumerate(mults)
-                     for j in range(mult)])
-
-
-def vanishing_subspace(basis: CuspFormBasis, divisor: Divisor) -> SubspaceFrame:
-    """Orthonormal frame for the kernel of the evaluation functionals."""
+def vanishing_subspace(basis: CuspFormBasis,
+                       zs: Sequence[UhpPoint]) -> np.ndarray:
+    """n x r orthonormal frame of the forms vanishing at the distinct zs."""
     if not basis.orthonormal_flag:
         raise DomainError("basis must be orthonormal")
-    ev = evaluation_matrix(basis, divisor)
+    if not zs:
+        raise DomainError("need at least one point")
+    if len({(p.x, p.y) for p in zs}) != len(zs):
+        raise DomainError("points must be distinct")
+    ev = basis.values(zs)
     scale = np.max(np.abs(ev))
     if scale > 0:
         ev = ev / scale
@@ -103,36 +68,27 @@ def vanishing_subspace(basis: CuspFormBasis, divisor: Divisor) -> SubspaceFrame:
     # (cutoff relative to the largest singular value, as null_space)
     _, s, vh = np.linalg.svd(ev, full_matrices=True)
     rank = int(np.sum(s > 1e-10))
-    if rank < divisor.degree:
-        warnings.warn(
-            f"evaluation rank {rank} < degree {divisor.degree}",
-            DegenerateDivisor)
+    if rank < len(zs):
+        warnings.warn(f"evaluation rank {rank} < degree {len(zs)}",
+                      DegenerateDivisor)
     num = int(np.sum(s > 1e-10 * np.max(s, initial=0.0)))
-    frame = vh[num:].conj().T
-    return SubspaceFrame(coefficients=frame)
-
-
-def weight0_subspace_kernel(frame: SubspaceFrame, basis: CuspFormBasis,
-                            z: UhpPoint) -> float:
-    """Sum over frame columns of |combined form(z)|^2, no y^(2k) factor."""
-    vec = basis.values(z) @ frame.coefficients
-    return float(np.real(np.vdot(vec, vec)))
+    return vh[num:].conj().T
 
 
 def nested_log_potential(basis: CuspFormBasis, zs: Sequence[UhpPoint]) -> float:
     """Potential sum_j log psi_j through the nested subspace pipeline.
 
     psi_j is the weight-0 kernel of the subspace vanishing on
-    z_1, ..., z_{j-1}, evaluated at z_j; by Schur telescoping the sum
-    equals log det of the two-point kernel matrix.
+    z_1, ..., z_{j-1}, evaluated at z_j: the sum over the subspace's
+    frame of |combined form(z_j)|^2, no y^(2k) factor.  By Schur
+    telescoping the sum equals log det of the two-point kernel matrix.
     """
     total = 0.0
     for j, z in enumerate(zs):
-        if j == 0:
-            frame = SubspaceFrame(np.eye(basis.size, dtype=complex))
-        else:
-            frame = vanishing_subspace(basis, Divisor.simple(zs[:j]))
-        psi = weight0_subspace_kernel(frame, basis, z)
+        vec = basis.values(z)
+        if j:
+            vec = vec @ vanishing_subspace(basis, zs[:j])
+        psi = float(np.real(np.vdot(vec, vec)))
         if psi <= 0.0:
             raise DomainError(f"subspace kernel vanished at slot {j}")
         total += math.log(psi)
@@ -392,23 +348,13 @@ class SymScanColumns:
     errors: list
 
 
-@dataclass
-class SymScanSummary:
-    k: int
-    d: int
-    sup_ratio_over_k2d: float
-    limit: float
-    within_limit: bool
-    flagged: int            # rows of this weight carrying an error
-
-
 def volume_ratio_scan(basis: CuspFormBasis, pts: np.ndarray):
     """fs_volume_ratio / k^(2d) per tuple at the basis's weight k, against
     (26/pi)^d.
 
     ``pts`` holds the T tuples as a T x d complex array.  The tuples are
     one stack (``fs_form_batch``) and give one ``SymScanColumns`` and its
-    ``SymScanSummary``; a refused tuple is recorded in its row.
+    ``ScanSummary``; a refused tuple is recorded in its row.
     """
     if np.ndim(pts) != 2:
         raise DomainError(f"tuples must form a T x d array, got shape "
@@ -425,9 +371,5 @@ def volume_ratio_scan(basis: CuspFormBasis, pts: np.ndarray):
               for e in refusals]
     ok = np.array([e is None for e in errors], dtype=bool)
     over = np.abs(ratio) / float(k ** (2 * d))
-    # a scan whose rows are all flagged has no sup to pass
-    sup = float(np.max(over[ok & ~np.isnan(over)], initial=-np.inf))
-    limit = RATIO_LIMIT ** d
     return (SymScanColumns(k, ratio, over, ok & degenerate, errors),
-            SymScanSummary(k, d, sup, limit, -math.inf < sup <= limit,
-                           t - int(ok.sum())))
+            summarize(k, over, ~ok, RATIO_LIMIT ** d))

@@ -110,9 +110,9 @@ def test_flag_forms_and_values():
     assert spaced == joined and spaced.k == "6"
     _, cfg = RunConfig.from_argv(["ratio-scan", "--k", "8", "--grid",
                                   "-0.45,0.45,0.6,2,4,4", "--k=6",
-                                  "--z", "-0.3,1.2", "--threads", "8"])
+                                  "--z", "-0.3,1.2", "--budget", "8"])
     assert cfg.k == "6" and cfg.grid == "-0.45,0.45,0.6,2,4,4"
-    assert cfg.z == "-0.3,1.2" and cfg.threads == 8
+    assert cfg.z == "-0.3,1.2" and cfg.budget == 8
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -127,6 +127,10 @@ def test_flag_forms_and_values():
     # the Petersson Gram has one domain, the modular one
     (["gram", "--domain", "strip"], "unknown flag --domain"),
     (["gram", "--config", "CFG"], "unknown config key 'domain'"),
+    # scans run on one thread, so there is no thread count to set
+    (["ratio-scan", "--threads", "2"], "unknown flag --threads"),
+    (["ratio-scan", "--config", "CFG_THREADS"],
+     "unknown config key 'threads'"),
     (["--k", "6"], "missing command"),
     ([], "missing command"),
     (["scan", "--k", "6"], "unknown command 'scan'"),
@@ -142,14 +146,15 @@ def test_flag_forms_and_values():
      "--k '6,6' repeats weight 6"),
 ], ids=["unknown", "underscore", "single-dash", "no-value", "flag-as-value",
         "d-string", "d-float", "tol-string", "domain", "config-domain",
-        "no-command", "empty", "unknown-command", "two-commands",
-        "extra-positional", "k-empty", "c-gamma-nan", "c-x-negative",
-        "k-repeated"])
+        "threads", "config-threads", "no-command", "empty",
+        "unknown-command", "two-commands", "extra-positional", "k-empty",
+        "c-gamma-nan", "c-x-negative", "k-repeated"])
 def test_bad_command_line_exits_2(tmp_path, capsys, argv, message):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"domain": "strip"}))
+    configs = {"CFG": {"domain": "strip"}, "CFG_THREADS": {"threads": 2}}
+    for name, doc in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     out = tmp_path / "out.txt"
-    argv = [str(cfg_path) if a == "CFG" else a for a in argv]
+    argv = [str(tmp_path / f"{a}.json") if a in configs else a for a in argv]
     code = main(argv + ["--forms", str(DATA), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -340,12 +345,12 @@ def test_verify_report_shape(tmp_path):
 
 
 def test_ratio_scan_csv_and_threads_determinism(tmp_path):
+    # two runs write the same bytes
     outs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"scan{threads}.csv"
+    for run in ("1", "2"):
+        out = tmp_path / f"scan{run}.csv"
         code = main(["ratio-scan", "--forms", str(DATA), "--k", "6",
-                     "--grid=-0.3,0.3,0.8,2.5,3,3", "--threads", threads,
-                     "--out", str(out)])
+                     "--grid=-0.3,0.3,0.8,2.5,3,3", "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -548,13 +553,13 @@ def test_entry_point_subprocess():
 
 def test_poincare_scan_byte_identical_across_threads(tmp_path):
     # points 0.04 apart once shared whichever cached orbit was computed
-    # first, so the output depended on the thread count
+    # first, so the output depended on the order of evaluation; two runs
+    # write the same bytes
     outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"scan{threads}.csv"
+    for run in ("1", "2"):
+        out = tmp_path / f"scan{run}.csv"
         code = main(["ratio-scan", "--group", "modular", "--k", "6",
-                     "--grid=-0.06,0.06,1.0,1.12,4,4", "--threads", threads,
-                     "--out", str(out)])
+                     "--grid=-0.06,0.06,1.0,1.12,4,4", "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

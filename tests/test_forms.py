@@ -132,6 +132,17 @@ def test_batched_evaluator_matches_power_formula(make, y):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def test_values_refuse_higher_derivatives():
+    # values and first derivatives are all the evaluator sums
+    basis = _three_form_basis()
+    z = UhpPoint(0.1, 1.2)
+    for order in (2, -1):
+        with pytest.raises(DomainError, match="deriv_order"):
+            basis.values(z, deriv_order=order)
+        with pytest.raises(DomainError, match="deriv_order"):
+            basis.values([z], deriv_order=order)
+
+
 def _per_point_bundle(basis, z):
     """The per-point bundle the grid evaluation replaced: two
     evaluations at z, then B, dB/dz and d2B/dz dzbar."""
@@ -188,7 +199,7 @@ def test_term_cut_within_rounding_of_the_full_sum(make):
             full = powers @ coef.T
             scale = np.abs(mat) * (2 * math.pi * m) ** r @ np.exp(
                 -2 * math.pi * y * m)
-            cut = basis.evaluate(z, deriv_order=r)
+            cut = basis.jets(z[None])[r][0]
             assert np.all(np.abs(cut - full) <= 2 * EPS * scale)
 
 
@@ -217,8 +228,9 @@ def test_row_values_do_not_depend_on_batch_mates(make):
         alone, dalone = basis.jets(pts[t:t + 1])
         assert np.array_equal(alone[0], v[t])
         assert np.array_equal(dalone[0], dv[t])
-        assert np.array_equal(basis.evaluate(pts[t]), v[t])
-        assert np.array_equal(basis.evaluate(pts[t], 1), dv[t])
+        row = [UhpPoint(p.real, p.imag) for p in pts[t]]
+        assert np.array_equal(basis.values(row), v[t])
+        assert np.array_equal(basis.values(row, 1), dv[t])
         one = basis_weight0_grid(basis, pts[t:t + 1, 0])
         assert all(np.array_equal(a[0], g[t]) for a, g in zip(one, grid))
 
@@ -291,14 +303,14 @@ def test_gram_contraction_matches_node_accumulation(make, domain):
 @pytest.mark.parametrize("make", CUT_BASES, ids=["delta", "three", "slow"])
 def test_gram_blocks_equal_per_block_evaluate(make, domain):
     # one term_counts call for every block keeps each block's own term
-    # count, so the Gram is the per-block evaluate route's to the bit
+    # count, so the Gram is that of one jets row per block to the bit
     basis = make()
     for rule in (domain, replace(domain, y_panels=2 * domain.y_panels,
                                  nodes=domain.nodes + 8)):
         zs, ws = _gram_nodes(rule, basis.k)
         ref = np.zeros((basis.size, basis.size), dtype=complex)
         for lo in range(0, len(zs), GRAM_CHUNK):
-            v = basis.evaluate(zs[lo:lo + GRAM_CHUNK])
+            v = basis.jets(zs[None, lo:lo + GRAM_CHUNK])[0][0]
             ref += v.T @ (ws[lo:lo + GRAM_CHUNK, None] * v.conj())
         ref += _tail_gram(basis, rule.cutoff)
         assert len(zs) > GRAM_CHUNK

@@ -121,7 +121,7 @@ def test_translation_group_alpha_within_parabolic_bound():
         for y in (0.7, 1.0, 1.8, 2.5):
             ev = bergman_kernel_diagonal(group, UhpPoint(0.2, y), k,
                                          displacement_bound=400.0)
-            assert ev.truncation.exhaustive
+            assert ev.exhaustive
             alpha = ev.value_diagonal - ev.identity_part
             assert abs(alpha) <= parabolic_term_bound(y, k)
             assert abs(ev.rest_part) == 0.0
@@ -133,7 +133,7 @@ def test_modular_kernel_positive_and_real():
                                      displacement_bound=200.0)
         assert ev.value_diagonal > 0
         assert ev.imag_residual < 1e-10 * ev.value_diagonal
-        assert ev.truncation.tail_estimate < 1e-3
+        assert ev.tail_estimate < 1e-3
 
 
 def test_kernel_invariance_under_group_action():
@@ -151,7 +151,7 @@ def test_truncation_tail_decreases_with_bound():
     group = modular_group()
     z = UhpPoint(0.1, 1.0)
     tails = [bergman_kernel_diagonal(group, z, 6, displacement_bound=b)
-             .truncation.tail_estimate for b in (30.0, 100.0, 300.0)]
+             .tail_estimate for b in (30.0, 100.0, 300.0)]
     assert tails[0] > tails[1] > tails[2]
 
 

@@ -237,8 +237,8 @@ def test_ratio_scan_summary_and_rows(delta_basis):
     assert all(e is None for e in rows.errors)
     assert rows.bound_ok.all()
     s = summaries[0]
-    assert s.within_limit and s.sup_ratio_over_k2 <= RATIO_LIMIT
-    assert s.sup_point is not None
+    assert s.within_limit and s.sup <= RATIO_LIMIT
+    assert s.sup == rows.ratio_over_k2[s.sup_index]
 
 
 def test_ratio_scan_summary_counts_its_own_flagged_rows():
@@ -348,7 +348,7 @@ def test_scan_refuses_in_order_source_vanishing_then_bound():
         "ErrorBoundExceeded: ratio nan +- nan exceeds tol 1e-05",
         None,
         "ErrorBoundExceeded: ratio 0.954929658551 +- inf exceeds tol 1e-05"]
-    assert s.flagged == 4 and s.sup_point == grid[3]
+    assert s.flagged == 4 and s.sup_index == 3
     assert t.ratio[3] == 6 / (2 * math.pi) and t.bound_ok[3]
     assert _assert_columns_equal_batch_of_one([_StubSource()], grid) == 4
 

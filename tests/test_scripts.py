@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -59,3 +60,33 @@ def test_bench_pairs_runs_clean_checkouts(tmp_path, monkeypatch):
     with pytest.raises(Ran):
         bench.main([str(sides["parent"]), str(sides["change"]),
                     "--seed", "1", "--out", str(tmp_path / "bench.json")])
+
+
+def test_bench_pairs_splits_change_better_by_run_order(tmp_path, monkeypatch):
+    # every run costs more CPU than the one before it, so the side that
+    # runs second always loses: the change wins exactly the pairs it
+    # ran first in, a split that the total alone would hide
+    bench = _load("bench_pairs")
+    calls = []
+
+    def run(checkout, workload, seed):
+        calls.append(checkout)
+        value = float(len(calls))
+        return {"metrics": {m: {"value": value} for m in bench.METRICS},
+                "failed": 0, "attempted": 10}
+
+    monkeypatch.setattr(bench, "run", run)
+    sides = _checkouts(tmp_path)
+    out = tmp_path / "bench.json"
+    assert bench.main([str(sides["parent"]), str(sides["change"]),
+                       "--seed", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    half = bench.PAIRS // 2
+    for entry in report["workloads"].values():
+        assert entry["first"] == ["parent", "change"] * half
+        for metric in entry["metrics"].values():
+            assert metric["change_better"] == half
+            assert metric["change_better_first"] == half
+            assert metric["change_better_second"] == 0
+    assert calls[:4] == [str(sides["parent"]), str(sides["change"]),
+                         str(sides["change"]), str(sides["parent"])]

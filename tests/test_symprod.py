@@ -8,26 +8,27 @@ from bergman.forms import CuspFormBasis, model_basis
 from bergman.metric import BasisSource, kernel_derivatives, ratio_parts
 from scipy.linalg import null_space
 
-from bergman.symprod import (DegenerateDivisor, Divisor, HypothesisViolated,
-                             NearDiagonal, RATIO_LIMIT, SubspaceFrame,
-                             _stacked_qr, dimensions, evaluation_matrix,
+from bergman.symprod import (DegenerateDivisor, HypothesisViolated,
+                             NearDiagonal, RATIO_LIMIT,
+                             _stacked_qr, dimensions,
                              fs_form_batch, fs_form_direct_oracle,
                              fs_form_formula,
                              nested_log_potential,
                              vanishing_subspace,
-                             volume_ratio_scan, weight0_subspace_kernel)
+                             volume_ratio_scan)
 from bergman.uhp import DomainError, UhpPoint, hyp_distance
 from test_forms import bergman_from_basis
 
 
 def full_frame(basis):
-    """Identity frame (empty divisor)."""
-    return SubspaceFrame(coefficients=np.eye(basis.size, dtype=complex))
+    """Identity frame (no vanishing conditions)."""
+    return np.eye(basis.size, dtype=complex)
 
 
 def subspace_kernel_diagonal(frame, basis, z, k):
     """Diagonal reproducing kernel y^(2k) ||.||^2 of the vanishing subspace."""
-    return z.y ** (2 * k) * weight0_subspace_kernel(frame, basis, z)
+    vec = basis.values(z) @ frame
+    return z.y ** (2 * k) * float(np.real(np.vdot(vec, vec)))
 
 
 def stack(tuples):
@@ -63,38 +64,31 @@ def test_dimensions_formula_exact(g, k, d):
 
 
 def test_divisor_validation():
+    # the points must be distinct and at least one
+    basis = random_basis(1, n=4)
     z = UhpPoint(0.0, 1.0)
-    with pytest.raises(DomainError):
-        Divisor(points=())
-    with pytest.raises(DomainError):
-        Divisor(points=((z, 0),))
-    with pytest.raises(DomainError):
-        Divisor.simple([z, z])
-    assert Divisor(points=((z, 2),)).degree == 2
+    with pytest.raises(DomainError, match="at least one point"):
+        vanishing_subspace(basis, [])
+    with pytest.raises(DomainError, match="distinct"):
+        vanishing_subspace(basis, [z, z])
+    assert vanishing_subspace(basis, [z]).shape == (4, 3)
 
 
 def test_vanishing_subspace_monomial_oracle():
     # basis q, q^2, q^3: kernel of (t, t^2, t^3) has dimension 2
     basis = model_basis(8, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     z0 = UhpPoint(0.1, 0.8)
-    frame = vanishing_subspace(basis, Divisor.simple([z0]))
-    assert frame.rank == 2
+    frame = vanishing_subspace(basis, [z0])
+    assert frame.shape == (3, 2)
     t = np.exp(2j * math.pi * complex(z0.x, z0.y))
     row = np.array([t, t ** 2, t ** 3])
-    assert np.max(np.abs(row @ frame.coefficients)) < 1e-10
+    assert np.max(np.abs(row @ frame)) < 1e-10
 
 
 def test_single_form_generic_point_empty_kernel():
     basis = model_basis(8, [[1.0, 0.5]])
-    frame = vanishing_subspace(basis, Divisor.simple([UhpPoint(0.1, 0.9)]))
-    assert frame.rank == 0
-
-
-def test_multiplicity_two_drops_two_dimensions():
-    basis = random_basis(1, n=4)
-    frame = vanishing_subspace(
-        basis, Divisor(points=((UhpPoint(0.1, 0.9), 2),)))
-    assert frame.rank == 2
+    frame = vanishing_subspace(basis, [UhpPoint(0.1, 0.9)])
+    assert frame.shape == (1, 0)
 
 
 def test_rank_dimension_against_null_space():
@@ -105,18 +99,18 @@ def test_rank_dimension_against_null_space():
         basis = random_basis(int(rng.integers(0, 1 << 30)), n=n, m=8)
         zs = [UhpPoint(float(rng.uniform(-0.4, 0.4)),
                        float(rng.uniform(0.6, 1.5))) for _ in range(d)]
-        ev = evaluation_matrix(basis, Divisor.simple(zs))
+        ev = basis.values(zs)
         sv = np.linalg.svd(ev / np.max(np.abs(ev)), compute_uv=False)
         # skip instances where a singular value sits near the rank
         # cutoff; both routes would depend on tie-breaking there
         if np.any((sv > 1e-12) & (sv < 1e-8)):
             continue
-        frame = vanishing_subspace(basis, Divisor.simple(zs))
+        frame = vanishing_subspace(basis, zs)
         rank = int(np.sum(sv > 1e-10 * sv[0]))
-        assert frame.rank == n - rank
+        assert frame.shape == (n, n - rank)
         # columns orthonormal
-        gram = frame.coefficients.conj().T @ frame.coefficients
-        assert np.max(np.abs(gram - np.eye(frame.rank))) < 1e-10
+        gram = frame.conj().T @ frame
+        assert np.max(np.abs(gram - np.eye(n - rank))) < 1e-10
 
 
 @pytest.mark.filterwarnings("ignore::bergman.symprod.DegenerateDivisor")
@@ -130,10 +124,9 @@ def test_vanishing_frame_matches_null_space():
         basis = random_basis(int(rng.integers(0, 1 << 30)), n=n, m=8)
         zs = [UhpPoint(float(rng.uniform(-0.4, 0.4)),
                        float(rng.uniform(0.6, 1.5))) for _ in range(d)]
-        divisor = Divisor.simple(zs)
-        ev = evaluation_matrix(basis, divisor)
+        ev = basis.values(zs)
         ref = null_space(ev / np.max(np.abs(ev)), rcond=1e-10)
-        frame = vanishing_subspace(basis, divisor).coefficients
+        frame = vanishing_subspace(basis, zs)
         assert frame.shape == ref.shape
         assert np.max(np.abs(frame - ref), initial=0.0) < 1e-14
 
@@ -146,16 +139,16 @@ def test_degenerate_divisor_warns():
     z = UhpPoint(0.1, 0.9)
     w = UhpPoint(z.x + 1.0, z.y)  # q(z) = q(w): identical evaluation rows
     with pytest.warns(DegenerateDivisor):
-        frame = vanishing_subspace(basis, Divisor.simple([z, w]))
-    assert frame.rank == 2  # kernel larger than n - d = 1
+        frame = vanishing_subspace(basis, [z, w])
+    assert frame.shape == (3, 2)  # kernel larger than n - d = 1
 
 
 def test_subspace_kernel_contraction_and_vanishing():
     basis = random_basis(2)
     z0, z1 = UhpPoint(0.1, 0.9), UhpPoint(-0.2, 1.3)
     zq = UhpPoint(0.3, 1.1)
-    f1 = vanishing_subspace(basis, Divisor.simple([z0]))
-    f2 = vanishing_subspace(basis, Divisor.simple([z0, z1]))
+    f1 = vanishing_subspace(basis, [z0])
+    f2 = vanishing_subspace(basis, [z0, z1])
     full = bergman_from_basis(basis, zq)
     v1 = subspace_kernel_diagonal(f1, basis, zq, 4)
     v2 = subspace_kernel_diagonal(f2, basis, zq, 4)
@@ -163,7 +156,7 @@ def test_subspace_kernel_contraction_and_vanishing():
     # vanishing at the divisor point itself
     at_d = subspace_kernel_diagonal(f1, basis, z0, 4)
     assert at_d < 1e-20 * max(full, 1e-30)
-    # empty divisor (full frame) reproduces the basis kernel
+    # no conditions (the full frame) reproduces the basis kernel
     assert subspace_kernel_diagonal(full_frame(basis), basis, zq, 4) == \
         pytest.approx(full, rel=1e-12)
 
@@ -253,7 +246,7 @@ def test_fs_empty_basis_refused():
             fs_form_direct_oracle(basis, zs, 4)
 
 
-def ma_asymptotic_check(basis_by_k, divisor, z, k_list):
+def ma_asymptotic_check(basis_by_k, zs, z, k_list):
     """Table of (1/k)(||B^{k,-D}(z)|| - ||B^k(z)||) with a decay fit.
 
     ``basis_by_k(k)`` returns the orthonormal basis at weight 2k.  The
@@ -265,7 +258,7 @@ def ma_asymptotic_check(basis_by_k, divisor, z, k_list):
     rows = []
     for k in k_list:
         basis = basis_by_k(k)
-        frame = vanishing_subspace(basis, divisor)
+        frame = vanishing_subspace(basis, zs)
         sub = subspace_kernel_diagonal(frame, basis, z, k)
         full = bergman_from_basis(basis, z)
         rows.append((k, (sub - full) / k))
@@ -287,13 +280,13 @@ def test_ma_asymptotic_check():
     def basis_by_k(k):
         return model_basis(2 * k, coef.tolist())
 
-    divisor = Divisor.simple([UhpPoint(0.1, 0.9)])
+    zs = [UhpPoint(0.1, 0.9)]
     rows, slope, bounded = ma_asymptotic_check(
-        basis_by_k, divisor, UhpPoint(0.3, 1.1), [6, 8, 10, 12])
+        basis_by_k, zs, UhpPoint(0.3, 1.1), [6, 8, 10, 12])
     assert len(rows) == 4
     assert bounded
     with pytest.raises(DomainError):
-        ma_asymptotic_check(basis_by_k, divisor, UhpPoint(0.3, 1.1), [6, 8])
+        ma_asymptotic_check(basis_by_k, zs, UhpPoint(0.3, 1.1), [6, 8])
 
 
 def test_ma_closed_form_projection_oracle():
@@ -302,7 +295,7 @@ def test_ma_closed_form_projection_oracle():
     basis = random_basis(8)
     z0, z = UhpPoint(0.15, 1.0), UhpPoint(-0.3, 1.2)
     k = 4
-    frame = vanishing_subspace(basis, Divisor.simple([z0]))
+    frame = vanishing_subspace(basis, [z0])
     sub = subspace_kernel_diagonal(frame, basis, z, k)
     full = bergman_from_basis(basis, z)
     v0 = basis.values(z0)
