@@ -6,7 +6,8 @@
 Runs a fixed list of commands in each checkout: every README command,
 ``scripts/run_scans.py``, all six ``verify`` suites, scans with
 flagged, budget-cut and refused rows (a ``sym-scan`` with every tuple
-refused among them) or refused options, forms files
+refused and ``verify --suite thm10`` at a ``--tol`` that refuses every
+row among them) or refused options, forms files
 whose Gram is singular or does not converge, and forms files that the
 verify suites or the requested weights refuse.  Each command runs
 in a fresh working directory that holds a link to the checkout's
@@ -70,6 +71,9 @@ INPUTS = {
     # Delta^2, weight 24: its first coefficient is 0
     "delta2.jsonl": '{"label": "delta2", "weight": 24, "coefficients": [%s]}\n'
                     % ", ".join(map(str, delta_squared(30))),
+    # a config file, which only a checkout that still reads --config
+    # opens (and refuses for its tol)
+    "cfg.json": '{"tol": 0}\n',
     # weight 2, k = 1: below what the verify suites accept
     "weight2.jsonl": '{"label": "w2", "weight": 2, "coefficients": [1.0, 0.5]}\n',
 }
@@ -139,6 +143,11 @@ COMMANDS = [
                          "--grid=0,0,1,1,1,1", "--threads", "2"]),
     ("sym-all-refused", ["sym-scan", "--forms", FORMS, "--k", "6", "--d", "2",
                          "--tuples", "tuples_all_refused.jsonl"]),
+    ("config-refused", ["ratio-scan", "--forms", FORMS, "--k", "6",
+                        "--grid=0,0,1,1,1,1", "--config", "cfg.json"]),
+    ("thm10-tol", ["verify", "--suite", "thm10", "--tol", "1e-20"]),
+    ("grid-fractional-count", ["ratio-scan", "--forms", FORMS, "--k", "6",
+                               "--grid=0,0.2,1,1,2.9,1"]),
 ]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .forms import (CuspFormBasis, GramSingular, QuadratureDomain,
                     QuadratureNotConverged, delta_form, load_forms,
                     model_basis, orthonormal_basis, petersson_gram, save_forms)
-from .groups import DEFAULT_BUDGET, DEFAULT_C_GAMMA, group_by_name
+from .groups import DEFAULT_BUDGET, group_by_name
 from .kernel import bergman_kernel_diagonal, parabolic_term_bound
 from .metric import (BasisSource, KernelVanishes, PoincareSource,
                      RATIO_LIMIT, fd_log_ratio, grid_points, ratio_parts,
@@ -47,7 +47,6 @@ class RunConfig:
     grid: str = "-0.45,0.45,0.5,4.0,8,8"
     tuples: Optional[str] = None
     d: int = 1
-    c_gamma: float = DEFAULT_C_GAMMA
     c_x: float = 0.0
     bound: float = 150.0
     budget: int = DEFAULT_BUDGET
@@ -60,14 +59,13 @@ class RunConfig:
     def from_argv(cls, argv) -> tuple:
         """The command and config of a command line; (None, None) on --help.
 
-        One command from COMMANDS, ``--config PATH`` and one ``--<field>``
-        per field (underscores as dashes), each as ``--name value`` or
+        One command from COMMANDS and one ``--<field>`` per field
+        (underscores as dashes), each as ``--name value`` or
         ``--name=value``.  A repeated flag keeps its last value; a value
-        may begin with ``-`` but not with ``--``.  The JSON config file is
-        read first, then explicit flags override it.
+        may begin with ``-`` but not with ``--``.
         """
         known = {"--" + f.name.replace("_", "-"): f for f in fields(cls)}
-        command, config, flags = None, None, {}
+        command, cfg = None, cls()
         args = iter(argv)
         for arg in args:
             if arg in ("-h", "--help"):
@@ -82,63 +80,30 @@ class RunConfig:
                 command = arg
                 continue
             flag, eq, value = arg.partition("=")
-            if flag != "--config" and flag not in known:
+            if flag not in known:
                 raise ConfigError(f"unknown flag {flag}")
             if not eq:
                 value = next(args, None)
                 if value is None or value.startswith("--"):
                     raise ConfigError(f"{flag} needs a value")
-            if flag == "--config":
-                config = value
-                continue
             f = known[flag]
             try:
-                flags[f.name] = _FLAG_TYPES.get(f.type, str)(value)
+                setattr(cfg, f.name, _FLAG_TYPES.get(f.type, str)(value))
             except ValueError:
                 raise ConfigError(f"{flag} must be {f.type}, "
                                   f"got {value!r}") from None
         if command is None:
             raise ConfigError(f"missing command; choose from "
                               f"{', '.join(COMMANDS)}")
-        cfg = cls()
-        if config is not None:
-            cfg._apply_config(config)
-        for name, value in flags.items():
-            setattr(cfg, name, value)
         if cfg.budget < 1:
             raise ConfigError(f"--budget must be at least 1, got {cfg.budget}")
-        for flag, value in (("--tol", cfg.tol), ("--c-gamma", cfg.c_gamma)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(
-                    f"{flag} must be positive and finite, got {value}")
+        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+            raise ConfigError(
+                f"--tol must be positive and finite, got {cfg.tol}")
         if not (math.isfinite(cfg.c_x) and cfg.c_x >= 0.0):
             raise ConfigError(
                 f"--c-x must be at least 0 and finite, got {cfg.c_x}")
         return command, cfg
-
-    def _apply_config(self, path: str):
-        """Set the fields a JSON config file names, each of its type."""
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"bad config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} is not an object")
-        types = {f.name: f.type for f in fields(self)}
-        # the JSON values each field annotation takes
-        kinds = {"str": str, "Optional[str]": (str, type(None)), "int": int,
-                 "float": (int, float)}
-        for key, value in doc.items():
-            if key not in types:
-                raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(value, bool) or not isinstance(value,
-                                                         kinds[types[key]]):
-                raise ConfigError(f"config key {key!r} must be "
-                                  f"{types[key]}, got {value!r}")
-            setattr(self, key, float(value) if types[key] == "float" else value)
 
     def k_values(self):
         try:
@@ -162,9 +127,13 @@ class RunConfig:
     def grid_spec(self):
         try:
             x0, x1, y0, y1, nx, ny = (float(t) for t in self.grid.split(","))
-            nx, ny = int(nx), int(ny)
+            counts = int(nx), int(ny)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid {self.grid!r}") from exc
+        if counts != (nx, ny):
+            raise ConfigError(f"--grid {self.grid!r}: nx and ny must be whole "
+                              f"numbers")
+        nx, ny = counts
         if min(nx, ny) < 1:
             raise ConfigError(f"--grid {self.grid!r}: nx and ny must be at "
                               f"least 1")
@@ -283,8 +252,7 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         route = "poincare"
         sources = [PoincareSource(group, k, cfg.budget)
                    for k in cfg.k_values()]
-    tables, summaries = ratio_scan(sources, grid, cfg.c_gamma, cfg.c_x,
-                                   tol=cfg.tol)
+    tables, summaries = ratio_scan(sources, grid, cfg.c_x, tol=cfg.tol)
     xs, ys = [z.x for z in grid], [z.y for z in grid]
     regions = ("CompactPart", "CuspNeighborhood")
     text = "k,x,y,region,route,ratio,ratio_over_k2,bound,bound_ok,error\n"
@@ -466,7 +434,7 @@ def suite_prop9(cfg: RunConfig):
 def suite_thm10(cfg: RunConfig):
     grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
     _, summaries = ratio_scan([BasisSource(_delta_basis(cfg))], grid,
-                              cfg.c_gamma, cfg.c_x)
+                              cfg.c_x, tol=cfg.tol)
     s = summaries[0]
     at = None if s.sup_index is None else grid[s.sup_index]
     return s.within_limit, \
@@ -527,14 +495,13 @@ def _round_doc(doc):
 
 def usage() -> str:
     """The --help text: the commands and every flag with its default."""
-    lines = ["usage: bergman COMMAND [--config PATH] [--FLAG VALUE ...]",
+    lines = ["usage: bergman COMMAND [--FLAG VALUE ...]",
              "",
              "Bergman kernels and metric ratios on hyperbolic surfaces.",
              "",
              "commands: " + ", ".join(COMMANDS),
              "",
-             "flags, as --flag VALUE or --flag=VALUE; flags override --config:",
-             "  --config PATH".ljust(22) + "JSON config file"]
+             "flags, as --flag VALUE or --flag=VALUE:"]
     for f in fields(RunConfig):
         metavar = _FLAG_TYPES.get(f.type, str).__name__.upper()
         flag = f"  --{f.name.replace('_', '-')} {metavar}"

@@ -23,7 +23,8 @@ from .uhp import (
     hyp_distance,
 )
 
-DEFAULT_C_GAMMA = 4.0 * math.pi
+# c_Gamma of the cusp threshold and of Prop 8's bound
+C_GAMMA = 4.0 * math.pi
 # most expansions, cosets or orbit elements one enumeration may list
 DEFAULT_BUDGET = 200_000
 
@@ -423,10 +424,8 @@ def _unimodular_tops(c: np.ndarray, d: np.ndarray):
     return a, (a * d - 1) // c
 
 
-def cusp_threshold(k: int, c_gamma: float = DEFAULT_C_GAMMA) -> float:
-    """Height c_gamma * log(k) / (2*pi) where the cusp neighborhood starts."""
+def cusp_threshold(k: int) -> float:
+    """Height C_GAMMA * log(k) / (2*pi) where the cusp neighborhood starts."""
     if k < 2:
         raise DomainError("k must be >= 2")
-    if c_gamma <= 0:
-        raise DomainError("c_gamma must be positive")
-    return c_gamma * math.log(k) / (2.0 * math.pi)
+    return C_GAMMA * math.log(k) / (2.0 * math.pi)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .forms import CuspFormBasis, basis_weight0_bundle, basis_weight0_grid
 from .groups import (
+    C_GAMMA,
     DEFAULT_BUDGET,
-    DEFAULT_C_GAMMA,
     BudgetExceeded,
     CosetList,
     FuchsianGroup,
@@ -226,16 +226,15 @@ def fd_log_ratio(source, z: UhpPoint, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Bound ledger
 
-def prop8_bound(k: int, kernel_lower: float, c_x: float,
-                c_gamma: float = DEFAULT_C_GAMMA) -> float:
+def prop8_bound(k: int, kernel_lower: float, c_x: float) -> float:
     """Prop 8's bound on |ratio|, parenthesis at the threshold height."""
     if k < 3:
         raise DomainError("k must be >= 3")
-    if kernel_lower <= 0 or c_x < 0 or c_gamma <= 0:
+    if kernel_lower <= 0 or c_x < 0:
         raise DomainError("inputs must be positive")
     paren_star = (
         identity_term(k)
-        + c_gamma * (2 * k - 1) * math.log(k)
+        + C_GAMMA * (2 * k - 1) * math.log(k)
         / (2.0 * math.pi * math.sqrt(math.pi)) * gamma_ratio(k)
         + c_x
     )
@@ -246,10 +245,10 @@ def prop8_bound(k: int, kernel_lower: float, c_x: float,
     )
 
 
-def bound_ledger(y: float, k: int, kernel_lower: float, c_x: float,
-                 c_gamma: float = DEFAULT_C_GAMMA) -> BoundLedger:
+def bound_ledger(y: float, k: int, kernel_lower: float,
+                 c_x: float) -> BoundLedger:
     """Explicit derivative and ratio bounds with the stated constants."""
-    prop8 = prop8_bound(k, kernel_lower, c_x, c_gamma)
+    prop8 = prop8_bound(k, kernel_lower, c_x)
     if y <= 0:
         raise DomainError("inputs must be positive")
     paren = identity_term(k) + parabolic_term_bound(y, k) + c_x
@@ -322,8 +321,7 @@ def grid_points(x0: float, x1: float, y0: float, y1: float,
     return [UhpPoint(x, y) for y in ys for x in xs]
 
 
-def ratio_scan(sources, grid: Sequence[UhpPoint],
-               c_gamma: float = DEFAULT_C_GAMMA, c_x: float = 0.0,
+def ratio_scan(sources, grid: Sequence[UhpPoint], c_x: float = 0.0,
                tol: float = 1e-5):
     """Per-weight ratio columns plus per-k sup |ratio|/k^2 summaries.
 
@@ -341,7 +339,7 @@ def ratio_scan(sources, grid: Sequence[UhpPoint],
         k = source.k
         cols = source.bundles(grid)
         ratio, _, err = ratio_parts(cols, y, k)
-        threshold = cusp_threshold(k, c_gamma)
+        threshold = cusp_threshold(k)
         vanishes = cols.value <= 1e-300
         with np.errstate(all="ignore"):
             exceeded = ~(err <= tol * np.maximum(np.abs(ratio),
@@ -364,7 +362,7 @@ def ratio_scan(sources, grid: Sequence[UhpPoint],
         over = np.abs(ratio) / (k * k)
         klower = kernel_lower_surrogate(
             k, float(norms[ok].min()) if ok.any() else 0.0)
-        bound = prop8_bound(k, klower, c_x, c_gamma) if k >= 3 else math.inf
+        bound = prop8_bound(k, klower, c_x) if k >= 3 else math.inf
         tables.append(ScanColumns(
             k=k, cusp=y >= threshold, ratio=np.where(ok, ratio, np.nan),
             ratio_over_k2=np.where(ok, over, np.nan),

@@ -3,18 +3,21 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
 
-from bergman.cli import FMT, ConfigError, RunConfig, _load_tuples, main
+from bergman.cli import FMT, RunConfig, _load_tuples, main
 from bergman.forms import ramanujan_tau
 from bergman.uhp import UhpPoint
 from test_symprod import per_tuple_formula
 
-DATA = pathlib.Path(__file__).resolve().parents[1] / "data" / "delta_weight12.jsonl"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "data" / "delta_weight12.jsonl"
+README = ROOT / "README.md"
 
 
 def run_cli(args, capsys=None):
@@ -22,66 +25,48 @@ def run_cli(args, capsys=None):
     return code
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"k": "8", "bound": 99.0}))
-    command, cfg = RunConfig.from_argv(["kernel", "--config", str(cfg_path),
-                                        "--k", "6"])
-    assert command == "kernel"
-    assert cfg.k_values() == [6]  # flag wins
-    assert cfg.bound == 99.0      # file value kept
-
-
-def test_config_unknown_key_rejected(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"nonsense": 1}))
-    with pytest.raises(ConfigError):
-        RunConfig.from_argv(["kernel", "--config", str(cfg_path)])
-
-
-@pytest.mark.parametrize("command, config, flags, message", [
-    ("sym-scan", {"d": "2"}, [], "config key 'd' must be int, got '2'"),
-    ("ratio-scan", {"tol": "1e-5"}, [],
-     "config key 'tol' must be float, got '1e-5'"),
-    ("ratio-scan", {"budget": True}, [], "config key 'budget' must be int"),
-    ("ratio-scan", {"grid": [0, 0, 1, 1, 1, 1]}, [],
-     "config key 'grid' must be str"),
-    ("ratio-scan", {}, ["--grid=0,0,1,1,0,1"],
+@pytest.mark.parametrize("command, flags, message", [
+    ("ratio-scan", ["--grid=0,0,1,1,0,1"],
      "--grid '0,0,1,1,0,1': nx and ny must be at least 1"),
-    ("sym-scan", {"grid": "0,0,1,1,1,0"}, ["--d", "2"],
+    ("sym-scan", ["--grid", "0,0,1,1,1,0", "--d", "2"],
      "--grid '0,0,1,1,1,0': nx and ny must be at least 1"),
-    ("ratio-scan", [["tol", 1e-5]], [], "cfg.json is not an object"),
-    ("ratio-scan", {}, ["--budget", "0"], "--budget must be at least 1, got 0"),
-    ("kernel", {"budget": -5}, [], "--budget must be at least 1, got -5"),
-    ("ratio-scan", {}, ["--tol", "-1"],
+    # once truncated to a 2-column scan that exited 0
+    ("ratio-scan", ["--grid=0,0.2,1,1,2.9,1"],
+     "--grid '0,0.2,1,1,2.9,1': nx and ny must be whole numbers"),
+    ("ratio-scan", ["--grid=0,0,1,1,nan,1"], "bad grid '0,0,1,1,nan,1'"),
+    ("ratio-scan", ["--grid=0,0,1,1,1,inf"], "bad grid '0,0,1,1,1,inf'"),
+    ("ratio-scan", ["--budget", "0"], "--budget must be at least 1, got 0"),
+    ("kernel", ["--budget", "-5"], "--budget must be at least 1, got -5"),
+    ("ratio-scan", ["--tol", "-1"],
      "--tol must be positive and finite, got -1.0"),
-    ("ratio-scan", {"tol": 0}, [], "--tol must be positive and finite, got 0.0"),
-    ("ratio-scan", {}, ["--tol", "inf"],
+    ("ratio-scan", ["--tol", "0"], "--tol must be positive and finite, got 0.0"),
+    ("ratio-scan", ["--tol", "inf"],
      "--tol must be positive and finite, got inf"),
-    ("verify", {}, ["--tol", "nan"], "--tol must be positive and finite, got nan"),
-    ("ratio-scan", {"k": ""}, [], "--k '' lists no weight"),
-    ("ratio-scan", {"c_gamma": 0}, [],
-     "--c-gamma must be positive and finite, got 0.0"),
-    ("kernel", {}, ["--c-gamma", "inf"],
-     "--c-gamma must be positive and finite, got inf"),
-    ("ratio-scan", {"c_x": -1}, [], "--c-x must be at least 0 and finite, got -1.0"),
-    ("verify", {}, ["--c-x", "nan"], "--c-x must be at least 0 and finite, got nan"),
-    ("sym-scan", {"k": "8,6,8"}, [], "--k '8,6,8' repeats weight 8"),
-], ids=["d-string", "tol-string", "budget-bool", "grid-list", "grid-nx-0",
-        "config-grid-ny-0", "not-an-object", "budget-0", "config-budget-negative",
-        "tol-negative", "config-tol-0", "tol-inf", "tol-nan", "config-k-empty",
-        "config-c-gamma-0", "c-gamma-inf", "config-c-x-negative", "c-x-nan",
+    ("verify", ["--tol", "nan"], "--tol must be positive and finite, got nan"),
+    ("ratio-scan", ["--k="], "--k '' lists no weight"),
+    ("ratio-scan", ["--c-x", "-1"],
+     "--c-x must be at least 0 and finite, got -1.0"),
+    ("verify", ["--c-x", "nan"], "--c-x must be at least 0 and finite, got nan"),
+    ("sym-scan", ["--k", "8,6,8"], "--k '8,6,8' repeats weight 8"),
+], ids=["grid-nx-0", "config-grid-ny-0", "grid-fractional-count",
+        "grid-nan-count", "grid-inf-count", "budget-0",
+        "config-budget-negative", "tol-negative", "config-tol-0", "tol-inf",
+        "tol-nan", "config-k-empty", "config-c-x-negative", "c-x-nan",
         "config-k-repeated"])
-def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags,
-                                  message):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
+def test_bad_config_value_exits_2(tmp_path, capsys, command, flags, message):
+    # "config" is the run's configuration, which flags alone set
     out = tmp_path / "scan.csv"
-    code = main([command, "--forms", str(DATA), "--config", str(cfg_path),
-                 "--out", str(out)] + flags)
+    code = main([command, "--forms", str(DATA), "--out", str(out)] + flags)
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, points", [("0,1,1,1,2.0,1", 2),
+                                          ("0,1,1,1,1e3,1", 1000)])
+def test_grid_counts_may_be_written_as_floats(grid, points):
+    _, cfg = RunConfig.from_argv(["ratio-scan", f"--grid={grid}"])
+    assert len(cfg.grid_spec()) == points
 
 
 @pytest.mark.parametrize("flag", [["--budget", "0"], ["--tol", "-1"]],
@@ -93,13 +78,6 @@ def test_poincare_scan_refuses_bad_budget_or_tol_before_any_row(capsys, flag):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith(f"error: {flag[0]} must be")
-
-
-def test_integer_config_value_for_a_float_field(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"tol": 1, "d": 2}))
-    _, cfg = RunConfig.from_argv(["sym-scan", "--config", str(cfg_path)])
-    assert cfg.tol == 1.0 and isinstance(cfg.tol, float) and cfg.d == 2
 
 
 def test_flag_forms_and_values():
@@ -126,11 +104,10 @@ def test_flag_forms_and_values():
     (["ratio-scan", "--tol", "x"], "--tol must be float, got 'x'"),
     # the Petersson Gram has one domain, the modular one
     (["gram", "--domain", "strip"], "unknown flag --domain"),
-    (["gram", "--config", "CFG"], "unknown config key 'domain'"),
     # scans run on one thread, so there is no thread count to set
     (["ratio-scan", "--threads", "2"], "unknown flag --threads"),
-    (["ratio-scan", "--config", "CFG_THREADS"],
-     "unknown config key 'threads'"),
+    # flags are the only way to set a run
+    (["ratio-scan", "--config", "cfg.json"], "unknown flag --config"),
     (["--k", "6"], "missing command"),
     ([], "missing command"),
     (["scan", "--k", "6"], "unknown command 'scan'"),
@@ -138,23 +115,19 @@ def test_flag_forms_and_values():
     (["kernel", "--k", "6", "8"],
      "unexpected argument '8' after command 'kernel'"),
     (["ratio-scan", "--k=,", "--grid=0,0,1,1,1,1"], "--k ',' lists no weight"),
-    (["ratio-scan", "--c-gamma", "nan"],
-     "--c-gamma must be positive and finite, got nan"),
+    # c_Gamma is the constant groups.C_GAMMA
+    (["ratio-scan", "--c-gamma", "nan"], "unknown flag --c-gamma"),
     (["ratio-scan", "--c-x", "-1"], "--c-x must be at least 0 and finite, got -1.0"),
     # a repeated weight would print its rows and summary twice
     (["ratio-scan", "--group", "modular", "--k", "6,6", "--grid=0,0,1,1,1,1"],
      "--k '6,6' repeats weight 6"),
 ], ids=["unknown", "underscore", "single-dash", "no-value", "flag-as-value",
-        "d-string", "d-float", "tol-string", "domain", "config-domain",
-        "threads", "config-threads", "no-command", "empty",
+        "d-string", "d-float", "tol-string", "domain", "threads", "config",
+        "no-command", "empty",
         "unknown-command", "two-commands", "extra-positional", "k-empty",
         "c-gamma-nan", "c-x-negative", "k-repeated"])
 def test_bad_command_line_exits_2(tmp_path, capsys, argv, message):
-    configs = {"CFG": {"domain": "strip"}, "CFG_THREADS": {"threads": 2}}
-    for name, doc in configs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     out = tmp_path / "out.txt"
-    argv = [str(tmp_path / f"{a}.json") if a in configs else a for a in argv]
     code = main(argv + ["--forms", str(DATA), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -174,7 +147,14 @@ def test_help_lists_every_flag_and_exits_0(capsys, flag):
         line = next(ln for ln in out.splitlines()
                     if ln.split()[:1] == ["--" + f.name.replace("_", "-")])
         assert line.endswith(f"default {f.default!r}")
-    assert "--config PATH" in out
+    assert "--config" not in out and "--c-gamma" not in out
+
+
+def test_readme_cli_names_only_real_flags():
+    text = README.read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+    flags = {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
+    named = set(re.findall(r"--[a-z][a-z0-9_-]*", text))
+    assert named and named <= flags | {"--help", "--name"}
 
 
 def test_cli_imports_no_argparse():
@@ -342,6 +322,17 @@ def test_verify_report_shape(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"suite", "pass", "metrics", "tolerances"}
     assert doc["suite"] == "prop3"
+
+
+def test_verify_thm10_refuses_every_row_beyond_tol(tmp_path):
+    # the suite once scanned at the default tolerance and passed
+    out = tmp_path / "report.json"
+    code = main(["verify", "--suite", "thm10", "--tol", "1e-20",
+                 "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert code == 1 and doc["pass"] is False
+    assert doc["metrics"]["sup_ratio_over_k2"] == -math.inf
+    assert doc["metrics"]["sup_point"] is None
 
 
 def test_ratio_scan_csv_and_threads_determinism(tmp_path):

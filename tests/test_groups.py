@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bergman.forms import model_basis
-from bergman.groups import (DEFAULT_C_GAMMA, BudgetExceeded, FuchsianGroup,
+from bergman.groups import (C_GAMMA, BudgetExceeded, FuchsianGroup,
                             cusp_threshold, enumerate_group_elements,
                             free_product_group, group_by_name, modular_cosets,
                             modular_group, translation_group, trivial_group,
@@ -104,7 +104,7 @@ def test_enumeration_input_validation():
 def test_region_split():
     # the scan's region column: the cusp neighborhood is y >= threshold
     k = 10
-    threshold = DEFAULT_C_GAMMA * math.log(k) / (2 * math.pi)
+    threshold = C_GAMMA * math.log(k) / (2 * math.pi)
     grid = [UhpPoint(0, threshold * 0.9), UhpPoint(0, threshold)]
     basis = model_basis(2 * k, [[1.0]])
     (cols,), _ = ratio_scan([BasisSource(basis)], grid)
