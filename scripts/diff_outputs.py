@@ -103,6 +103,10 @@ COMMANDS = [
                          "--grid=0,0,1,1,1,1", "--budget", "50"]),
     ("scan-flagged-cusp", ["ratio-scan", "--group", "modular", "--k", "6,8",
                            "--grid=0,0,1,8,1,8"]),
+    # below the headline heights the coset tail, not rounding, sets the
+    # error, so a change to the norm bound N shows here
+    ("scan-below-headline", ["ratio-scan", "--group", "modular", "--k", "6,8",
+                             "--grid=-0.45,0.45,0.3,0.55,4,3"]),
     ("scan-large-weight", ["ratio-scan", "--group", "modular", "--k", "90",
                            "--grid=0,0,1,1,1,1"]),
     ("scan-kernel-vanishes", ["ratio-scan", "--forms", FORMS, "--k", "6",

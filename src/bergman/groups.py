@@ -367,8 +367,9 @@ def modular_cosets(z: UhpPoint, norm_bound: float,
     cosets raises ``BudgetExceeded`` and entries of 2^31 or more (here
     any in the box 0 <= c <= sqrt(norm_bound)/y + 1 that holds the
     candidates) raise ``DomainError``.  The candidates, about
-    (pi/2 + 3/sqrt(N)) N/y of them, are held at once; ``coset_norm_bound``
-    keeps N/y, and so their count, bounded.
+    (pi/2 + 3/sqrt(N)) N/y of them, are held at once, and about
+    3N/(pi y) are kept; ``coset_norm_bound`` takes the smallest N that
+    its tail bound allows, and caps N/y.
     """
     if norm_bound < 1.0:
         raise DomainError("norm bound must be >= 1")

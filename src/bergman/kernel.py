@@ -244,33 +244,43 @@ def _lipschitz_majorant(y: float, s: int) -> float:
 
 
 def coset_tail_sum(norm_bound: float, y: float, p: int) -> float:
-    """Bound on sum |cz+d|^(-2p) over integer pairs +-(c, d) beyond norm_bound.
+    """Bound on sum |cz+d|^(-2p) over pairs c >= 1, d beyond norm_bound N.
 
-    At most 2X/y + (1 + 1/y) sqrt(X) pairs have |cz+d|^2 <= X (for each
-    0 <= c <= sqrt(X)/y, at most 2 sqrt(X) + 1 values of d).  Summing
-    that count over the dyadic shells (2^j N, 2^(j+1) N] gives two
-    geometric series.  Bottom rows of an integral group are such pairs,
-    one per coset.  Needs p > 1.
+    Let A(X) count the pairs with R = |cz+d|^2 <= X.  Row c holds the d
+    in an interval of length 2 sqrt(X - c^2 y^2), so between that length
+    minus one and plus one of them, for each 1 <= c <= sqrt(X)/y.
+    Comparing the rows with the integral of the half ellipse gives
+
+        (pi/2) X/y - (2 + 1/y) sqrt(X) <= A(X) <= (pi/2) X/y + sqrt(X)/y.
+
+    Partial summation, sum_{R > N} R^(-p) = -N^(-p) A(N)
+    + p int_N^inf X^(-p-1) A(X) dX, with the lower count in the first
+    term and the upper one in the integral, gives
+
+        pi N^(1-p) / (2y(p-1)) + (2 + 1/y + p/(y(p - 1/2))) N^(1/2-p).
+
+    Bottom rows of an integral group are such pairs, one per coset with
+    c >= 1.  Needs p > 1.
     """
     if norm_bound <= 0.0:
         return math.inf
     n = norm_bound
-    return (4.0 / y * n ** (1 - p) / (1.0 - 2.0 ** (1 - p))
-            + math.sqrt(2.0) * (1.0 + 1.0 / y) * n ** (0.5 - p)
-            / (1.0 - 2.0 ** (0.5 - p)))
+    return (math.pi / (2.0 * y * (p - 1)) * n ** (1 - p)
+            + (2.0 + 1.0 / y + p / (y * (p - 0.5))) * n ** (0.5 - p))
 
 
 def coset_norm_bound(y: float, k: int) -> float:
     """Norm bound N of the coset walk for the weight-2k series at height y.
 
-    N is the smallest (to 10%) whose coset tail on B, Lambda_2k(y) times
-    ``coset_tail_sum(N, y, k)``, is at most EPS times the largest coset
-    term: the identity coset's Lambda_2k(2y), or for c >= 1, where
-    R = |cz+d|^2 >= y^2 and Im(tau) = y + y/R, the maximum over R of
-    Lambda_2k(y) R^(-k) e^(-2 pi y/R).  The tail is then of the size of
-    double rounding on that term.  For small k that N would list
-    millions of cosets (about 3N/(pi y) on the modular group), so it is
-    capped at NORM_CAP y, where the tail, still reported, is larger.
+    N is the smallest, found by bisection, whose coset tail on B,
+    Lambda_2k(y) times ``coset_tail_sum(N, y, k)``, is at most EPS times
+    the largest coset term: the identity coset's Lambda_2k(2y), or for
+    c >= 1, where R = |cz+d|^2 >= y^2 and Im(tau) = y + y/R, the maximum
+    over R of Lambda_2k(y) R^(-k) e^(-2 pi y/R).  The tail is then of the
+    size of double rounding on that term.  N is at least 1.  For small k
+    that N would list millions of cosets (about 3N/(pi y) on the modular
+    group), so it is capped at NORM_CAP y, where the tail, still
+    reported, is larger.
     """
     if k < 2:
         raise DomainError("k must be >= 2")
@@ -278,10 +288,18 @@ def coset_norm_bound(y: float, k: int) -> float:
     r_top = max(y * y, TWO_PI * y / k)
     target = EPS * max(_lipschitz_majorant(2.0 * y, 2 * k) / lam,
                        r_top ** (-k) * math.exp(-TWO_PI * y / r_top))
-    n = max(1.0, (4.0 / y / (1.0 - 2.0 ** (1 - k)) / target) ** (1.0 / (k - 1)))
-    while coset_tail_sum(n, y, k) > target and n < NORM_CAP * y:
-        n *= 1.1
-    return min(n, NORM_CAP * y)
+    lo, hi = 1.0, NORM_CAP * y
+    if hi <= lo or coset_tail_sum(hi, y, k) > target:
+        return hi
+    if coset_tail_sum(lo, y, k) <= target:
+        return lo
+    # the tail falls as N grows: T(lo) > target >= T(hi) throughout
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if coset_tail_sum(mid, y, k) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def poincare_weight0_bundle(elements: CosetList, z: UhpPoint, k: int):

@@ -12,10 +12,11 @@ from bergman.forms import (CuspFormBasis, QuadratureDomain,
 from bergman.groups import (CosetList, enumerate_group_elements,
                             modular_cosets, modular_group, translation_group,
                             trivial_group, walk_cosets)
-from bergman.kernel import (EPS, _lipschitz_majorant, _log_weights,
-                            _series_length, _series_tail, accurate_sum,
-                            bergman_kernel_diagonal,
-                            coset_norm_bound, cx_constant, gamma_ratio,
+from bergman.kernel import (EPS, NORM_CAP, TWO_PI, _lipschitz_majorant,
+                            _log_weights, _series_length, _series_tail,
+                            accurate_sum, bergman_kernel_diagonal,
+                            coset_norm_bound, coset_tail_sum, cx_constant,
+                            gamma_ratio,
                             identity_term, parabolic_term_bound, poincare_weight0_bundle,
                             term_log_phase)
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
@@ -428,3 +429,72 @@ def test_coset_bundle_errors_match_pinned(x, y, k, pinned):
     errors = poincare_weight0_bundle(cosets, z, k)[3]
     for got, want in zip(errors, pinned):
         assert got == pytest.approx(want, rel=1e-2)
+
+
+def dyadic_tail_sum(n, y, p):
+    """The dyadic-shell bound on sum R^(-p) over the pairs with R > n.
+
+    At most 2X/y + (1 + 1/y) sqrt(X) pairs (c >= 0, d) have
+    R = |cz+d|^2 <= X; summed over the shells (2^j n, 2^(j+1) n].  Looser
+    than ``coset_tail_sum`` and derived apart from it: the oracle for
+    the part of a sum beyond what is counted.
+    """
+    return (4.0 / y * n ** (1 - p) / (1.0 - 2.0 ** (1 - p))
+            + math.sqrt(2.0) * (1.0 + 1.0 / y) * n ** (0.5 - p)
+            / (1.0 - 2.0 ** (0.5 - p)))
+
+
+def pair_norms(z, m):
+    """R = |cz+d|^2 of every integer pair c >= 1, d with R <= m."""
+    c = np.arange(1.0, math.floor(math.sqrt(m) / z.y) + 1.0)
+    # d in [-cx - r, -cx + r], r^2 = m - c^2 y^2, widened by one each
+    # side for rounding; the norm test below decides
+    half = np.sqrt(np.fmax(m - (c * z.y) ** 2, 0.0))
+    lo = np.ceil(-c * z.x - half) - 1.0
+    count = (np.floor(-c * z.x + half) + 2.0 - lo).astype(int)
+    c = np.repeat(c, count)
+    d = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(c))
+    r = (c * z.x + d) ** 2 + (c * z.y) ** 2
+    return r[r <= m]
+
+
+@pytest.mark.parametrize("x", [0.0, 0.13, 0.5])
+@pytest.mark.parametrize("y", [0.3, 0.6, 1.0, 2.3, 4.0, 7.0])
+def test_coset_tail_sum_bounds_the_pair_sum(x, y):
+    # the pairs with n < R <= 256 n summed one by one, the rest bounded
+    # by the dyadic shells: together at least the whole sum beyond n
+    z = UhpPoint(x, y)
+    for n in (2.0, 10.0, 50.0, 300.0, 2000.0):
+        m = 256.0 * n
+        r = pair_norms(z, m)
+        r = r[r > n]
+        for p in (2, 3, 6, 8, 13):
+            bound = coset_tail_sum(n, y, p)
+            assert np.sum(r ** -p) + dyadic_tail_sum(m, y, p) <= bound
+            assert bound <= dyadic_tail_sum(n, y, p)
+
+
+@pytest.mark.parametrize("y", [0.3, 0.6, 1.0, 2.3, 4.0, 9.0, 20.0])
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 8, 12, 24, 48])
+def test_coset_norm_bound_is_the_smallest_that_meets_the_target(y, k):
+    # the target of the docstring: EPS times the largest coset term,
+    # over Lambda_2k(y); R^(-k) e^(-2 pi y/R) peaks at R = 2 pi y/k
+    r_top = max(y * y, TWO_PI * y / k)
+    target = EPS * max(
+        _lipschitz_majorant(2.0 * y, 2 * k) / _lipschitz_majorant(y, 2 * k),
+        r_top ** -k * math.exp(-TWO_PI * y / r_top))
+    n = coset_norm_bound(y, k)
+    assert 1.0 <= n <= NORM_CAP * y
+    if n < NORM_CAP * y:
+        assert coset_tail_sum(n, y, k) <= target
+    if 1.0 < n < NORM_CAP * y:
+        assert coset_tail_sum(n / 1.01, y, k) > target
+
+
+@pytest.mark.parametrize("y, most", [(1.0, 3_800), (2.0, 4_650),
+                                     (4.0, 7_800)])
+def test_modular_coset_count_stays_small(y, most):
+    # the smallest N list 3,738, 4,569 and 7,645 cosets; a looser tail
+    # bound or N solve lists more
+    z = UhpPoint(0.1, y)
+    assert len(modular_cosets(z, coset_norm_bound(y, 6))) <= most

@@ -139,10 +139,10 @@ def test_finite_difference_routes_refuse_budget_cut_orbit():
 
 
 def test_poincare_bundles_refuse_only_the_budget_cut_point():
-    # 10^4 cosets cover the walk at y = 1 and 2 (about 6,600 and 8,100
-    # cosets) but not at y = 4 (about 13,600)
+    # 6,000 cosets cover the sieve at y = 1 and 2 (about 3,700 and 4,600
+    # cosets) but not at y = 4 (about 7,600)
     grid = [UhpPoint(0.1, 1.0), UhpPoint(0.1, 4.0), UhpPoint(0.1, 2.0)]
-    out = PoincareSource(modular_group(), 6, budget=10_000).bundles(grid)
+    out = PoincareSource(modular_group(), 6, budget=6_000).bundles(grid)
     assert isinstance(out.refusals[1], BudgetExceeded)
     full = PoincareSource(modular_group(), 6)
     for i in (0, 2):
