@@ -4,7 +4,8 @@
     python3 scripts/diff_outputs.py PARENT_DIR CHANGE_DIR
 
 Runs a fixed list of commands in each checkout: every README command,
-``scripts/run_scans.py``, all six ``verify`` suites, scans with
+``scripts/run_scans.py``, all six ``verify`` suites, modular scans up
+the cusp and at k = 12 (the Fourier table's rows), scans with
 flagged, budget-cut and refused rows (a ``sym-scan`` with every tuple
 refused and ``verify --suite thm10`` at a ``--tol`` that refuses every
 row among them) or refused options, forms files
@@ -107,6 +108,12 @@ COMMANDS = [
     # error, so a change to the norm bound N shows here
     ("scan-below-headline", ["ratio-scan", "--group", "modular", "--k", "6,8",
                              "--grid=-0.45,0.45,0.3,0.55,4,3"]),
+    # up the cusp, where PSL(2, Z) takes the Fourier table, and at k = 12,
+    # whose table has rank dim S_24 = 2, on both sides of Y_12 = 1.375
+    ("scan-cusp", ["ratio-scan", "--group", "modular", "--k", "6,8",
+                   "--grid=-0.45,0.45,4,10,4,7"]),
+    ("scan-k12", ["ratio-scan", "--group", "modular", "--k", "12",
+                  "--grid=-0.4,0.4,0.8,3.2,3,4"]),
     ("scan-large-weight", ["ratio-scan", "--group", "modular", "--k", "90",
                            "--grid=0,0,1,1,1,1"]),
     ("scan-kernel-vanishes", ["ratio-scan", "--forms", FORMS, "--k", "6",

@@ -255,13 +255,16 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
     tables, summaries = ratio_scan(sources, grid, cfg.c_x, tol=cfg.tol)
     xs, ys = [z.x for z in grid], [z.y for z in grid]
     regions = ("CompactPart", "CuspNeighborhood")
-    text = "k,x,y,region,route,ratio,ratio_over_k2,bound,bound_ok,error\n"
+    text = ("k,x,y,region,route,ratio,err,ratio_over_k2,bound,bound_ok,"
+            "error\n")
     for t in tables:
         # one template per weight: k and the route are fixed in it
-        line = f"{t.k},{FMT},{FMT},%s,{route},{FMT},{FMT},{FMT},%d,%s\n"
+        line = (f"{t.k},{FMT},{FMT},%s,{route},{FMT},%.3g,{FMT},{FMT},%d,"
+                f"%s\n")
         text += "".join(line % row for row in zip(
             xs, ys, [regions[c] for c in t.cusp.tolist()], t.ratio.tolist(),
-            t.ratio_over_k2.tolist(), t.bound.tolist(), t.bound_ok.tolist(),
+            t.error_bound.tolist(), t.ratio_over_k2.tolist(),
+            t.bound.tolist(), t.bound_ok.tolist(),
             [_cell(e) if e else "" for e in t.errors]))
     for s in summaries:
         text += ("# k=%d sup_ratio_over_k2=" + FMT + " limit=" + FMT

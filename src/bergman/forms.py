@@ -139,15 +139,20 @@ class CuspFormBasis:
         found = np.array(sorted(set(steps.tolist())))
         counts = np.full(len(found), m)
         slope = (TWO_PI / HEIGHT_STEPS) * np.arange(1, m + 1)
-        for lo in range(0, len(found) if logs.size else 0, 64):
+        # 16 steps at a time, in place: at most two step x row x power
+        # arrays are alive at once
+        for lo in range(0, len(found) if logs.size else 0, 16):
             # per step, row and power: the terms over the row's largest,
             # then tail[..., T] = sum_{m>T}; ok is monotone in T
-            terms = logs - found[lo:lo + 64, None, None] * slope
-            terms = np.exp(terms - terms.max(axis=2, keepdims=True))
+            terms = logs - found[lo:lo + 16, None, None] * slope
+            terms -= terms.max(axis=2, keepdims=True)
+            np.exp(terms, out=terms)
             tail = np.cumsum(terms[:, :, ::-1], axis=2)[:, :, ::-1]
+            del terms
             head = tail[:, :, :1] - tail[:, :, 1:]
-            ok = tail[:, :, 1:] <= CUT_RATIO * head
-            counts[lo:lo + 64] = m - ok.sum(axis=2).min(axis=1)
+            head *= CUT_RATIO
+            ok = tail[:, :, 1:] <= head
+            counts[lo:lo + 16] = m - ok.sum(axis=2).min(axis=1)
         return counts[np.searchsorted(found, steps)]
 
     def jets(self, z: np.ndarray):

@@ -5,6 +5,11 @@ coset add up in closed form by the Lipschitz formula, and one
 vectorized evaluator returns B, dB/dz and d2B/dz dzbar with absolute
 error bounds (coset tail, q-series cut-off, rounding).
 
+On PSL(2, Z) the points at or above a height Y_k take the same three
+values from the kernel's Fourier expansion at the cusp instead
+(fourier.py); the coset route serves every other point and group, and
+is the reference the tests hold that route to.
+
 The orbit route, the element-by-element oracle: each orbit term is
 (2k-1)/(4*pi) * u(gamma, z)^(2k) with
 u = 2iy / ((z - conj(gamma z)) * conj(c z + d)); the magnitude of u is

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forms import CuspFormBasis, basis_weight0_bundle, basis_weight0_grid
+from .fourier import fourier_bundles, fourier_plan, fourier_table
 from .groups import (
     C_GAMMA,
     DEFAULT_BUDGET,
@@ -106,7 +107,11 @@ class PoincareSource:
     Each point lists its own cosets, so a value depends on the point
     alone; a finite-difference stencil sums its centre's coset list.
     PSL(2, Z) sieves them from its coprime bottom rows; any other group
-    with the unit translation walks them from its generators.
+    with the unit translation walks them from its generators.  On
+    PSL(2, Z), points at or above the height Y_k of ``fourier_plan``
+    take the series' Fourier expansion at the cusp instead, from the
+    weight's table of Petersson's formula (``fourier_table``), which
+    depends on k alone.
     """
 
     def __init__(self, group: FuchsianGroup, k: int,
@@ -114,6 +119,9 @@ class PoincareSource:
         self.group = group
         self.k = k
         self.budget = budget
+        plan = fourier_plan(k) if group.is_modular else None
+        # least height of the Fourier route, inf where it has none
+        self.fourier_height = math.inf if plan is None else plan[0]
 
     def cosets(self, z: UhpPoint) -> CosetList:
         """Classes of the series at z; refuses a list the budget cut short."""
@@ -136,12 +144,21 @@ class PoincareSource:
                          rows=enum.rows(), translates=False)
 
     def bundles(self, grid: Sequence[UhpPoint]) -> KernelColumns:
-        """The grid's columns, point by point; a point that raises is refused."""
+        """The grid's columns: the points at or above ``fourier_height``
+        from the table at once, the others point by point over their
+        cosets; a point that raises is refused."""
         n = len(grid)
         cols = KernelColumns(np.full(n, np.nan), np.full(n, np.nan, complex),
                              np.full(n, np.nan, complex),
                              np.full((n, 3), np.nan), [None] * n)
-        for i, z in enumerate(grid):
+        table = np.array([z.y >= self.fourier_height for z in grid], bool)
+        if table.any():
+            (cols.value[table], cols.dz[table], cols.dzdzbar[table],
+             cols.errors[table]) = fourier_bundles(
+                 self.k, fourier_table(self.k),
+                 np.array([z.z for z in grid])[table])
+        for i in np.flatnonzero(~table).tolist():
+            z = grid[i]
             try:
                 row = poincare_weight0_bundle(self.cosets(z), z, self.k)
             except Exception as exc:  # recorded inline, scan continues
@@ -179,7 +196,8 @@ def ratio_parts(bundle, y, k: int):
     With B off by at most e0 (B - e0 > 0, else the bound is inf), dB by e1
     and d2B by e2, |dB|^2/B^2 moves by at most (2|dB| + e1) e1/(B - e0)^2
     + |dB|^2 (1/(B - e0)^2 - 1/B^2) and d2B/B by at most e2/(B - e0)
-    + |d2B| (1/(B - e0) - 1/B); forming their difference adds 4 EPS of each.
+    + |d2B| (1/(B - e0) - 1/B); forming their difference adds 4 EPS of each,
+    and rounding k/(2 pi) and the ratio EPS (k/(2 pi) + |ratio|).
     """
     b, dz = np.asarray(bundle.value, float), np.asarray(bundle.dz, complex)
     d2 = np.asarray(bundle.dzdzbar, complex).real
@@ -194,8 +212,10 @@ def ratio_parts(bundle, y, k: int):
                                                         - 1 / (b * b))
         hess = e2 / lo + d * (1 / lo - 1 / b)
         arith = 4 * EPS * (a * a / (b * b) + d / b)
-        bound = np.where(lo <= 0.0, np.inf, y2 * (grad + hess + arith))
-    return k / (2.0 * math.pi) + corr, corr, bound
+        ratio = k / (2.0 * math.pi) + corr
+        bound = np.where(lo <= 0.0, np.inf, y2 * (grad + hess + arith)
+                         + EPS * (k / (2.0 * math.pi) + np.abs(ratio)))
+    return ratio, corr, bound
 
 
 def fd_log_ratio(source, z: UhpPoint, k: int) -> float:

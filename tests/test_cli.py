@@ -12,6 +12,8 @@ import pytest
 
 from bergman.cli import FMT, RunConfig, _load_tuples, main
 from bergman.forms import ramanujan_tau
+from bergman.groups import modular_group
+from bergman.metric import BasisSource, PoincareSource, ratio_scan
 from bergman.uhp import UhpPoint
 from test_symprod import per_tuple_formula
 
@@ -346,9 +348,52 @@ def test_ratio_scan_csv_and_threads_determinism(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     header = outs[0].decode().splitlines()[0]
-    assert header == ("k,x,y,region,route,ratio,ratio_over_k2,bound,"
+    assert header == ("k,x,y,region,route,ratio,err,ratio_over_k2,bound,"
                       "bound_ok,error")
     assert "route" in header and ",basis," in outs[0].decode()
+
+
+@pytest.mark.parametrize("args", [
+    ["--group", "modular", "--k", "6,8", "--grid=-0.4,0.4,0.2,6,3,6"],
+    ["--forms", str(DATA), "--k", "6", "--grid=-0.4,0.4,0.4,5,3,4"]],
+    ids=["modular", "delta"])
+def test_ratio_scan_err_column_is_the_ratio_error_bound(tmp_path, args):
+    # err is the bound ratio_scan checks against --tol, to 3 digits, and
+    # nan on a refused row
+    out = tmp_path / "scan.csv"
+    main(["ratio-scan"] + args + ["--out", str(out)])
+    _, cfg = RunConfig.from_argv(["ratio-scan"] + args)
+    if cfg.forms:
+        sources = [BasisSource(cfg.basis())]
+    else:
+        sources = [PoincareSource(modular_group(), k)
+                   for k in cfg.k_values()]
+    tables, _ = ratio_scan(sources, cfg.grid_spec())
+    header, *rows = _csv_rows(out)
+    assert header[6] == "err"
+    want = ["%.3g" % e for t in tables for e in t.error_bound.tolist()]
+    assert [row[6] for row in rows] == want
+    refused = [row for row in rows if row[10]]
+    assert all(row[6] == "nan" for row in refused)
+    if cfg.forms is None:
+        assert refused and len(refused) < len(rows)
+
+
+def test_cusp_row_within_tolerance_on_the_fourier_route(tmp_path):
+    # the coset route's bound at 0.1 + 5.5i was 5.2e-5 of the ratio, so
+    # --tol 1e-5 refused a row that missed k/(2 pi) by 3.4e-7; from the
+    # Fourier table the row is returned, within its bound of k/(2 pi)
+    out = tmp_path / "scan.csv"
+    code = main(["ratio-scan", "--group", "modular", "--k", "6",
+                 "--grid=0.1,0.1,5.5,5.5,1,1", "--tol", "1e-5",
+                 "--out", str(out)])
+    assert code == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[10] == "" and row[9] == "1"
+    ratio, err = float(row[5]), float(row[6])
+    assert err <= 1e-5 * ratio
+    # the printed ratio carries 12 significant digits
+    assert abs(ratio - 6 / (2 * math.pi)) <= err + 5e-13
 
 
 def test_ratio_scan_flags_budget_cut_orbit(tmp_path):
@@ -362,10 +407,10 @@ def test_ratio_scan_flags_budget_cut_orbit(tmp_path):
               "--out", str(out)])
         rows[budget] = out.read_text().splitlines()[1].split(",")
     cut = rows["50"]
-    assert cut[5] == "nan" and cut[8] == "0"
-    assert cut[9].startswith("BudgetExceeded: ")
+    assert cut[5] == "nan" and cut[9] == "0"
+    assert cut[10].startswith("BudgetExceeded: ")
     full = rows["200000"]
-    assert full[9] == "" and full[8] == "1"
+    assert full[10] == "" and full[9] == "1"
     assert float(full[5]) == pytest.approx(6 / (2 * math.pi), rel=1e-8)
 
 
@@ -397,8 +442,8 @@ def test_error_cells_with_commas_are_quoted(tmp_path):
         out = tmp_path / f"{name}.csv"
         assert main(["ratio-scan"] + args + ["--out", str(out)]) == 1
         header, *rows = _csv_rows(out)
-        assert rows and all(len(row) == len(header) == 10 for row in rows)
-        assert any("," in row[9] for row in rows)
+        assert rows and all(len(row) == len(header) == 11 for row in rows)
+        assert any("," in row[10] for row in rows)
     tuples = tmp_path / "tuples.jsonl"
     tuples.write_text('[[0.1,0.9],[0.1,0.9000001]]\n[[0.0,1.2],[0.3,0.8]]\n')
     out = tmp_path / "sym.csv"
@@ -557,34 +602,34 @@ def test_poincare_scan_byte_identical_across_threads(tmp_path):
 
 
 def test_ratio_scan_refuses_row_beyond_tolerance(tmp_path):
-    # at y = 8 the coset terms cancel by 1e11 and the sum misses k/(2 pi)
-    # by ~7e-2; its error bound exceeds tol |ratio|, so the row is refused
+    # free2 has no Fourier table: at y = 8 its coset terms cancel and the
+    # sum's error bound exceeds tol |ratio|, so the row is refused
     out = tmp_path / "scan.csv"
-    code = main(["ratio-scan", "--group", "modular", "--k", "6",
+    code = main(["ratio-scan", "--group", "free2", "--k", "6",
                  "--grid=0.314368,0.314368,8,8,1,1", "--out", str(out)])
     assert code == 1
     row = out.read_text().splitlines()[1].split(",")
-    assert row[5] == "nan" and row[8] == "0"
-    assert row[9].startswith("ErrorBoundExceeded: ")
+    assert row[5] == "nan" and row[9] == "0"
+    assert row[10].startswith("ErrorBoundExceeded: ")
 
 
 def test_ratio_scan_partly_refused_exits_nonzero(tmp_path):
-    # y = 6, 7 and 8 are refused with ErrorBoundExceeded while the sup
-    # over the other rows stays within the limit: the flagged rows alone
-    # must fail the command, and the summary counts them
+    # on free2, y = 7 and 8 are refused with ErrorBoundExceeded while the
+    # sup over the other rows stays within the limit: the flagged rows
+    # alone must fail the command, and the summary counts them
     out = tmp_path / "scan.csv"
-    code = main(["ratio-scan", "--group", "modular", "--k", "6",
+    code = main(["ratio-scan", "--group", "free2", "--k", "6",
                  "--grid=0,0,1,8,1,8", "--out", str(out)])
     assert code == 1
     lines = out.read_text().splitlines()
     rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("#")]
-    refused = {float(r[2]) for r in rows if r[9]}
-    assert refused == {6.0, 7.0, 8.0}
+    refused = {float(r[2]) for r in rows if r[10]}
+    assert refused == {7.0, 8.0}
     for r in rows:
         if float(r[2]) in refused:
-            assert r[9].startswith("ErrorBoundExceeded: ")
+            assert r[10].startswith("ErrorBoundExceeded: ")
     summary = lines[-1]
-    assert " flagged=3 " in summary and summary.endswith("within=True")
+    assert " flagged=2 " in summary and summary.endswith("within=True")
 
 
 @pytest.mark.parametrize("command, kind, text", [
@@ -629,4 +674,4 @@ def test_group_file_with_either_unit_translation_walks(tmp_path, translation):
                  "--grid=0.1,0.1,1,1,1,1", "--out", str(out)])
     assert code == 0
     row = out.read_text().splitlines()[1].split(",")
-    assert row[5] == "0.783344159095" and row[9] == ""
+    assert row[5] == "0.783344159095" and row[10] == ""

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from bergman.forms import (CuspFormBasis, QuadratureDomain,
-                           basis_weight0_bundle, delta_form, orthonormal_basis,
-                           petersson_gram)
+                           basis_weight0_bundle, delta_form, model_basis,
+                           orthonormal_basis, petersson_gram, ramanujan_tau)
 from bergman.groups import (CosetList, enumerate_group_elements,
                             modular_cosets, modular_group, translation_group,
                             trivial_group, walk_cosets)
+from bergman.fourier import (TABLE_HEIGHT_STEP, TABLE_SIZE, _pair_tails,
+                             _table_scale, bessel_j, fourier_bundles,
+                             fourier_plan, fourier_table)
 from bergman.kernel import (EPS, NORM_CAP, TWO_PI, _lipschitz_majorant,
                             _log_weights, _series_length, _series_tail,
                             accurate_sum, bergman_kernel_diagonal,
@@ -498,3 +501,197 @@ def test_modular_coset_count_stays_small(y, most):
     # bound or N solve lists more
     z = UhpPoint(0.1, y)
     assert len(modular_cosets(z, coset_norm_bound(y, 6))) <= most
+
+
+# ---------------------------------------------------------------------------
+# The Fourier table of Petersson's formula
+
+
+@pytest.mark.parametrize("nu", [3, 11, 15, 23, 47, 169])
+def test_bessel_j_within_its_bound_of_mpmath(nu):
+    # both branches: the series up to x^2 = 2(nu + 1) and the trapezoid
+    # rule beyond, out to x = 4 pi 8 (c = 1, m = n = TABLE_SIZE) >> nu
+    edge = math.sqrt(2.0 * (nu + 1))
+    x = np.array([1e-3, 0.05, 0.3, 1.0, 2.5, edge * (1 - 1e-12),
+                  edge * (1 + 1e-12), 0.9 * nu, nu, 1.1 * nu + 1.0, 4 * math.pi,
+                  6 * math.pi * math.sqrt(2.0), 50.0, 4 * math.pi * TABLE_SIZE])
+    got, err = bessel_j(nu, x)
+    assert got.shape == err.shape == x.shape
+    with mpmath.workdps(40):
+        for xi, gi, ei in zip(x.tolist(), got.tolist(), err.tolist()):
+            exact = mpmath.besselj(nu, xi)
+            assert abs(gi - exact) <= ei
+            # the bound is a few hundred EPS at most, and relative
+            # where the series applies
+            assert ei <= 400 * EPS * max(1.0, xi / 4) * (
+                abs(exact) if xi < edge else 1.0) + 1e-300
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12, 24, 85, 86])
+def test_fourier_plan_height_is_the_least_step_meeting_its_target(k):
+    # the target of the docstring, checked at Y_k and one step below
+    plan = fourier_plan(k)
+    if k < 6 or k > 85:
+        assert plan is None
+        return
+    height, moduli = plan
+    assert 1 <= moduli <= 64
+    lead, scale = _table_scale(k)
+
+    def meets(y):
+        top = EPS * lead * math.exp(-2 * TWO_PI * y)
+        b, d1, d2 = (float(t) for t in _pair_tails(scale, k, TABLE_SIZE, y))
+        return b <= top and d1 <= TWO_PI * top and d2 <= TWO_PI ** 2 * top
+
+    assert height % TABLE_HEIGHT_STEP == 0
+    assert meets(height) and not meets(height - TABLE_HEIGHT_STEP)
+    assert all(meets(height + t) for t in (0.3, 1.0, 4.0, 20.0))
+
+
+def test_plan_heights_of_the_scanned_weights():
+    # k = 6 and 8 serve the benchmark's rows at y = 2.3 and 4 from the
+    # table and keep z = i on the coset route
+    assert fourier_plan(6) == (1.125, 47)
+    assert fourier_plan(8) == (1.25, 13)
+    assert fourier_plan(12) == (1.375, 4)
+
+
+def _series_product(a, b, n):
+    """The first n coefficients of the product of two q-series."""
+    out = [0] * n
+    for i, u in enumerate(a[:n]):
+        for j, v in enumerate(b[:n - i]):
+            out[i + j] += u * v
+    return out
+
+
+def _eisenstein4(n):
+    """Coefficients 1, 240 sigma_3(1), ... of E_4, exactly."""
+    return [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+                  for m in range(1, n)]
+
+
+def _delta_series(n):
+    """Coefficients 0, tau(1), tau(2), ... of Delta, exactly."""
+    return [0] + list(ramanujan_tau(n - 1))
+
+
+def test_fourier_table_at_k6_is_tau_m_tau_n_over_delta_norm():
+    # <Delta, Delta> from the code's own Gram, which matches the
+    # literature value 1.03536205680432092e-6 to 1e-15
+    raw = CuspFormBasis(forms=[delta_form(200)])
+    norm = petersson_gram(raw, QuadratureDomain())[0, 0].real
+    tau = np.array(ramanujan_tau(TABLE_SIZE), dtype=float)
+    exact = np.outer(tau, tau) / norm
+    c, e = fourier_table(6)
+    assert (np.abs(c - exact) <= e + 1e-13 * np.abs(exact)).all()
+    assert c[0, 0] == pytest.approx(1 / norm, rel=1e-12)
+    assert e[0, 0] <= 1e-13 * c[0, 0]
+
+
+def test_fourier_table_at_k8_is_delta_e4_times_itself():
+    # S_16 is spanned by Delta E_4, so c_mn = a(m) a(n) c_11 exactly
+    a = np.array(_series_product(_delta_series(TABLE_SIZE + 1),
+                                 _eisenstein4(TABLE_SIZE + 1),
+                                 TABLE_SIZE + 1)[1:], dtype=float)
+    c, e = fourier_table(8)
+    outer = np.outer(a, a)
+    assert (np.abs(c - c[0, 0] * outer) <= e + np.abs(outer) * e[0, 0]).all()
+    raw = CuspFormBasis(forms=model_basis(16, [a.tolist()],
+                                          orthonormal=False).forms)
+    norm = petersson_gram(raw, QuadratureDomain())[0, 0].real
+    assert c[0, 0] == pytest.approx(1 / norm, rel=1e-12)
+
+
+def test_fourier_table_at_k12_is_the_orthonormal_basis_gram():
+    # S_24 = <Delta E_4^3, Delta^2>: orthonormalized by the code's Gram,
+    # c = A A^H over the orthonormal coefficient rows A
+    n = 40
+    delta, e4 = _delta_series(n), _eisenstein4(n)
+    de4 = _series_product(delta, e4, n)
+    de43 = _series_product(_series_product(de4, e4, n), e4, n)
+    d2 = _series_product(delta, delta, n)
+    raw = CuspFormBasis(forms=model_basis(24, [de43[1:], d2[1:]],
+                                          orthonormal=False).forms)
+    raw.gram = petersson_gram(raw, QuadratureDomain())
+    rows = orthonormal_basis(raw).coefficients[:, :TABLE_SIZE]
+    ref = (rows.T @ rows.conj()).real
+    c, e = fourier_table(12)
+    assert (np.abs(c - ref) <= e + 1e-12 * np.abs(ref)).all()
+
+
+@pytest.mark.parametrize("k, dim", [(6, 1), (8, 1), (12, 2), (14, 2)])
+def test_fourier_table_rank_is_the_cusp_form_dimension(k, dim):
+    # normalized to unit diagonal, the leading 4 x 4 block has dim S_2k
+    # eigenvalues of order one and the rest within its error (Weyl)
+    c, e = (v[:4, :4] for v in fourier_table(k))
+    d = np.sqrt(np.diag(c))
+    rel = np.diag(e) / (d * d)
+    noise = np.linalg.norm(e / np.outer(d, d)
+                           + np.abs(c / np.outer(d, d))
+                           * 0.5 * np.add.outer(rel, rel))
+    eig = np.sort(np.abs(np.linalg.eigvalsh(c / np.outer(d, d))))[::-1]
+    assert noise < 1e-2
+    assert eig[dim - 1] > 0.5 and (eig[dim:] <= noise).all()
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_diagonal_bound_holds_for_the_table_and_for_delta(k):
+    # c_mm <= K^2 m^(2k): on the table, and for Delta, c_mm =
+    # tau(m)^2/<Delta, Delta>, far beyond it
+    c, e = fourier_table(k)
+    _, scale = _table_scale(k)
+    m = np.arange(1, TABLE_SIZE + 1)
+    assert (np.diag(c) - np.diag(e) <= scale * m ** (2.0 * k)).all()
+    if k == 6:
+        tau = np.array(ramanujan_tau(200), dtype=float)
+        m = np.arange(1, 201)
+        assert (tau ** 2 / 1.0353620568043209e-6
+                <= scale * m ** 12.0).all()
+
+
+@pytest.mark.parametrize("y", [0.6, 1.125, 2.0, 4.0])
+def test_pair_tails_bound_the_pairs_off_the_table_for_delta(y):
+    # Delta's exact c_mn for m, n <= 60, against the tails beyond 8 x 8
+    tau = np.array(ramanujan_tau(60), dtype=float)
+    c = np.abs(np.outer(tau, tau)) / 1.0353620568043209e-6
+    m = np.arange(1, 61, dtype=float)
+    w = np.exp(-TWO_PI * y * np.add.outer(m, m))
+    off = np.ones_like(c, dtype=bool)
+    off[:TABLE_SIZE, :TABLE_SIZE] = False
+    b, d1, d2 = _pair_tails(_table_scale(6)[1], 6, TABLE_SIZE, y)
+    assert (c * w)[off].sum() <= b
+    assert (TWO_PI * m[:, None] * c * w)[off].sum() <= d1
+    assert (TWO_PI ** 2 * np.outer(m, m) * c * w)[off].sum() <= d2
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+@pytest.mark.parametrize("y", [1.2, 2.3, 4.0])
+def test_fourier_route_matches_coset_route_within_both_bounds(k, y):
+    table = fourier_table(k)
+    for x in (0.0, 0.314368, 0.5, -0.5):
+        z = UhpPoint(x, y)
+        value, dz, dzdzbar, errors = fourier_bundles(k, table,
+                                                     np.array([z.z]))
+        coset = poincare_weight0_bundle(
+            modular_cosets(z, coset_norm_bound(y, k)), z, k)
+        for got, want, e_got, e_want in zip(
+                (value[0], dz[0], dzdzbar[0].real), coset[:3],
+                errors[0].tolist(), coset[3]):
+            assert abs(got - want) <= e_got + e_want
+        # the bounds are tight where the table serves
+        if y >= fourier_plan(k)[0]:
+            assert errors[0, 0] <= 1e-12 * value[0]
+
+
+def test_fourier_row_depends_on_its_point_alone():
+    table = fourier_table(6)
+    z = np.array([0.1 + 2.0j, -0.3 + 1.4j, 0.5 + 5.5j, 1.7 + 3.0j])
+    together = fourier_bundles(6, table, z)
+    for i in range(len(z)):
+        alone = fourier_bundles(6, table, z[i:i + 1])
+        for col, one in zip(together, alone):
+            assert (col[i] == one[0]).all()
+    # x reduced mod 1 exactly: 1.7 + 3i is 0.7 - 1 = -0.3 ... + 3i
+    shifted = fourier_bundles(6, table, np.array([-0.3 + 3.0j]))
+    assert shifted[0][0] == together[0][3]

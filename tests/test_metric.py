@@ -7,10 +7,13 @@ import pytest
 from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
                            model_basis, orthonormal_basis, petersson_gram)
 import bergman.metric
+import mpmath
+
 from bergman.groups import (BudgetExceeded, cusp_threshold,
-                            free_product_group, group_by_name, modular_group,
-                            trivial_group, walk_cosets)
-from bergman.kernel import NORM_CAP, coset_norm_bound
+                            free_product_group, group_by_name, modular_cosets,
+                            modular_group, trivial_group, walk_cosets)
+from bergman.fourier import fourier_bundles, fourier_table
+from bergman.kernel import NORM_CAP, coset_norm_bound, poincare_weight0_bundle
 from bergman.cli import _basis_ratios, main
 from bergman.metric import (BasisSource, ErrorBoundExceeded, KernelColumns,
                             KernelVanishes, PoincareSource, RATIO_LIMIT,
@@ -139,16 +142,67 @@ def test_finite_difference_routes_refuse_budget_cut_orbit():
 
 
 def test_poincare_bundles_refuse_only_the_budget_cut_point():
-    # 6,000 cosets cover the sieve at y = 1 and 2 (about 3,700 and 4,600
-    # cosets) but not at y = 4 (about 7,600)
+    # on free2, whose cosets are all walked, 2,000 cosets cover the walk
+    # at y = 1 and 2 (about 1,250 and 1,520 cosets) but not at y = 4
+    # (about 2,540); PSL(2, Z) takes y = 2 and 4 from its Fourier table
     grid = [UhpPoint(0.1, 1.0), UhpPoint(0.1, 4.0), UhpPoint(0.1, 2.0)]
-    out = PoincareSource(modular_group(), 6, budget=6_000).bundles(grid)
+    out = PoincareSource(free_product_group(), 6, budget=2_000).bundles(grid)
     assert isinstance(out.refusals[1], BudgetExceeded)
-    full = PoincareSource(modular_group(), 6)
+    full = PoincareSource(free_product_group(), 6)
     for i in (0, 2):
         assert out.refusals[i] is None
         row = (out.value[i], out.dz[i], out.dzdzbar[i], tuple(out.errors[i]))
         assert row == astuple(kernel_derivatives(full, grid[i]))
+
+
+def test_poincare_source_takes_the_table_at_and_above_its_height():
+    # PSL(2, Z) takes the points at or above Y_k from the Fourier table
+    # and the rest from their cosets, bit for bit; other groups and
+    # weights without a table never take it
+    src = PoincareSource(modular_group(), 6)
+    height = src.fourier_height
+    assert height == 1.125
+    grid = [UhpPoint(0.2, height - 0.01), UhpPoint(0.2, height),
+            UhpPoint(-0.4, 3.0), UhpPoint(0.5, 1.0)]
+    cols = src.bundles(grid)
+    table = fourier_table(6)
+    for i, z in enumerate(grid):
+        if z.y >= height:
+            value, dz, d2, errors = (v[0] for v in fourier_bundles(
+                6, table, np.array([z.z])))
+            errors = tuple(errors.tolist())
+        else:
+            value, dz, d2, errors = poincare_weight0_bundle(
+                modular_cosets(z, coset_norm_bound(z.y, 6)), z, 6)
+        assert cols.refusals[i] is None
+        assert (cols.value[i], cols.dz[i], cols.dzdzbar[i]) == (value, dz, d2)
+        assert tuple(cols.errors[i].tolist()) == errors
+    assert math.isinf(PoincareSource(free_product_group(), 6).fourier_height)
+    assert math.isinf(PoincareSource(modular_group(), 5).fourier_height)
+
+
+@pytest.mark.parametrize("route", ["modular", "delta"])
+def test_every_returned_row_is_within_its_error_bound(route, delta_basis):
+    # at dim S_2k = 1 the ratio is exactly k/(2 pi): every row the scan
+    # returns, on both sides of Y_k and on the basis route, is within
+    # its printed error bound of it
+    if route == "modular":
+        sources = [PoincareSource(modular_group(), k) for k in (6, 8)]
+        grid = grid_points(-0.45, 0.45, 0.3, 8.0, 6, 15)
+    else:
+        sources = [BasisSource(delta_basis)]
+        grid = grid_points(-0.5, 0.5, 0.3, 5.0, 11, 16)
+    tables, _ = ratio_scan(sources, grid)
+    returned = 0
+    with mpmath.workdps(30):
+        for t in tables:
+            exact = mpmath.mpf(t.k) / (2 * mpmath.pi)
+            for ratio, err in zip(t.ratio.tolist(), t.error_bound.tolist()):
+                if math.isnan(ratio):
+                    continue
+                returned += 1
+                assert abs(mpmath.mpf(ratio) - exact) <= err
+    assert returned >= 0.9 * len(grid) * len(sources)
 
 
 def test_poincare_and_basis_routes_agree(delta_basis):
@@ -242,10 +296,14 @@ def test_ratio_scan_summary_and_rows(delta_basis):
 
 
 def test_ratio_scan_summary_counts_its_own_flagged_rows():
-    # y = 6 is refused at k = 6 but not at k = 8; y = 8 at both
-    grid = [UhpPoint(0.0, 1.0), UhpPoint(0.0, 6.0), UhpPoint(0.0, 8.0)]
+    # 1,000 cosets cut k = 6's coset sums short (about 3,700 of them) but
+    # not k = 8's (about 360): y = 1 is refused at k = 6 but not at
+    # k = 8; y = 0.3 at both, by its error bound at k = 8; y = 6 takes
+    # the Fourier table at both
+    grid = [UhpPoint(0.0, 1.0), UhpPoint(0.0, 6.0), UhpPoint(0.0, 0.3)]
     tables, summaries = ratio_scan(
-        [PoincareSource(modular_group(), k) for k in (6, 8)], grid)
+        [PoincareSource(modular_group(), k, budget=1_000) for k in (6, 8)],
+        grid)
     for s in summaries:
         assert s.flagged == sum(e is not None for t in tables if t.k == s.k
                                 for e in t.errors)
@@ -300,7 +358,7 @@ def _assert_columns_equal_batch_of_one(sources, grid):
             assert t.ratio[i] == ratio
             assert t.ratio_over_k2[i] == abs(ratio) / (k * k)
             assert t.error_bound[i] == bound == float(ratio_parts(
-                kernel_derivatives(src, z), z.y, 0)[2])
+                kernel_derivatives(src, z), z.y, k)[2])
             assert t.cusp[i] == (z.y >= cusp_threshold(k))
         assert s.flagged == sum(e is not None for e in t.errors)
     return refused
@@ -313,11 +371,14 @@ def test_scan_columns_equal_batch_of_one_on_delta_grid(delta_basis):
 
 
 def test_scan_columns_equal_batch_of_one_with_refused_rows():
-    # y = 6 is refused at k = 6, y = 8 at k = 6 and 8
+    # y = 2, 6 and 8 take the Fourier table; below it, y = 0.3 and 0.25
+    # are refused by their error bounds at k = 6 and 8, and at y = 0.2
+    # the kernel vanishes at k = 6 and the bound refuses k = 8
     grid = [UhpPoint(0.0, 1.0), UhpPoint(0.3, 2.0), UhpPoint(0.0, 6.0),
-            UhpPoint(0.0, 8.0)]
+            UhpPoint(0.0, 8.0), UhpPoint(0.0, 0.3), UhpPoint(0.0, 0.25),
+            UhpPoint(0.0, 0.2)]
     assert _assert_columns_equal_batch_of_one(
-        [PoincareSource(modular_group(), k) for k in (6, 8)], grid) == 3
+        [PoincareSource(modular_group(), k) for k in (6, 8)], grid) == 6
 
 
 class _StubSource:
