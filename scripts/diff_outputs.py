@@ -5,12 +5,12 @@
 
 Runs a fixed list of commands in each checkout: every README command,
 ``scripts/run_scans.py``, all six ``verify`` suites, modular scans up
-the cusp and at k = 12 (the Fourier table's rows), scans with
-flagged, budget-cut and refused rows (a ``sym-scan`` with every tuple
-refused and ``verify --suite thm10`` at a ``--tol`` that refuses every
-row among them) or refused options, forms files
-whose Gram is singular or does not converge, and forms files that the
-verify suites or the requested weights refuse.  Each command runs
+the cusp and at k = 12 (the Fourier table's rows), ``kernel`` on every
+preset, scans and kernels with flagged, budget-cut and refused rows (a
+``sym-scan`` with every tuple refused and ``verify --suite thm10`` at a
+``--tol`` that refuses every row among them) or refused options, forms
+files whose Gram is singular or does not converge, and forms files that
+the verify suites or the requested weights refuse.  Each command runs
 in a fresh working directory that holds a link to the checkout's
 ``data/``, the fixed tuple and forms files (``INPUTS``), with
 ``bergman`` imported from the checkout's ``src/``.  For every command
@@ -96,6 +96,14 @@ COMMANDS = [
      for suite in ("kernel-oracle", "lemma4", "prop3", "prop9", "thm10",
                    "sym")] + [
     ("kernel-two-weights", ["kernel", "--k", "6,8", "--out", "kernel.json"]),
+    ("kernel-free2", ["kernel", "--group", "free2", "--k", "6",
+                      "--z", "0.1,0.9"]),
+    # one coset, whose value is the Lipschitz closed form
+    ("kernel-translations-k3", ["kernel", "--group", "translations", "--k",
+                                "3", "--z", "0.4,2.5"]),
+    ("kernel-budget-cut", ["kernel", "--group", "modular", "--k", "6",
+                           "--budget", "50"]),
+    ("kernel-bound-refused", ["kernel", "--bound", "80"]),
     ("gram-domain-refused", ["gram", "--forms", FORMS, "--domain", "strip"]),
     ("gram-unconverged", ["gram", "--forms", "steep.jsonl"]),
     ("scan-singular-gram", ["ratio-scan", "--forms", "twins.jsonl", "--k", "6",
@@ -120,6 +128,7 @@ COMMANDS = [
                               "--grid=-0.2,0.2,1,60,2,2"]),
     ("scan-free2", ["ratio-scan", "--group", "free2", "--k", "6",
                     "--grid=-0.45,0.45,0.6,2,4,4"]),
+    # a group without the unit translation: refused
     ("scan-trivial", ["ratio-scan", "--group", "trivial", "--k", "6",
                       "--grid=-0.2,0.2,0.8,1.6,2,2"]),
     ("sym-refused-tuple", ["sym-scan", "--forms", FORMS, "--k", "6",

@@ -3,8 +3,9 @@
 The cosets Gamma_inf\\Gamma above a height (the classes the coset-summed
 kernel series runs over): sieved from the coprime bottom rows on
 PSL(2, Z), walked from the generators on any other integral group.
-Orbit enumeration by displacement (the element-by-element oracle), and
-the compact-part / cusp-neighborhood split.
+Orbit enumeration by displacement, the element-by-element reference
+the tests hold the coset route to, and the compact-part /
+cusp-neighborhood split.
 """
 from __future__ import annotations
 
@@ -103,15 +104,10 @@ def translation_group() -> FuchsianGroup:
                          generators=(MoebiusTransform.translation(1),))
 
 
-def trivial_group() -> FuchsianGroup:
-    return FuchsianGroup(label="trivial", generators=())
-
-
 _PRESETS = {
     "modular": modular_group,
     "free2": free_product_group,
     "translations": translation_group,
-    "trivial": trivial_group,
 }
 
 
@@ -157,11 +153,6 @@ class OrbitEnumeration:
 
     def transforms(self):
         return [g for g, _ in self.elements]
-
-    def rows(self) -> np.ndarray:
-        """The elements as an (N, 4) array of rows (a, b, c, d)."""
-        return np.array([(g.a, g.b, g.c, g.d) for g, _ in self.elements],
-                        dtype=float).reshape(-1, 4)
 
 
 def enumerate_group_elements(
@@ -236,17 +227,14 @@ def enumerate_group_elements(
 class CosetList:
     """Representatives of the classes Gamma_inf\\Gamma a kernel series sums.
 
-    One representative (a, b, c, d), of either sign, per row of ``rows``.
-    With the unit translation in the group each stands for its coset
-    {T^n gamma}, whose translates are summed in closed form
-    (``translates`` true).  Without it the cusp stabilizer is trivial and
-    each is one element.  Every class with |cz+d|^2 <= ``norm_bound`` at
-    ``base_point`` is listed.
+    One representative (a, b, c, d), of either sign, per row of ``rows``,
+    for its coset {T^n gamma}, whose translates are summed in closed
+    form.  Every class with |cz+d|^2 <= ``norm_bound`` at ``base_point``
+    is listed.
     """
     base_point: UhpPoint
     norm_bound: float
     rows: np.ndarray
-    translates: bool
 
     def __len__(self):
         return len(self.rows)
@@ -351,7 +339,7 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
         pick = order[fresh]
         a, b, c, d = a[pick], b[pick], c[pick], d[pick]
     return CosetList(base_point=z, norm_bound=norm_bound,
-                     rows=np.concatenate(levels), translates=True)
+                     rows=np.concatenate(levels))
 
 
 def modular_cosets(z: UhpPoint, norm_bound: float,
@@ -401,7 +389,7 @@ def modular_cosets(z: UhpPoint, norm_bound: float,
                   for first, v in zip((1, 0, 0, 1), (a, b, c, d)))
     a, b, _, _ = _reduce_to_strip(a, b, c, d, zc)
     return CosetList(base_point=z, norm_bound=norm_bound,
-                     rows=np.stack([a, b, c, d], axis=1), translates=True)
+                     rows=np.stack([a, b, c, d], axis=1))
 
 
 def _unimodular_tops(c: np.ndarray, d: np.ndarray):

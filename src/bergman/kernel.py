@@ -9,27 +9,17 @@ On PSL(2, Z) the points at or above a height Y_k take the same three
 values from the kernel's Fourier expansion at the cusp instead
 (fourier.py); the coset route serves every other point and group, and
 is the reference the tests hold that route to.
-
-The orbit route, the element-by-element oracle: each orbit term is
-(2k-1)/(4*pi) * u(gamma, z)^(2k) with
-u = 2iy / ((z - conj(gamma z)) * conj(c z + d)); the magnitude of u is
-1/cosh(d(z, gamma z)/2), so terms are stored in log-magnitude/phase
-form and reduced by compensated summation after rescaling.  The series
-splits into identity / cusp-stabilizer / rest buckets, with the
-explicit bound constants attached.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .groups import (DEFAULT_BUDGET, CosetList, FuchsianGroup,
-                     enumerate_group_elements)
-from .uhp import DomainError, MoebiusTransform, UhpPoint, apply_moebius
+from .groups import CosetList
+from .uhp import DomainError, UhpPoint
 
 TWO_PI = 2.0 * math.pi
 EPS = 2.0 ** -52
@@ -87,80 +77,31 @@ def cx_constant(r_x: float, k: int) -> float:
 
 @dataclass
 class KernelEvaluation:
+    """y^2k B(z), the Petersson norm of the kernel on the diagonal, split
+    as in Prop 3, and its truncation: the cosets summed and y^2k times
+    the proven bound on B."""
     value_diagonal: float
     identity_part: float
-    parabolic_part: complex
-    rest_part: complex
-    # the truncation: orbit elements summed, the tail bound beyond them
-    # and whether the enumeration closed its frontier
+    parabolic_part: float
+    rest_part: float
     terms_used: int
     tail_estimate: float
-    exhaustive: bool
-    imag_residual: float = 0.0
 
 
-def term_log_phase(gamma: MoebiusTransform, z: UhpPoint, k: int):
-    """(log magnitude, phase) of u(gamma, z)^(2k)."""
-    w = apply_moebius(gamma, z)
-    s = z.z - complex(w.x, -w.y)
-    mu = (gamma.c * z.z + gamma.d).conjugate()
-    u = 2j * z.y / (s * mu)
-    return 2 * k * math.log(abs(u)), 2 * k * cmath.phase(u)
+def bergman_kernel_diagonal(cosets: CosetList, z: UhpPoint,
+                            k: int) -> KernelEvaluation:
+    """y^2k B(z) summed over ``cosets``, the classes listed at z.
 
-
-def _reduce_log_terms(terms) -> complex:
-    """Sum exp(lg)*e^{i ph} over (lg, ph) pairs, rescaled by the max log."""
-    if not terms:
-        return 0j
-    top = max(lg for lg, _ in terms)
-    if top == -math.inf:
-        return 0j
-    re = math.fsum(math.exp(lg - top) * math.cos(ph) for lg, ph in terms)
-    im = math.fsum(math.exp(lg - top) * math.sin(ph) for lg, ph in terms)
-    return math.exp(top) * complex(re, im)
-
-
-def bergman_kernel_diagonal(
-    group: FuchsianGroup,
-    z: UhpPoint,
-    k: int,
-    displacement_bound: float = 100.0,
-    budget: int = DEFAULT_BUDGET,
-) -> KernelEvaluation:
-    """Diagonal Petersson norm of the kernel by truncated orbit summation.
-
-    The orbit is bucketed into identity, cusp stabilizer and the rest.
+    The identity coset's own Lipschitz sum, less the identity term, is
+    the parabolic part; the other cosets are the rest.
     """
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    enum = enumerate_group_elements(group, z, displacement_bound,
-                                    budget=budget)
-    id_coeff = identity_term(k)
-    par_terms, rest_terms = [], []
-    for gamma in enum.transforms():
-        if gamma.is_identity():
-            continue
-        lg_ph = term_log_phase(gamma, z, k)
-        if gamma.is_cusp_translation():
-            par_terms.append(lg_ph)
-        else:
-            rest_terms.append(lg_ph)
-    parabolic = id_coeff * _reduce_log_terms(par_terms)
-    rest = id_coeff * _reduce_log_terms(rest_terms)
-    value = id_coeff + parabolic.real + rest.real
-    tail = (id_coeff * max(enum.frontier_count, 1)
-            * displacement_bound ** (-(k - 2))
-            if enum.exhaustive_flag else math.inf)
-    return KernelEvaluation(
-        value_diagonal=value,
-        identity_part=id_coeff,
-        parabolic_part=parabolic,
-        rest_part=rest,
-        terms_used=len(enum.elements),
-        tail_estimate=tail,
-        exhaustive=enum.exhaustive_flag,
-        imag_residual=abs(parabolic.imag + rest.imag),
-    )
+    scale = z.y ** (2 * k)
+    value, _, _, errors = poincare_weight0_bundle(cosets, z, k)
+    identity = CosetList(z, cosets.norm_bound, np.array([[1.0, 0, 0, 1]]))
+    own = poincare_weight0_bundle(identity, z, k)[0] * scale
+    value *= scale
+    return KernelEvaluation(value, identity_term(k), own - identity_term(k),
+                            value - own, len(cosets), errors[0] * scale)
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -318,8 +259,7 @@ def poincare_weight0_bundle(elements: CosetList, z: UhpPoint, k: int):
         d2B   += C [4k^2 c mu^(-2k-1) L_2k+1 - 2k(2k+1) mu^(-2k-2) L_2k+2]
 
     L_s is the Lipschitz series (-2 pi i)^s/(s-1)! sum_m m^(s-1) q^m,
-    q = e^(2 pi i tau), for a list of cosets, and the single term
-    tau^(-s) for a list of elements.  Returns (B, dB, d2B, errors):
+    q = e^(2 pi i tau).  Returns (B, dB, d2B, errors):
     dB/dzbar is the conjugate of dB, and errors bounds the absolute
     error of each of the three by the sum of the coset tail beyond the
     list, the cut-off of the q-series and rounding.
@@ -358,12 +298,7 @@ def _coset_terms(elements: CosetList, z: UhpPoint, k: int):
     cond = 1.0 + 2.0 * abs(zc) / z.y
     dtau = abs(zc) + np.abs(gz) * (2.0 + 2.0 * cond)
     beta = (2 * k + 2) * (2.0 * cond + 1.0) + 8.0
-    if elements.translates:
-        series, rel, cut = _lipschitz_columns(tau, dtau, beta, s)
-    else:
-        series = tau[:, None] ** (-s)
-        rel = np.abs(series) * (beta + s * (dtau / np.abs(tau))[:, None])
-        cut = np.zeros_like(rel)
+    series, rel, cut = _lipschitz_columns(tau, dtau, beta, s)
 
     p0 = inv_mu ** (2 * k)
     p1 = p0 * inv_mu
@@ -445,9 +380,6 @@ def _coset_tails(elements: CosetList, z: UhpPoint, k: int):
     |cz+d|^2 > N (1 - |z - z0|/y0)^2 at z; |L_s| <= Lambda_s(y) and
     |c| <= |cz+d|/y.
     """
-    if not elements.translates:
-        tail = 0.0 if math.isinf(elements.norm_bound) else math.inf
-        return tail, tail, tail
     z0 = elements.base_point
     shrink = 1.0 - abs(z.z - z0.z) / z0.y
     n = elements.norm_bound * shrink * shrink if shrink > 0.0 else 0.0

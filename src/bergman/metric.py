@@ -18,11 +18,10 @@ from .fourier import fourier_bundles, fourier_plan, fourier_table
 from .groups import (
     C_GAMMA,
     DEFAULT_BUDGET,
-    BudgetExceeded,
     CosetList,
     FuchsianGroup,
     cusp_threshold,
-    enumerate_group_elements,
+    enumerate_group_elements,  # unused: perfbench's tracer test reads it here
     modular_cosets,
     walk_cosets,
 )
@@ -37,9 +36,6 @@ from .kernel import (
 from .uhp import DomainError, UhpPoint
 
 RATIO_LIMIT = 26.0 / math.pi
-# displacement bound (cosh^2 units) of the orbit of a group without the
-# unit translation; only a finite orbit, closed below it, is summed
-ORBIT_BOUND = 150.0
 
 
 class KernelVanishes(RuntimeError):
@@ -107,15 +103,19 @@ class PoincareSource:
     Each point lists its own cosets, so a value depends on the point
     alone; a finite-difference stencil sums its centre's coset list.
     PSL(2, Z) sieves them from its coprime bottom rows; any other group
-    with the unit translation walks them from its generators.  On
-    PSL(2, Z), points at or above the height Y_k of ``fourier_plan``
-    take the series' Fourier expansion at the cusp instead, from the
-    weight's table of Petersson's formula (``fourier_table``), which
-    depends on k alone.
+    walks them from its generators.  On PSL(2, Z), points at or above
+    the height Y_k of ``fourier_plan`` take the series' Fourier
+    expansion at the cusp instead, from the weight's table of
+    Petersson's formula (``fourier_table``), which depends on k alone;
+    so does a stencil centred there.  A group without the unit
+    translation, which has no cusp at i*infinity, is refused.
     """
 
     def __init__(self, group: FuchsianGroup, k: int,
                  budget: int = DEFAULT_BUDGET):
+        if not group.has_cusp_translation:
+            raise DomainError(f"group {group.label} lacks the unit "
+                              "translation: no cusp at i*infinity")
         self.group = group
         self.k = k
         self.budget = budget
@@ -125,23 +125,10 @@ class PoincareSource:
 
     def cosets(self, z: UhpPoint) -> CosetList:
         """Classes of the series at z; refuses a list the budget cut short."""
+        bound = coset_norm_bound(z.y, self.k)
         if self.group.is_modular:
-            return modular_cosets(z, coset_norm_bound(z.y, self.k),
-                                  self.budget)
-        if self.group.has_cusp_translation:
-            return walk_cosets(self.group, z, coset_norm_bound(z.y, self.k),
-                               self.budget)
-        enum = enumerate_group_elements(self.group, z, ORBIT_BOUND,
-                                        budget=self.budget)
-        if not enum.exhaustive_flag:
-            raise BudgetExceeded(
-                f"orbit at z={z.z} stopped at {self.budget} expansions")
-        if enum.frontier_count:
-            raise DomainError(
-                f"group {self.group.label} has no unit translation and an "
-                "orbit beyond the enumeration bound: no tail bound")
-        return CosetList(base_point=z, norm_bound=math.inf,
-                         rows=enum.rows(), translates=False)
+            return modular_cosets(z, bound, self.budget)
+        return walk_cosets(self.group, z, bound, self.budget)
 
     def bundles(self, grid: Sequence[UhpPoint]) -> KernelColumns:
         """The grid's columns: the points at or above ``fourier_height``
@@ -169,7 +156,12 @@ class PoincareSource:
         return cols
 
     def value_near(self, z: UhpPoint):
-        """B as a function of points near z, summed over z's cosets."""
+        """B as a function of points near z: from the table where
+        ``bundles`` takes z from it, else summed over z's cosets."""
+        if z.y >= self.fourier_height:
+            table = fourier_table(self.k)
+            return lambda w: float(
+                fourier_bundles(self.k, table, np.array([w.z]))[0][0])
         cosets = self.cosets(z)
         return lambda w: poincare_weight0_bundle(cosets, w, self.k)[0]
 

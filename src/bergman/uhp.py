@@ -88,9 +88,6 @@ class MoebiusTransform:
             round(self.d / 1e-9),
         )
 
-    def is_identity(self) -> bool:
-        return self.is_cusp_translation() and abs(self.b) <= 1e-9
-
     def is_cusp_translation(self) -> bool:
         """True for elements of the stabilizer of i*infinity (1, n; 0, 1)."""
         return (

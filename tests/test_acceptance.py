@@ -16,14 +16,14 @@ from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
                            model_basis, orthonormal_basis, petersson_gram)
 from bergman.groups import (enumerate_group_elements, modular_group,
                             translation_group)
-from bergman.kernel import (bergman_kernel_diagonal, identity_term,
-                            parabolic_term_bound)
+from bergman.kernel import identity_term, parabolic_term_bound
 from bergman.metric import (BasisSource, PoincareSource, RATIO_LIMIT,
                             fd_log_ratio, grid_points, kernel_derivatives,
                             ratio_parts, ratio_scan)
 from bergman.symprod import (dimensions, fs_form_direct_oracle,
                              fs_form_formula, volume_ratio_scan)
 from bergman.uhp import UhpPoint, apply_moebius, hyp_distance
+from orbit_oracle import orbit_kernel_diagonal
 from test_kernel import term_value
 
 
@@ -46,7 +46,7 @@ def test_01_kernel_oracle(delta_basis):
     src = BasisSource(delta_basis)
     worst_rel, worst_tail = 0.0, 0.0
     for z in (UhpPoint(0.0, 1.0), UhpPoint(0.5, math.sqrt(3) / 2)):
-        ev = bergman_kernel_diagonal(group, z, 6, displacement_bound=300.0)
+        ev = orbit_kernel_diagonal(group, z, 6, displacement_bound=300.0)
         ref = src.value_near(z)(z) * z.y ** 12
         worst_rel = max(worst_rel, abs(ev.value_diagonal - ref) / ref)
         worst_tail = max(worst_tail, ev.tail_estimate)
@@ -117,8 +117,7 @@ def test_05_prop3_ledger():
         for _ in range(50):
             z = UhpPoint(float(rng.uniform(-0.5, 0.5)),
                          float(rng.uniform(0.5, 3.0)))
-            ev = bergman_kernel_diagonal(group, z, k,
-                                         displacement_bound=500.0)
+            ev = orbit_kernel_diagonal(group, z, k, displacement_bound=500.0)
             # r_hat = infinity for the translation-only group: no
             # non-parabolic elements, so the C_X term is zero
             bound = parabolic_term_bound(z.y, k)
@@ -247,8 +246,7 @@ def test_11_determinism(tmp_path):
         outputs.append(out.read_bytes())
         scan = tmp_path / f"s{run}.csv"
         code = cli_main(["ratio-scan", "--group", "modular", "--k", "6",
-                         "--grid=-0.3,0.3,0.8,2.0,3,3", "--bound", "80",
-                         "--out", str(scan)])
+                         "--grid=-0.3,0.3,0.8,2.0,3,3", "--out", str(scan)])
         assert code == 0
         outputs.append(scan.read_bytes())
     passed = outputs[0] == outputs[2] and outputs[1] == outputs[3]

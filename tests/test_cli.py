@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import mpmath
 import pytest
 
 from bergman.cli import FMT, RunConfig, _load_tuples, main
@@ -108,6 +109,8 @@ def test_flag_forms_and_values():
     (["gram", "--domain", "strip"], "unknown flag --domain"),
     # scans run on one thread, so there is no thread count to set
     (["ratio-scan", "--threads", "2"], "unknown flag --threads"),
+    # the orbit route and its displacement bound are gone
+    (["kernel", "--bound", "80"], "unknown flag --bound"),
     # flags are the only way to set a run
     (["ratio-scan", "--config", "cfg.json"], "unknown flag --config"),
     (["--k", "6"], "missing command"),
@@ -124,8 +127,8 @@ def test_flag_forms_and_values():
     (["ratio-scan", "--group", "modular", "--k", "6,6", "--grid=0,0,1,1,1,1"],
      "--k '6,6' repeats weight 6"),
 ], ids=["unknown", "underscore", "single-dash", "no-value", "flag-as-value",
-        "d-string", "d-float", "tol-string", "domain", "threads", "config",
-        "no-command", "empty",
+        "d-string", "d-float", "tol-string", "domain", "threads", "bound",
+        "config", "no-command", "empty",
         "unknown-command", "two-commands", "extra-positional", "k-empty",
         "c-gamma-nan", "c-x-negative", "k-repeated"])
 def test_bad_command_line_exits_2(tmp_path, capsys, argv, message):
@@ -235,18 +238,51 @@ def test_unknown_suite_exits_2(capsys):
 
 
 def test_kernel_command_json(capsys):
-    code = main(["kernel", "--group", "modular", "--k", "6", "--z", "0.0,1.0",
-                 "--bound", "80"])
+    code = main(["kernel", "--group", "modular", "--k", "6", "--z", "0.0,1.0"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["route"] == "poincare"
     assert doc["value_diagonal"] == pytest.approx(3.078677147, rel=1e-6)
-    assert doc["exhaustive"] is True
+    # the coset sum is real and refuses a cut list, so no flag says so
+    assert "exhaustive" not in doc and "imag_residual" not in doc
+    assert doc["value_diagonal"] == pytest.approx(
+        doc["identity_part"] + doc["parabolic_part"] + doc["rest_part"],
+        rel=1e-11)
+    assert 0 < doc["tail_estimate"] < 1e-12
+
+
+def test_kernel_within_its_tail_of_the_lipschitz_closed_form(capsys):
+    # the translation group is one coset: y^2k B = (2k-1)/(4 pi) tau^2k
+    # L_2k(tau), tau = 2iy, with L_s(tau) = sum_n (tau + n)^(-s) =
+    # (-2 pi i)^s/(s-1)! sum_m m^(s-1) q^m; the orbit route printed
+    # 2.63e-6 here, 36 times the value
+    assert main(["kernel", "--group", "translations", "--k", "3",
+                 "--z", "0.4,2.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    with mpmath.workdps(50):
+        tau = mpmath.mpc(0, 5)
+        lipschitz = ((-2j * mpmath.pi) ** 6 / mpmath.factorial(5)
+                     * mpmath.nsum(lambda m: m ** 5 * mpmath.exp(
+                         2j * mpmath.pi * m * tau), [1, mpmath.inf]))
+        exact = 5 / (4 * mpmath.pi) * tau ** 6 * lipschitz
+        assert abs(exact.imag) < 1e-40
+        assert exact.real == pytest.approx(7.2396003442e-8, rel=1e-10)
+        assert abs(doc["value_diagonal"] - exact.real) <= doc["tail_estimate"]
+    assert doc["tail_estimate"] <= 1e-9
+    assert doc["terms_used"] == 1 and doc["rest_part"] == 0.0
+
+
+def test_kernel_budget_cut_exits_2(capsys):
+    # 50 cosets do not cover the sieve at z = i: refused, not summed short
+    code = main(["kernel", "--group", "modular", "--k", "6", "--budget", "50"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: coset sieve at z=1j listed more than 50 "
+                            "cosets\n")
 
 
 def test_kernel_out_file_gets_every_weight(tmp_path, capsys):
-    args = ["kernel", "--group", "modular", "--k", "6,8", "--z", "0.1,1.2",
-            "--bound", "80"]
+    args = ["kernel", "--group", "modular", "--k", "6,8", "--z", "0.1,1.2"]
     assert main(args) == 0
     stdout = capsys.readouterr().out
     out = tmp_path / "kernel.json"
@@ -309,12 +345,18 @@ def test_unconverged_gram_exits_2(tmp_path, capsys, command):
                    f"tolerance 1.000e-08\n")
 
 
-def test_verify_kernel_oracle_trivial_group(capsys):
-    code = main(["verify", "--suite", "kernel-oracle", "--group", "trivial"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["pass"] is True
-    assert doc["metrics"]["deviation"] == 0.0
+def test_verify_kernel_oracle_trivial_group(tmp_path, capsys):
+    # the trivial group has no unit translation, so no cusp at i*infinity:
+    # no longer a preset, and refused from a file
+    path = tmp_path / "trivial.json"
+    path.write_text('{"label": "trivial", "generators": []}')
+    for group, err in (("trivial", "unknown group preset 'trivial'"),
+                       (f"file:{path}", "group trivial lacks the unit "
+                                        "translation: no cusp at i*infinity")):
+        code = main(["verify", "--suite", "kernel-oracle", "--group", group])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
 
 def test_verify_report_shape(tmp_path):
@@ -397,13 +439,13 @@ def test_cusp_row_within_tolerance_on_the_fourier_route(tmp_path):
 
 
 def test_ratio_scan_flags_budget_cut_orbit(tmp_path):
-    # a budget of 50 expansions cuts the orbit at z=i short: the row
-    # carries the error instead of a ratio from the truncated sum
+    # 50 cosets do not cover the coset list at z=i: the row carries the
+    # error instead of a ratio from the truncated sum
     rows = {}
     for budget in ("50", "200000"):
         out = tmp_path / f"scan{budget}.csv"
         main(["ratio-scan", "--group", "modular", "--k", "6",
-              "--grid=0,0,1,1,1,1", "--bound", "20", "--budget", budget,
+              "--grid=0,0,1,1,1,1", "--budget", budget,
               "--out", str(out)])
         rows[budget] = out.read_text().splitlines()[1].split(",")
     cut = rows["50"]
@@ -581,7 +623,7 @@ def test_sym_scan_refuses_bad_degree(tmp_path, capsys, args, message):
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "bergman.cli", "verify", "--suite",
-         "kernel-oracle", "--group", "trivial"],
+         "kernel-oracle", "--group", "modular"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

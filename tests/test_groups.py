@@ -8,19 +8,23 @@ from bergman.forms import model_basis
 from bergman.groups import (C_GAMMA, BudgetExceeded, FuchsianGroup,
                             cusp_threshold, enumerate_group_elements,
                             free_product_group, group_by_name, modular_cosets,
-                            modular_group, translation_group, trivial_group,
-                            walk_cosets)
+                            modular_group, translation_group, walk_cosets)
 from bergman.kernel import coset_norm_bound
 from bergman.metric import BasisSource, ratio_scan
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, cosh2_half_distance)
+from orbit_oracle import orbit_rows
+
+# no unit translation, so no cusp at i*infinity: no longer a preset
+TRIVIAL = FuchsianGroup(label="trivial", generators=())
 
 
 def test_presets_resolve():
-    for name in ("modular", "free2", "translations", "trivial"):
+    for name in ("modular", "free2", "translations"):
         assert group_by_name(name).label == name
-    with pytest.raises(DomainError):
-        group_by_name("unknown")
+    for name in ("unknown", "trivial"):
+        with pytest.raises(DomainError, match="unknown group preset"):
+            group_by_name(name)
 
 
 def test_file_group(tmp_path):
@@ -85,7 +89,7 @@ def test_enumeration_budget_flag():
 
 
 def test_enumeration_trivial_and_translations():
-    enum = enumerate_group_elements(trivial_group(), UhpPoint(0, 1.0), 100.0)
+    enum = enumerate_group_elements(TRIVIAL, UhpPoint(0, 1.0), 100.0)
     assert len(enum.elements) == 1
     enum = enumerate_group_elements(translation_group(), UhpPoint(0, 1.0),
                                     1.0 + 4.0 / 4.0)  # |n| <= 2
@@ -212,7 +216,7 @@ def test_coset_walk_free2_matches_orbit_bottom_rows():
     enum = enumerate_group_elements(
         free_product_group(), z, (0.25 + (z.y + h) ** 2) / (4 * z.y * h))
     assert enum.exhaustive_flag
-    expected = {_bottom_row(row) for row in enum.rows()
+    expected = {_bottom_row(row) for row in orbit_rows(enum)
                 if abs(row[2] * z.z + row[3]) ** 2 <= bound}
     got = [_bottom_row(row) for row in walk.rows]
     assert len(got) == len(set(got))
@@ -223,7 +227,7 @@ def test_coset_walk_budget_and_validation():
     with pytest.raises(BudgetExceeded):
         walk_cosets(modular_group(), UhpPoint(0.0, 1.0), 100.0, budget=5)
     with pytest.raises(DomainError):
-        walk_cosets(trivial_group(), UhpPoint(0.0, 1.0), 100.0)
+        walk_cosets(TRIVIAL, UhpPoint(0.0, 1.0), 100.0)
     walk = walk_cosets(translation_group(), UhpPoint(0.3, 1.0), 100.0)
     assert [_bottom_row(row) for row in walk.rows] == [(0, 1)]
 

@@ -9,21 +9,23 @@ import pytest
 from bergman.forms import (CuspFormBasis, QuadratureDomain,
                            basis_weight0_bundle, delta_form, model_basis,
                            orthonormal_basis, petersson_gram, ramanujan_tau)
-from bergman.groups import (CosetList, enumerate_group_elements,
+from bergman.groups import (CosetList, FuchsianGroup,
+                            enumerate_group_elements, free_product_group,
                             modular_cosets, modular_group, translation_group,
-                            trivial_group, walk_cosets)
+                            walk_cosets)
 from bergman.fourier import (TABLE_HEIGHT_STEP, TABLE_SIZE, _pair_tails,
                              _table_scale, bessel_j, fourier_bundles,
                              fourier_plan, fourier_table)
 from bergman.kernel import (EPS, NORM_CAP, TWO_PI, _lipschitz_majorant,
                             _log_weights, _series_length, _series_tail,
                             accurate_sum, bergman_kernel_diagonal,
-                            coset_norm_bound, coset_tail_sum, cx_constant,
-                            gamma_ratio,
-                            identity_term, parabolic_term_bound, poincare_weight0_bundle,
-                            term_log_phase)
+                            coset_norm_bound, coset_tail_sum,
+                            cx_constant, gamma_ratio, identity_term,
+                            parabolic_term_bound, poincare_weight0_bundle)
+from bergman.metric import PoincareSource
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, hyp_distance)
+from orbit_oracle import orbit_kernel_diagonal, orbit_rows, term_log_phase
 
 
 def term_value(gamma, z, k):
@@ -114,7 +116,8 @@ def test_identity_element_term_is_identity_coefficient():
 
 
 def test_trivial_group_kernel_is_identity_term():
-    ev = bergman_kernel_diagonal(trivial_group(), UhpPoint(0.2, 1.5), 4)
+    ev = orbit_kernel_diagonal(FuchsianGroup("trivial", ()),
+                               UhpPoint(0.2, 1.5), 4)
     assert ev.value_diagonal == ev.identity_part
     assert ev.value_diagonal - ev.identity_part == 0.0
 
@@ -123,8 +126,8 @@ def test_translation_group_alpha_within_parabolic_bound():
     group = translation_group()
     for k in (3, 6, 10):
         for y in (0.7, 1.0, 1.8, 2.5):
-            ev = bergman_kernel_diagonal(group, UhpPoint(0.2, y), k,
-                                         displacement_bound=400.0)
+            ev = orbit_kernel_diagonal(group, UhpPoint(0.2, y), k,
+                                       displacement_bound=400.0)
             assert ev.exhaustive
             alpha = ev.value_diagonal - ev.identity_part
             assert abs(alpha) <= parabolic_term_bound(y, k)
@@ -133,8 +136,8 @@ def test_translation_group_alpha_within_parabolic_bound():
 
 def test_modular_kernel_positive_and_real():
     for z in (UhpPoint(0.0, 1.0), UhpPoint(0.37, 0.81), UhpPoint(-0.2, 2.2)):
-        ev = bergman_kernel_diagonal(modular_group(), z, 6,
-                                     displacement_bound=200.0)
+        ev = orbit_kernel_diagonal(modular_group(), z, 6,
+                                   displacement_bound=200.0)
         assert ev.value_diagonal > 0
         assert ev.imag_residual < 1e-10 * ev.value_diagonal
         assert ev.tail_estimate < 1e-3
@@ -146,15 +149,15 @@ def test_kernel_invariance_under_group_action():
     z = UhpPoint(0.21, 1.13)
     g = MoebiusTransform(0.0, -1.0, 1.0, 0.0) @ MoebiusTransform.translation(1)
     gz = apply_moebius(g, z)
-    e1 = bergman_kernel_diagonal(group, z, 6, displacement_bound=300.0)
-    e2 = bergman_kernel_diagonal(group, gz, 6, displacement_bound=300.0)
+    e1 = orbit_kernel_diagonal(group, z, 6, displacement_bound=300.0)
+    e2 = orbit_kernel_diagonal(group, gz, 6, displacement_bound=300.0)
     assert e1.value_diagonal == pytest.approx(e2.value_diagonal, rel=1e-6)
 
 
 def test_truncation_tail_decreases_with_bound():
     group = modular_group()
     z = UhpPoint(0.1, 1.0)
-    tails = [bergman_kernel_diagonal(group, z, 6, displacement_bound=b)
+    tails = [orbit_kernel_diagonal(group, z, 6, displacement_bound=b)
              .tail_estimate for b in (30.0, 100.0, 300.0)]
     assert tails[0] > tails[1] > tails[2]
 
@@ -162,8 +165,8 @@ def test_truncation_tail_decreases_with_bound():
 def test_value_converged_in_truncation_bound():
     group = modular_group()
     z = UhpPoint(0.1, 1.0)
-    v1 = bergman_kernel_diagonal(group, z, 6, displacement_bound=100.0)
-    v2 = bergman_kernel_diagonal(group, z, 6, displacement_bound=300.0)
+    v1 = orbit_kernel_diagonal(group, z, 6, displacement_bound=100.0)
+    v2 = orbit_kernel_diagonal(group, z, 6, displacement_bound=300.0)
     assert v1.value_diagonal == pytest.approx(v2.value_diagonal, rel=1e-6)
 
 
@@ -178,8 +181,8 @@ def bergman_kernel_offdiag(group, z, w, k, displacement_bound=100.0,
     d_target = 2.0 * math.acosh(math.sqrt(displacement_bound))
     d_infl = d_target + hyp_distance(z, w)
     bound = math.cosh(d_infl / 2.0) ** 2
-    a, b, c, d = enumerate_group_elements(group, w, bound,
-                                          budget=budget).rows().T
+    a, b, c, d = orbit_rows(enumerate_group_elements(group, w, bound,
+                                                     budget=budget)).T
     coeff = (2 * k - 1) * (2j) ** (2 * k) / (4.0 * math.pi)
     den = c * w.z + d
     s = z.z - np.conj((a * w.z + b) / den)
@@ -198,7 +201,7 @@ def test_offdiag_hermitian_symmetry():
 def test_offdiag_reduces_to_diagonal():
     group = modular_group()
     z = UhpPoint(0.1, 1.1)
-    diag = bergman_kernel_diagonal(group, z, 6, displacement_bound=200.0)
+    diag = orbit_kernel_diagonal(group, z, 6, displacement_bound=200.0)
     off = bergman_kernel_offdiag(group, z, z, 6, displacement_bound=200.0)
     assert off.real * z.y ** 12 == pytest.approx(diag.value_diagonal,
                                                  rel=1e-6)
@@ -253,13 +256,33 @@ def test_coset_route_matches_orbit_oracle_and_basis(delta_basis):
               UhpPoint(0.31, 0.97), UhpPoint(-0.3, 2.0)):
         cosets = walk_cosets(group, z, coset_norm_bound(z.y, 6))
         value, d1, d2, errors = poincare_weight0_bundle(cosets, z, 6)
-        orbit = bergman_kernel_diagonal(group, z, 6, displacement_bound=300.0)
+        orbit = orbit_kernel_diagonal(group, z, 6, displacement_bound=300.0)
         assert value * z.y ** 12 == pytest.approx(orbit.value_diagonal,
                                                   rel=1e-10)
         ref = basis_weight0_bundle(delta_basis, z)
         for got, want, err in zip((value, d1, d2), ref, errors):
             assert abs(got - want) <= 1e-10 * abs(want)
             assert err < 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("group, z", [
+    (modular_group(), UhpPoint(0.0, 1.0)),
+    (free_product_group(), UhpPoint(0.1, 0.9)),
+    (translation_group(), UhpPoint(0.2, 0.8)),
+], ids=["modular", "free2", "translations"])
+def test_kernel_split_matches_orbit_oracle(group, z):
+    # the value and the Prop 3 split that ``kernel`` prints, against the
+    # orbit's buckets, within the orbit's tail plus the coset bound
+    cosets = PoincareSource(group, 6).cosets(z)
+    ev = bergman_kernel_diagonal(cosets, z, 6)
+    orbit = orbit_kernel_diagonal(group, z, 6)
+    assert orbit.exhaustive and ev.terms_used == len(cosets)
+    assert ev.tail_estimate < 1e-12 * ev.value_diagonal
+    tol = orbit.tail_estimate + ev.tail_estimate
+    assert ev.identity_part == orbit.identity_part
+    assert abs(ev.value_diagonal - orbit.value_diagonal) <= tol
+    assert abs(ev.parabolic_part - orbit.parabolic_part.real) <= tol
+    assert abs(ev.rest_part - orbit.rest_part.real) <= tol
 
 
 def test_lipschitz_sum_matches_translates():
@@ -283,20 +306,6 @@ def test_lipschitz_sum_matches_translates():
                 errors[0] * scale + 1e-14 * direct
 
 
-def test_element_list_sums_one_term_per_element():
-    # without the unit translation each listed class is one element
-    z = UhpPoint(0.2, 1.5)
-    enum = enumerate_group_elements(trivial_group(), z, 100.0)
-    elements = CosetList(base_point=z, norm_bound=math.inf,
-                         rows=enum.rows(), translates=False)
-    value, d1, d2, errors = poincare_weight0_bundle(elements, z, 4)
-    assert value * z.y ** 8 == pytest.approx(identity_term(4), rel=1e-14)
-    # B = C (2iy)^(-2k): dB/dz = -2k B/(2iy), d2B = 2k(2k+1) B/(4y^2)
-    assert d1 == pytest.approx(-8 * value / (2j * z.y), rel=1e-14)
-    assert d2.real == pytest.approx(72 * value / (4 * z.y ** 2), rel=1e-14)
-    assert max(errors) < 1e-13 * abs(d2)
-
-
 def test_coset_bundle_ignores_row_order_and_sign():
     # the walk lists cosets level by level with free signs; the sums
     # must not depend on either
@@ -306,7 +315,7 @@ def test_coset_bundle_ignores_row_order_and_sign():
     rows = cosets.rows[rng.permutation(len(cosets))]
     rows *= rng.choice([-1.0, 1.0], size=len(rows))[:, None]
     shuffled = CosetList(base_point=z, norm_bound=cosets.norm_bound,
-                         rows=rows, translates=True)
+                         rows=rows)
     assert (poincare_weight0_bundle(shuffled, z, k)
             == poincare_weight0_bundle(cosets, z, k))
 

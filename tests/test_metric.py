@@ -9,9 +9,9 @@ from bergman.forms import (CuspFormBasis, QuadratureDomain, delta_form,
 import bergman.metric
 import mpmath
 
-from bergman.groups import (BudgetExceeded, cusp_threshold,
+from bergman.groups import (BudgetExceeded, FuchsianGroup, cusp_threshold,
                             free_product_group, group_by_name, modular_cosets,
-                            modular_group, trivial_group, walk_cosets)
+                            modular_group, walk_cosets)
 from bergman.fourier import fourier_bundles, fourier_table
 from bergman.kernel import NORM_CAP, coset_norm_bound, poincare_weight0_bundle
 from bergman.cli import _basis_ratios, main
@@ -122,6 +122,16 @@ def test_two_route_equality_basis(synthetic_basis):
         assert r2 == pytest.approx(r1, rel=1e-5, abs=1e-8)
 
 
+@pytest.mark.parametrize("y", [4.0, 6.0, 7.0])
+def test_finite_difference_route_takes_the_table_above_its_height(y):
+    # a stencil centred at or above Y_k differentiates the table, the
+    # function the scan reports; summed over cosets it missed k/(2 pi)
+    # by 1.2e-6, 5.3e-4 and 0.58 at y = 4, 6 and 7
+    src = PoincareSource(modular_group(), 6)
+    assert fd_log_ratio(src, UhpPoint(0.1, y), 6) == pytest.approx(
+        6 / (2 * math.pi), abs=1e-7)
+
+
 def test_two_route_equality_poincare():
     src = PoincareSource(modular_group(), 6)
     z = UhpPoint(0.1, 1.3)
@@ -131,8 +141,8 @@ def test_two_route_equality_poincare():
 
 
 def test_finite_difference_routes_refuse_budget_cut_orbit():
-    # 50 expansions cut the orbit at z=i short; a value from the
-    # truncated sum (6e-5 off) must reach neither the stencil nor the bundle
+    # 50 cosets do not cover the coset list at z=i; a value from the
+    # truncated sum must reach neither the stencil nor the bundle
     src = PoincareSource(modular_group(), 6, budget=50)
     z = UhpPoint(0.0, 1.0)
     with pytest.raises(BudgetExceeded):
@@ -436,17 +446,23 @@ def test_coset_route_error_envelope(k):
             assert bound < 1e-7
 
 
-def test_translation_free_group_sums_single_elements():
-    # the trivial group's kernel is the identity term C (2iy)^(-2k) alone,
-    # whose ratio is k/(2 pi) - k/(2 pi) = 0
-    src = PoincareSource(trivial_group(), 6)
-    z = UhpPoint(0.2, 1.3)
-    cosets = src.cosets(z)
-    assert len(cosets) == 1 and not cosets.translates
-
-    (rows,), _ = ratio_scan([src], grid_points(-0.2, 0.2, 0.8, 1.6, 2, 2))
-    assert all(e is None for e in rows.errors)
-    assert all(abs(r) < 1e-12 for r in rows.ratio)
+def test_translation_free_group_sums_single_elements(tmp_path, capsys):
+    # a group without the unit translation has no cusp at i*infinity and
+    # no coset series: refused before any row, where each row once summed
+    # its finite orbit element by element
+    path = tmp_path / "group.json"
+    path.write_text('{"generators": [[1, 0, 2, 1]]}')
+    for group in (group_by_name(f"file:{path}"),
+                  FuchsianGroup(label="trivial", generators=())):
+        with pytest.raises(DomainError, match="lacks the unit translation"):
+            PoincareSource(group, 6)
+    out = tmp_path / "scan.csv"
+    code = main(["ratio-scan", "--group", f"file:{path}", "--k", "6",
+                 "--grid=-0.2,0.2,0.8,1.6,2,2", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: group {path} lacks the unit translation: no cusp at "
+        "i*infinity\n")
 
 
 def test_poincare_scan_walks_cosets_not_elements(monkeypatch):

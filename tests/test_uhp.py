@@ -36,7 +36,7 @@ def test_non_unimodular_rejected():
 
 def test_sign_canonicalization():
     g = MoebiusTransform(-1.0, 0.0, 0.0, -1.0)
-    assert g.is_identity()
+    assert (g.a, g.b, g.c, g.d) == (1.0, 0.0, 0.0, 1.0)
     h = MoebiusTransform(0.0, -1.0, 1.0, 0.0)
     assert h.key() == MoebiusTransform(0.0, 1.0, -1.0, 0.0).key()
 
