@@ -5,7 +5,8 @@
 
 Runs a fixed list of commands in each checkout: every README command,
 ``scripts/run_scans.py``, all six ``verify`` suites, modular scans up
-the cusp and at k = 12 (the Fourier table's rows), ``kernel`` on every
+the cusp, far from the fundamental domain and at k = 12 (the Fourier
+table's rows, some taken at the points' images), ``kernel`` on every
 preset, scans and kernels with flagged, budget-cut and refused rows (a
 ``sym-scan`` with every tuple refused and ``verify --suite thm10`` at a
 ``--tol`` that refuses every row among them) or refused options, forms
@@ -101,6 +102,9 @@ COMMANDS = [
     # one coset, whose value is the Lipschitz closed form
     ("kernel-translations-k3", ["kernel", "--group", "translations", "--k",
                                 "3", "--z", "0.4,2.5"]),
+    # far up the cusp the coset terms cancel: a tail of 63% of the value
+    ("kernel-tail-swamps", ["kernel", "--group", "modular", "--k", "6",
+                            "--z", "0.1,9"]),
     ("kernel-budget-cut", ["kernel", "--group", "modular", "--k", "6",
                            "--budget", "50"]),
     ("kernel-bound-refused", ["kernel", "--bound", "80"]),
@@ -122,6 +126,12 @@ COMMANDS = [
                    "--grid=-0.45,0.45,4,10,4,7"]),
     ("scan-k12", ["ratio-scan", "--group", "modular", "--k", "12",
                   "--grid=-0.4,0.4,0.8,3.2,3,4"]),
+    # far from F, where rows take the table at their images (5 + 0.02i
+    # at 50i), and up to y = 60, where B^2 and then B underflow
+    ("scan-far-from-f", ["ratio-scan", "--group", "modular", "--k", "6,8",
+                         "--grid=3.2,5.9,0.02,0.3,4,3"]),
+    ("scan-deep-cusp", ["ratio-scan", "--group", "modular", "--k", "6,8",
+                        "--grid=0.1,0.1,20,60,1,5"]),
     ("scan-large-weight", ["ratio-scan", "--group", "modular", "--k", "90",
                            "--grid=0,0,1,1,1,1"]),
     ("scan-kernel-vanishes", ["ratio-scan", "--forms", FORMS, "--k", "6",

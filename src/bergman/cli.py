@@ -22,9 +22,9 @@ from .forms import (CuspFormBasis, GramSingular, QuadratureDomain,
                     model_basis, orthonormal_basis, petersson_gram, save_forms)
 from .groups import DEFAULT_BUDGET, BudgetExceeded, group_by_name
 from .kernel import bergman_kernel_diagonal, parabolic_term_bound
-from .metric import (BasisSource, KernelVanishes, PoincareSource,
-                     RATIO_LIMIT, fd_log_ratio, grid_points, ratio_parts,
-                     ratio_scan)
+from .metric import (BasisSource, ErrorBoundExceeded, KernelVanishes,
+                     PoincareSource, RATIO_LIMIT, fd_log_ratio, grid_points,
+                     ratio_parts, ratio_scan)
 from .symprod import fs_form_direct_oracle, fs_form_formula, volume_ratio_scan
 from .uhp import DomainError, UhpPoint
 
@@ -213,6 +213,10 @@ def cmd_kernel(cfg: RunConfig) -> int:
     for k in cfg.k_values():
         ev = bergman_kernel_diagonal(
             PoincareSource(group, k, cfg.budget).cosets(z), z, k)
+        if not ev.tail_estimate <= cfg.tol * abs(ev.value_diagonal):
+            raise ErrorBoundExceeded(
+                f"k={k} at z={z.z}: y^2k B {ev.value_diagonal:.12g} +- "
+                f"{ev.tail_estimate:.3g} exceeds tol {cfg.tol:g}")
         doc = {
             "group": cfg.group, "k": k, "z": [z.x, z.y],
             "route": "poincare",
@@ -367,7 +371,7 @@ def _basis_ratios(basis: CuspFormBasis, grid):
     for z, value in zip(grid, cols.value.tolist()):
         if value <= 1e-300:
             raise KernelVanishes(f"kernel value {value} at {z}")
-    ratio, corr, _ = ratio_parts(cols, np.array([z.y for z in grid]), basis.k)
+    ratio, corr, _ = ratio_parts(cols, basis.k)
     return ratio.tolist(), corr.tolist()
 
 
@@ -524,7 +528,8 @@ def main(argv=None) -> int:
             sys.stdout.write(usage())
             return 0
         return COMMANDS[command](cfg)
-    except (ConfigError, DomainError, BudgetExceeded) as exc:
+    except (ConfigError, DomainError, BudgetExceeded,
+            ErrorBoundExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -265,7 +265,7 @@ def fourier_table(k: int):
     return coefficients, errors
 
 
-def fourier_bundles(k: int, table, z: np.ndarray):
+def fourier_bundles(k: int, table, z: np.ndarray, delta=None):
     """B, dB/dz, d2B/dz dzbar at each point of z from the weight-2k table.
 
     ``table`` is the pair (c_mn, their error bounds) of ``fourier_table``.
@@ -279,7 +279,10 @@ def fourier_bundles(k: int, table, z: np.ndarray):
     errors: each entry's error, the rounding of r^(m+n) (EPS (3 pi (m+n) y
     + 1)) and of the trigonometric factor (EPS (3 pi |m - n| |x| + 1)),
     the sums' own bound, and the pairs off the table (``_pair_tails``).
-    A row depends on its own point alone.
+    With ``delta``, row i's bounds hold within delta[i] of z[i]: a row with
+    delta > 0 adds 2 pi (m + n) delta times each term's size, from |c_mn|
+    plus its error at y - delta, and the tails there.  A row depends on
+    its own point alone.
     """
     coefficients, entry_errors = table
     z = np.asarray(z, dtype=complex)
@@ -310,4 +313,11 @@ def fourier_bundles(k: int, table, z: np.ndarray):
     tails = _pair_tails(_table_scale(k)[1], k, size, y)
     errors = np.stack([err[:, 0] + tails[0], err[:, 1] + err[:, 2] + tails[1],
                        err[:, 3] + tails[2]], axis=1)
+    if delta is not None and delta.any():
+        low = y - delta
+        slope = (np.abs(coefficients) + entry_errors).ravel() * TWO_PI * plus
+        move = (delta[:, None] * (slope * np.exp(-TWO_PI * low[:, None] * plus))
+                @ weights[[0, 1, 3]].T * (1.0 + 4 * size * size * EPS)
+                + np.stack(_pair_tails(_table_scale(k)[1], k, size, low), 1))
+        errors += np.where(delta[:, None] > 0.0, move, 0.0)
     return total[:, 0], total[:, 1] + 1j * total[:, 2], total[:, 3], errors

@@ -28,6 +28,7 @@ from .uhp import (
 C_GAMMA = 4.0 * math.pi
 # most expansions, cosets or orbit elements one enumeration may list
 DEFAULT_BUDGET = 200_000
+EPS = 2.0 ** -52
 
 
 class BudgetExceeded(RuntimeError):
@@ -277,7 +278,8 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
     through cosets above h.  A level's moves are deduplicated by sorting
     their keys and looked up in the sorted keys already listed.  Needs
     an integral group; listing more than ``budget`` cosets raises
-    ``BudgetExceeded``.
+    ``BudgetExceeded``.  A group of translations alone has one coset,
+    listed with norm bound inf: no coset is missed.
     """
     if not group.has_cusp_translation:
         raise DomainError("the coset walk needs the unit translation")
@@ -338,7 +340,8 @@ def walk_cosets(group: FuchsianGroup, z: UhpPoint, norm_bound: float,
         seen = np.insert(seen, at[fresh], keys[fresh])
         pick = order[fresh]
         a, b, c, d = a[pick], b[pick], c[pick], d[pick]
-    return CosetList(base_point=z, norm_bound=norm_bound,
+    return CosetList(base_point=z,
+                     norm_bound=norm_bound if steps else math.inf,
                      rows=np.concatenate(levels))
 
 
@@ -390,6 +393,33 @@ def modular_cosets(z: UhpPoint, norm_bound: float,
     a, b, _, _ = _reduce_to_strip(a, b, c, d, zc)
     return CosetList(base_point=z, norm_bound=norm_bound,
                      rows=np.stack([a, b, c, d], axis=1))
+
+
+def reduce_to_fundamental(x, y):
+    """Each point x + iy moved by PSL(2, Z) into F: |x| <= 1/2, |z| >= 1.
+
+    T^-n, n = rint(x), is exact as x - n; S: w -> -1/w, taken while
+    |w|^2 < 1 - 4 EPS (so each S raises y), is within 2 EPS |Sw| and
+    moves an error e to at most e/(|w| (|w| - e)).  Returns the images'
+    x and y, a bound delta on each one's distance from gamma (x + iy),
+    and the integer rows (a, b, c, d) of gamma, the product of the steps.
+    """
+    x, y = np.array(x, float), np.array(y, float)
+    delta = np.zeros_like(x)
+    gamma = np.tile([1.0, 0.0, 0.0, 1.0], x.shape + (1,))
+    while True:
+        n = np.rint(x)
+        x -= n
+        gamma[..., :2] -= n[..., None] * gamma[..., 2:]
+        r2 = x * x + y * y
+        flip = r2 < 1.0 - 4 * EPS
+        if not flip.any():
+            return x, y, delta, gamma
+        w, e, r2 = np.sqrt(r2[flip]), delta[flip], r2[flip]
+        delta[flip] = np.where(e < w, (2 * EPS / w + e / (w * (w - e)))
+                               * (1.0 + 8 * EPS), np.inf)
+        x[flip], y[flip] = -x[flip] / r2, y[flip] / r2
+        gamma[flip] = gamma[flip][:, [2, 3, 0, 1]] * [-1.0, -1.0, 1.0, 1.0]
 
 
 def _unimodular_tops(c: np.ndarray, d: np.ndarray):

@@ -18,11 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import CosetList
+from .groups import EPS, CosetList
 from .uhp import DomainError, UhpPoint
 
 TWO_PI = 2.0 * math.pi
-EPS = 2.0 ** -52
 # cap on the coset walk's norm bound per unit height (see coset_norm_bound)
 NORM_CAP = 32768.0
 # largest s whose Eulerian means A(s-1, j)/(s-1)! are all normal doubles

@@ -23,6 +23,7 @@ from .groups import (
     cusp_threshold,
     enumerate_group_elements,  # unused: perfbench's tracer test reads it here
     modular_cosets,
+    reduce_to_fundamental,
     walk_cosets,
 )
 from .kernel import (
@@ -51,6 +52,7 @@ class DerivativeBundle:
     value: float            # weight-0 kernel B(z)
     dz: complex             # dB/dz; dB/dzbar is its conjugate
     dzdzbar: complex        # mixed second derivative, real on the diagonal
+    height: float           # Im of the point the three were taken at
     # absolute error bounds of value, dz and dzdzbar; zero where the
     # source reports none
     errors: tuple = (0.0, 0.0, 0.0)
@@ -58,13 +60,14 @@ class DerivativeBundle:
 
 @dataclass
 class KernelColumns:
-    """A grid's bundles, an array per field (row i at grid point i), and
-    the exception refusing each point or None; refused points hold NaN."""
+    """A grid's bundles, an array per field (row i at grid point i or its
+    image, of height ``height``), each point's refusal or None (NaN rows)."""
     value: np.ndarray
     dz: np.ndarray
     dzdzbar: np.ndarray
     errors: np.ndarray
     refusals: list
+    height: np.ndarray
 
 
 @dataclass
@@ -90,7 +93,7 @@ class BasisSource:
         """The grid's columns, from one batched evaluation; no refusals."""
         value, d1, d2 = basis_weight0_grid(self.basis, [z.z for z in grid])
         return KernelColumns(value, d1, d2, np.zeros((len(grid), 3)),
-                             [None] * len(grid))
+                             [None] * len(grid), np.array([z.y for z in grid]))
 
     def value_near(self, z: UhpPoint):
         """B as a function of points near z, for finite-difference stencils."""
@@ -107,8 +110,9 @@ class PoincareSource:
     the height Y_k of ``fourier_plan`` take the series' Fourier
     expansion at the cusp instead, from the weight's table of
     Petersson's formula (``fourier_table``), which depends on k alone;
-    so does a stencil centred there.  A group without the unit
-    translation, which has no cusp at i*infinity, is refused.
+    so does a stencil centred there, and in ``bundles`` a point whose image
+    in F (``reduce_to_fundamental``) lies there, at that image.  A group
+    without the unit translation, which has no cusp at i*infinity, is refused.
     """
 
     def __init__(self, group: FuchsianGroup, k: int,
@@ -131,19 +135,24 @@ class PoincareSource:
         return walk_cosets(self.group, z, bound, self.budget)
 
     def bundles(self, grid: Sequence[UhpPoint]) -> KernelColumns:
-        """The grid's columns: the points at or above ``fourier_height``
-        from the table at once, the others point by point over their
-        cosets; a point that raises is refused."""
+        """The grid's columns: the points whose image in F lies at or
+        above ``fourier_height`` from the table at once, at the images,
+        the others point by point over their cosets; a raise refuses."""
         n = len(grid)
         cols = KernelColumns(np.full(n, np.nan), np.full(n, np.nan, complex),
                              np.full(n, np.nan, complex),
-                             np.full((n, 3), np.nan), [None] * n)
-        table = np.array([z.y >= self.fourier_height for z in grid], bool)
+                             np.full((n, 3), np.nan), [None] * n,
+                             np.array([z.y for z in grid]))
+        x, y, delta, _ = reduce_to_fundamental([z.x for z in grid], cols.height)
+        table = y >= self.fourier_height
         if table.any():
+            x, y, delta = x[table], y[table], delta[table]
+            b, dz, d2, errors = fourier_bundles(
+                self.k, fourier_table(self.k), x + 1j * y, delta)
+            # twice y^2's rounding share, (2 + delta/y) delta/y, of d2B
+            errors[:, 2] += 2.0 * (2.0 + delta / y) * delta / y * np.abs(d2)
             (cols.value[table], cols.dz[table], cols.dzdzbar[table],
-             cols.errors[table]) = fourier_bundles(
-                 self.k, fourier_table(self.k),
-                 np.array([z.z for z in grid])[table])
+             cols.errors[table], cols.height[table]) = b, dz, d2, errors, y
         for i in np.flatnonzero(~table).tolist():
             z = grid[i]
             try:
@@ -156,8 +165,8 @@ class PoincareSource:
         return cols
 
     def value_near(self, z: UhpPoint):
-        """B as a function of points near z: from the table where
-        ``bundles`` takes z from it, else summed over z's cosets."""
+        """B near z, by z's own height (not its image in F): from the
+        table at or above ``fourier_height``, else over z's cosets."""
         if z.y >= self.fourier_height:
             table = fourier_table(self.k)
             return lambda w: float(
@@ -170,33 +179,37 @@ class PoincareSource:
 # Derivatives
 
 def kernel_derivatives(source, z: UhpPoint) -> DerivativeBundle:
-    """Weight-0 kernel value and Wirtinger derivatives at z: the batch of
-    one of ``source.bundles``, raising what refuses the point."""
+    """Weight-0 B and its Wirtinger derivatives at z or its image (at
+    ``height``): the batch of one of ``source.bundles``, raising a refusal."""
     cols = source.bundles([z])
     if cols.refusals[0] is not None:
         raise cols.refusals[0]
     return DerivativeBundle(value=float(cols.value[0]), dz=complex(cols.dz[0]),
                             dzdzbar=complex(cols.dzdzbar[0]),
+                            height=float(cols.height[0]),
                             errors=tuple(cols.errors[0].tolist()))
 
 
-def ratio_parts(bundle, y, k: int):
+def ratio_parts(bundle, k: int):
     """Ratio k/(2 pi) + (y^2/pi)(|dB|^2/B^2 - d2B/B), that correction and
-    the ratio's absolute error bound: scalars for a DerivativeBundle at
-    height y, arrays for the KernelColumns of a grid, by the same operations.
+    the ratio's absolute error bound, y the bundle's ``height``: scalars
+    for a DerivativeBundle, arrays for a grid's KernelColumns.
 
     With B off by at most e0 (B - e0 > 0, else the bound is inf), dB by e1
     and d2B by e2, |dB|^2/B^2 moves by at most (2|dB| + e1) e1/(B - e0)^2
     + |dB|^2 (1/(B - e0)^2 - 1/B^2) and d2B/B by at most e2/(B - e0)
     + |d2B| (1/(B - e0) - 1/B); forming their difference adds 4 EPS of each,
-    and rounding k/(2 pi) and the ratio EPS (k/(2 pi) + |ratio|).
+    and rounding k/(2 pi) and the ratio EPS (k/(2 pi) + |ratio|).  Both are
+    of degree 0, and the inputs are scaled first, exactly, lest B^2 underflow.
     """
-    b, dz = np.asarray(bundle.value, float), np.asarray(bundle.dz, complex)
-    d2 = np.asarray(bundle.dzdzbar, complex).real
-    e0, e1, e2 = np.asarray(bundle.errors, float).T
-    a, d = np.hypot(dz.real, dz.imag), np.abs(d2)
+    b, y = np.asarray(bundle.value, float), bundle.height
     y2 = y * y / math.pi
     with np.errstate(all="ignore"):
+        scale = np.ldexp(1.0, -np.frexp(b)[1])
+        b, dz = b * scale, np.asarray(bundle.dz, complex) * scale
+        d2 = np.asarray(bundle.dzdzbar, complex).real * scale
+        e0, e1, e2 = np.asarray(bundle.errors, float).T * scale
+        a, d = np.hypot(dz.real, dz.imag), np.abs(d2)
         corr = y2 * ((dz.real * dz.real + dz.imag * dz.imag) / (b * b)
                      - d2 / b)
         lo = b - e0
@@ -244,6 +257,8 @@ def prop8_bound(k: int, kernel_lower: float, c_x: float) -> float:
         raise DomainError("k must be >= 3")
     if kernel_lower <= 0 or c_x < 0:
         raise DomainError("inputs must be positive")
+    if kernel_lower ** 2 == 0.0:  # y^2k B squared underflows from y ~ 35
+        return math.inf
     paren_star = (
         identity_term(k)
         + C_GAMMA * (2 * k - 1) * math.log(k)
@@ -339,7 +354,8 @@ def ratio_scan(sources, grid: Sequence[UhpPoint], c_x: float = 0.0,
 
     Each kernel source, of weight ``source.k``, gives the columns of the
     whole grid (``bundles``), a point's numbers depending on that point
-    alone, and ``ratio_parts`` the ratio at every point.  A point is
+    alone; the ratio (``ratio_parts``) and y^2k B are formed at each
+    row's height, ``region`` at the point's own.  A point is
     refused, in this order, by the source, when B <= 1e-300
     (``KernelVanishes``), or when its ratio error bound exceeds ``tol``
     times max(|ratio|, k/(2 pi)) (``ErrorBoundExceeded``).  Returns one
@@ -350,13 +366,13 @@ def ratio_scan(sources, grid: Sequence[UhpPoint], c_x: float = 0.0,
     for source in sources:
         k = source.k
         cols = source.bundles(grid)
-        ratio, _, err = ratio_parts(cols, y, k)
+        ratio, _, err = ratio_parts(cols, k)
         threshold = cusp_threshold(k)
         vanishes = cols.value <= 1e-300
         with np.errstate(all="ignore"):
             exceeded = ~(err <= tol * np.maximum(np.abs(ratio),
                                                  k / (2.0 * math.pi)))
-            norms = cols.value * y ** (2 * k)
+            norms = cols.value * cols.height ** (2 * k)
         refused = (np.array([r is not None for r in cols.refusals], bool)
                    | vanishes | exceeded)
         errors = [None] * len(grid)

@@ -80,13 +80,13 @@ def test_03_lemma4_two_routes(delta_basis):
     worst_basis = 0.0
     bsrc = BasisSource(delta_basis)
     for z in grid:
-        r1 = ratio_parts(kernel_derivatives(bsrc, z), z.y, 6)[0]
+        r1 = ratio_parts(kernel_derivatives(bsrc, z), 6)[0]
         r2 = fd_log_ratio(bsrc, z, 6)
         worst_basis = max(worst_basis, abs(r1 - r2) / abs(r1))
     worst_poincare = 0.0
     psrc = PoincareSource(modular_group(), 6)
     for z in grid[::10]:  # one column; each point shares one truncation
-        r1 = ratio_parts(kernel_derivatives(psrc, z), z.y, 6)[0]
+        r1 = ratio_parts(kernel_derivatives(psrc, z), 6)[0]
         r2 = fd_log_ratio(psrc, z, 6)
         worst_poincare = max(worst_poincare, abs(r1 - r2) / abs(r1))
     elapsed = time.monotonic() - start
@@ -103,7 +103,7 @@ def test_04_one_dimensional_collapse(delta_basis):
     for _ in range(100):
         z = UhpPoint(float(rng.uniform(-0.5, 0.5)),
                      float(rng.uniform(0.4, 4.0)))
-        ratio = ratio_parts(kernel_derivatives(src, z), z.y, 6)[0]
+        ratio = ratio_parts(kernel_derivatives(src, z), 6)[0]
         worst = max(worst, abs(ratio - 6 / (2 * math.pi)))
     report(4, "one-dimensional collapse", worst <= 1e-10,
            f"max |ratio - k/2pi| {worst:.3e} over 100 points")
@@ -134,8 +134,7 @@ def test_06_prop9_decay(delta_basis):
     # multi-form model exercises the genuine decay path
     def betas_at(basis, heights):
         grid = [UhpPoint(0.1, y) for y in heights]
-        corr = ratio_parts(BasisSource(basis).bundles(grid),
-                           np.array(heights), 6)[1]
+        corr = ratio_parts(BasisSource(basis).bundles(grid), 6)[1]
         return [abs(c) for c in corr.tolist()]
 
     betas = betas_at(delta_basis, (4.0, 6.0, 8.0))

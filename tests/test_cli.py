@@ -255,7 +255,8 @@ def test_kernel_within_its_tail_of_the_lipschitz_closed_form(capsys):
     # the translation group is one coset: y^2k B = (2k-1)/(4 pi) tau^2k
     # L_2k(tau), tau = 2iy, with L_s(tau) = sum_n (tau + n)^(-s) =
     # (-2 pi i)^s/(s-1)! sum_m m^(s-1) q^m; the orbit route printed
-    # 2.63e-6 here, 36 times the value
+    # 2.63e-6 here, 36 times the value; the one coset is the whole list,
+    # so the tail is rounding alone, below the JSON's 12 printed digits
     assert main(["kernel", "--group", "translations", "--k", "3",
                  "--z", "0.4,2.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -267,9 +268,35 @@ def test_kernel_within_its_tail_of_the_lipschitz_closed_form(capsys):
         exact = 5 / (4 * mpmath.pi) * tau ** 6 * lipschitz
         assert abs(exact.imag) < 1e-40
         assert exact.real == pytest.approx(7.2396003442e-8, rel=1e-10)
-        assert abs(doc["value_diagonal"] - exact.real) <= doc["tail_estimate"]
-    assert doc["tail_estimate"] <= 1e-9
+        printed = 5e-12 * doc["value_diagonal"]
+        assert abs(doc["value_diagonal"] - exact.real) <= (
+            doc["tail_estimate"] + printed)
+    assert doc["tail_estimate"] <= 1e-12 * doc["value_diagonal"]
     assert doc["terms_used"] == 1 and doc["rest_part"] == 0.0
+
+
+def test_kernel_refuses_a_value_its_tail_swamps(capsys):
+    # at 0.1 + 9i the cosets' terms cancel: the sum printed 2.109e-32
+    # beside a tail of 1.32e-32, where the table gives 2.081e-32; a tail
+    # above --tol times the value exits 2, as ratio-scan refuses a row
+    code = main(["kernel", "--group", "modular", "--k", "6",
+                 "--z", "0.1,9"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: k=6 at z=(0.1+9j): y^2k B 2.10938251739e-32 +- 1.32e-32 "
+        "exceeds tol 1e-05\n")
+    # z = i and the kernel-oracle points at k = 6, and the prop3 points
+    # at k = 3, 6 and 10, stay within the default --tol
+    points = [("modular", 6, 0.0, 1.0), ("modular", 6, 0.5, math.sqrt(3) / 2)]
+    points += [("translations", k, x, y) for k in (3, 6, 10)
+               for x in (-0.4, -0.2, 0.0, 0.2, 0.4)
+               for y in (0.7, 1.3, 1.9, 2.5)]
+    for group, k, x, y in points:
+        assert main(["kernel", "--group", group, "--k", str(k),
+                     f"--z={x},{y}"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tail_estimate"] <= 1e-5 * abs(doc["value_diagonal"])
 
 
 def test_kernel_budget_cut_exits_2(capsys):
@@ -396,19 +423,22 @@ def test_ratio_scan_csv_and_threads_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["--group", "modular", "--k", "6,8", "--grid=-0.4,0.4,0.2,6,3,6"],
+    ["--group", "modular", "--k", "6,8", "--grid=-0.4,0.4,0.2,6,3,6",
+     "--budget", "1000"],
     ["--forms", str(DATA), "--k", "6", "--grid=-0.4,0.4,0.4,5,3,4"]],
     ids=["modular", "delta"])
 def test_ratio_scan_err_column_is_the_ratio_error_bound(tmp_path, args):
     # err is the bound ratio_scan checks against --tol, to 3 digits, and
-    # nan on a refused row
+    # nan on a refused row: on PSL(2, Z), 1,000 cosets refuse k = 6 at
+    # +-0.4 + 0.2i, whose images in F stay below Y_6 (0.2i takes the
+    # table at its image 5i)
     out = tmp_path / "scan.csv"
     main(["ratio-scan"] + args + ["--out", str(out)])
     _, cfg = RunConfig.from_argv(["ratio-scan"] + args)
     if cfg.forms:
         sources = [BasisSource(cfg.basis())]
     else:
-        sources = [PoincareSource(modular_group(), k)
+        sources = [PoincareSource(modular_group(), k, cfg.budget)
                    for k in cfg.k_values()]
     tables, _ = ratio_scan(sources, cfg.grid_spec())
     header, *rows = _csv_rows(out)
@@ -717,3 +747,62 @@ def test_group_file_with_either_unit_translation_walks(tmp_path, translation):
     assert code == 0
     row = out.read_text().splitlines()[1].split(",")
     assert row[5] == "0.783344159095" and row[10] == ""
+
+
+def _scan_row(tmp_path, k, x, y):
+    """ratio and err of ``ratio-scan --group modular`` at the one point."""
+    out = tmp_path / "row.csv"
+    assert main(["ratio-scan", "--group", "modular", "--k", str(k),
+                 f"--grid={x!r},{x!r},{y!r},{y!r},1,1",
+                 "--out", str(out)]) == 0
+    (row,) = _csv_rows(out)[1:]
+    assert row[1:3] == [FMT % x, FMT % y] and row[10] == ""
+    return float(row[5]), float(row[6])
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+@pytest.mark.parametrize("z", [0.2 + 1.5j, 0.2 + 1.2j, -0.37 + 1.02j])
+def test_ratio_scan_rows_are_invariant_under_the_group(tmp_path, k, z):
+    # z, z + 3, Sz = -1/z and (2z + 1)/(7z + 4) are one point of
+    # PSL(2, Z)\H: rows taken at their own point, over cosets, and at
+    # their image, from the table, agree within the sum of their errs
+    # (at k = 12, dim S_24 = 2, the ratio is not constant).  The far
+    # image, at y of about 0.01, returns only from the table, so only
+    # for z at or above every Y_k (1.5 >= Y_12 = 1.375)
+    images = [z, z + 3, -1 / z]
+    if z.imag >= 1.5:
+        images.append((2 * z + 1) / (7 * z + 4))
+    rows = [_scan_row(tmp_path, k, w.real, w.imag) for w in images]
+    for (r1, e1), (r2, e2) in itertools.combinations(rows, 2):
+        # plus the printing of two ratios below 10 to 12 digits
+        assert abs(r1 - r2) <= e1 + e2 + 1e-11
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_deep_cusp_and_far_rows_return_k_over_2pi(tmp_path, k):
+    # B^2 underflows from y of about 29 up; scaled by a power of two
+    # first, the rows at 0.1 + 30i, 0.1 + 40i and 5 + 0.02i (whose image
+    # is 50i) return, and at dim S_2k = 1 the ratio is k/(2 pi)
+    with mpmath.workdps(30):
+        exact = mpmath.mpf(k) / (2 * mpmath.pi)
+        for x, y in ((0.1, 30.0), (0.1, 40.0), (5.0, 0.02)):
+            ratio, err = _scan_row(tmp_path, k, x, y)
+            assert err < 1e-6
+            # the printed ratio carries 12 significant digits
+            assert abs(mpmath.mpf(ratio) - exact) <= err + 5e-12
+
+
+def test_scan_far_from_the_fundamental_domain_returns_every_row(tmp_path):
+    # x from 3.2 to 5.9, y from 0.02 to 0.3: the coset route refused 22
+    # of these 24 rows, one with a negative kernel at 5 + 0.16i; at
+    # their images every row returns, within its err of k/(2 pi)
+    out = tmp_path / "far.csv"
+    assert main(["ratio-scan", "--group", "modular", "--k", "6,8",
+                 "--grid=3.2,5.9,0.02,0.3,4,3", "--out", str(out)]) == 0
+    rows = _csv_rows(out)[1:]
+    assert len(rows) == 24
+    with mpmath.workdps(30):
+        for row in rows:
+            assert row[10] == "" and row[9] == "1"
+            exact = mpmath.mpf(int(row[0])) / (2 * mpmath.pi)
+            assert abs(mpmath.mpf(row[5]) - exact) <= float(row[6]) + 5e-12

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from bergman.forms import model_basis
 from bergman.groups import (C_GAMMA, BudgetExceeded, FuchsianGroup,
                             cusp_threshold, enumerate_group_elements,
                             free_product_group, group_by_name, modular_cosets,
-                            modular_group, translation_group, walk_cosets)
-from bergman.kernel import coset_norm_bound
+                            modular_group, reduce_to_fundamental,
+                            translation_group, walk_cosets)
+from bergman.kernel import EPS, coset_norm_bound
 from bergman.metric import BasisSource, ratio_scan
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, cosh2_half_distance)
@@ -293,3 +295,44 @@ def test_coset_walk_refuses_non_integral_group(tmp_path):
     path.write_text('{"generators": [[1, 1, 0, 1], [0.5, -2, 1, -2]]}')
     with pytest.raises(DomainError, match="integral"):
         walk_cosets(group_by_name(f"file:{path}"), UhpPoint(0.0, 1.0), 100.0)
+
+
+def test_reduction_replays_exactly_into_the_fundamental_domain():
+    # the returned integer matrix, applied to the input in exact rational
+    # arithmetic, lands within delta of the float image, and that exact
+    # image lies in F = {|x| <= 1/2, |z| >= 1} up to delta and rounding
+    rng = np.random.default_rng(23)
+    x = np.concatenate([rng.uniform(-1e3, 1e3, 150), rng.uniform(-1, 1, 150),
+                        [5.0, 0.5, -0.5, 0.0]])
+    y = np.concatenate([10 ** rng.uniform(-4, 1, 300), [0.02, 0.8, 0.8, 1.0]])
+    rx, ry, delta, gamma = reduce_to_fundamental(x, y)
+    assert np.all(np.abs(rx) <= 0.5) and np.all(rx * rx + ry * ry
+                                                >= 1 - 4 * EPS)
+    for i in range(len(x)):
+        a, b, c, d = (int(v) for v in gamma[i])
+        assert (gamma[i] == (a, b, c, d)).all() and a * d - b * c == 1
+        zx, zy = Fraction(float(x[i])), Fraction(float(y[i]))
+        norm = (c * zx + d) ** 2 + (c * zy) ** 2
+        wx = ((a * zx + b) * (c * zx + d) + a * c * zy * zy) / norm
+        wy = zy / norm
+        dist2 = (wx - Fraction(float(rx[i]))) ** 2 + (wy - Fraction(
+            float(ry[i]))) ** 2
+        dlt = Fraction(float(delta[i]))
+        assert dist2 <= dlt * dlt
+        assert abs(wx) <= Fraction(1, 2) + dlt
+        assert wx * wx + wy * wy >= (1 - dlt - 4 * Fraction(EPS)) ** 2
+        # delta is a few hundred EPS of the image, or 0 when S is not used
+        assert delta[i] <= 1e-10 * ry[i]
+        assert (delta[i] == 0) == (c == 0)
+    # 5 + 0.02i is T^5 S away from 50i
+    assert (rx[300], ry[300]) == (0.0, 50.0) and 0 < delta[300] < 1e-13
+
+
+def test_reduction_is_per_point():
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-3, 3, 40), 10 ** rng.uniform(-3, 0.5, 40)
+    whole = reduce_to_fundamental(x, y)
+    for i in range(0, 40, 7):
+        alone = reduce_to_fundamental(x[i:i + 1], y[i:i + 1])
+        for full, one in zip(whole, alone):
+            assert (full[i] == one[0]).all()

@@ -704,3 +704,31 @@ def test_fourier_row_depends_on_its_point_alone():
     # x reduced mod 1 exactly: 1.7 + 3i is 0.7 - 1 = -0.3 ... + 3i
     shifted = fourier_bundles(6, table, np.array([-0.3 + 3.0j]))
     assert shifted[0][0] == together[0][3]
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_fourier_move_term_covers_a_planted_move(k):
+    # the bounds with delta cover B, dB and d2B at every point within
+    # delta: moved by delta = 1e-6, far above rounding, the change in
+    # each of the three stays within the move term plus both points'
+    # own bounds, and the move term is not larger than 10 times it
+    table = fourier_table(k)
+    height = fourier_plan(k)[0]
+    for z in (0.3 + 1j * height, -0.45 + 2.0j, 0.1 + 30.0j):
+        delta = np.array([1e-6])
+        base = fourier_bundles(k, table, np.array([z]))
+        moved_bounds = fourier_bundles(k, table, np.array([z]), delta)[3][0]
+        assert (moved_bounds >= base[3][0]).all()
+        move = moved_bounds - base[3][0]
+        worst = np.zeros(3)
+        for angle in np.linspace(0, 2 * math.pi, 12, endpoint=False):
+            w = z + 1e-6 * cmath.exp(1j * angle)
+            there = fourier_bundles(k, table, np.array([w]))
+            change = np.abs([there[j][0] - base[j][0] for j in range(3)])
+            assert (change <= move + base[3][0] + there[3][0]).all()
+            worst = np.maximum(worst, change)
+        assert (worst > 100 * base[3][0]).all()
+        assert (move <= 10 * worst).all()
+    # delta = 0 leaves the bounds as they are, bit for bit
+    zero = fourier_bundles(k, table, np.array([0.2 + 2j]), np.zeros(1))[3]
+    assert (zero == fourier_bundles(k, table, np.array([0.2 + 2j]))[3]).all()

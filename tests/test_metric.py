@@ -77,7 +77,8 @@ def _richardson_bundle(src, z):
     h = max(1e-5, 1e-4 * z.y)
     b_h, b_h2 = _stencil(f, z, h), _stencil(f, z, h / 2)
     return DerivativeBundle(value=b_h2[0], dz=(4 * b_h2[1] - b_h[1]) / 3,
-                            dzdzbar=complex((4 * b_h2[2] - b_h[2]) / 3))
+                            dzdzbar=complex((4 * b_h2[2] - b_h[2]) / 3),
+                            height=z.y)
 
 
 def test_series_vs_finite_difference(synthetic_basis):
@@ -91,8 +92,8 @@ def test_series_vs_finite_difference(synthetic_basis):
 
 
 def test_constant_kernel_fiction_gives_identity_ratio():
-    bundle = DerivativeBundle(value=1.0, dz=0j, dzdzbar=0j)
-    ratio, correction, _ = ratio_parts(bundle, 1.7, 7)
+    bundle = DerivativeBundle(value=1.0, dz=0j, dzdzbar=0j, height=1.7)
+    ratio, correction, _ = ratio_parts(bundle, 7)
     assert ratio == pytest.approx(7 / (2 * math.pi), rel=1e-15)
     assert correction == 0.0
 
@@ -110,14 +111,14 @@ def test_single_form_collapse_to_k_over_2pi(delta_basis):
     for _ in range(25):
         z = UhpPoint(float(rng.uniform(-0.5, 0.5)),
                      float(rng.uniform(0.5, 3.0)))
-        ratio = ratio_parts(kernel_derivatives(src, z), z.y, 6)[0]
+        ratio = ratio_parts(kernel_derivatives(src, z), 6)[0]
         assert abs(ratio - 6 / (2 * math.pi)) < 1e-10
 
 
 def test_two_route_equality_basis(synthetic_basis):
     src = BasisSource(synthetic_basis)
     for z in grid_points(-0.3, 0.3, 0.8, 2.0, 3, 3):
-        r1 = ratio_parts(kernel_derivatives(src, z), z.y, 5)[0]
+        r1 = ratio_parts(kernel_derivatives(src, z), 5)[0]
         r2 = fd_log_ratio(src, z, 5)
         assert r2 == pytest.approx(r1, rel=1e-5, abs=1e-8)
 
@@ -135,7 +136,7 @@ def test_finite_difference_route_takes_the_table_above_its_height(y):
 def test_two_route_equality_poincare():
     src = PoincareSource(modular_group(), 6)
     z = UhpPoint(0.1, 1.3)
-    r1 = ratio_parts(kernel_derivatives(src, z), z.y, 6)[0]
+    r1 = ratio_parts(kernel_derivatives(src, z), 6)[0]
     r2 = fd_log_ratio(src, z, 6)
     assert r2 == pytest.approx(r1, rel=1e-5)
 
@@ -161,7 +162,8 @@ def test_poincare_bundles_refuse_only_the_budget_cut_point():
     full = PoincareSource(free_product_group(), 6)
     for i in (0, 2):
         assert out.refusals[i] is None
-        row = (out.value[i], out.dz[i], out.dzdzbar[i], tuple(out.errors[i]))
+        row = (out.value[i], out.dz[i], out.dzdzbar[i], out.height[i],
+               tuple(out.errors[i]))
         assert row == astuple(kernel_derivatives(full, grid[i]))
 
 
@@ -219,8 +221,8 @@ def test_poincare_and_basis_routes_agree(delta_basis):
     psrc = PoincareSource(modular_group(), 6)
     bsrc = BasisSource(delta_basis)
     z = UhpPoint(0.22, 1.4)
-    rp = ratio_parts(kernel_derivatives(psrc, z), z.y, 6)[0]
-    rb = ratio_parts(kernel_derivatives(bsrc, z), z.y, 6)[0]
+    rp = ratio_parts(kernel_derivatives(psrc, z), 6)[0]
+    rb = ratio_parts(kernel_derivatives(bsrc, z), 6)[0]
     assert rp == pytest.approx(rb, rel=1e-8)
 
 
@@ -261,8 +263,7 @@ def test_kernel_lower_surrogate():
 def test_cusp_expansion_single_term_beta_zero():
     basis = model_basis(12, [[1.0]])
     z = UhpPoint(0.0, 3.0)
-    correction = ratio_parts(kernel_derivatives(BasisSource(basis), z),
-                             z.y, 6)[1]
+    correction = ratio_parts(kernel_derivatives(BasisSource(basis), z), 6)[1]
     assert abs(correction) < 1e-12
 
 
@@ -279,8 +280,7 @@ def test_beta_decay_synthetic_multiform():
     basis = model_basis(16, [[1.0, 0.4, 0.1], [0.0, 1.0, -0.2]])
     heights = (1.2, 1.6, 2.0, 2.4)
     _, corr, _ = ratio_parts(
-        BasisSource(basis).bundles([UhpPoint(0.07, y) for y in heights]),
-        np.array(heights), 8)
+        BasisSource(basis).bundles([UhpPoint(0.07, y) for y in heights]), 8)
     betas = [abs(c) for c in corr.tolist()]
     assert betas == sorted(betas, reverse=True)
     quotients = [beta / (y * y * math.exp(-2 * math.pi * y))
@@ -308,9 +308,10 @@ def test_ratio_scan_summary_and_rows(delta_basis):
 def test_ratio_scan_summary_counts_its_own_flagged_rows():
     # 1,000 cosets cut k = 6's coset sums short (about 3,700 of them) but
     # not k = 8's (about 360): y = 1 is refused at k = 6 but not at
-    # k = 8; y = 0.3 at both, by its error bound at k = 8; y = 6 takes
-    # the Fourier table at both
-    grid = [UhpPoint(0.0, 1.0), UhpPoint(0.0, 6.0), UhpPoint(0.0, 0.3)]
+    # k = 8; 0.375 + 0.15i, whose image in F stays below Y_6 and Y_8, at
+    # both, by its error bound at k = 8; y = 6 takes the Fourier table
+    # at both (0.3i, once refused too, takes it at its image 3.33i)
+    grid = [UhpPoint(0.0, 1.0), UhpPoint(0.0, 6.0), UhpPoint(0.375, 0.15)]
     tables, summaries = ratio_scan(
         [PoincareSource(modular_group(), k, budget=1_000) for k in (6, 8)],
         grid)
@@ -340,7 +341,7 @@ def _batch_of_one(source, z, k, tol=1e-5):
         bundle = kernel_derivatives(source, z)
         if bundle.value <= 1e-300:
             raise KernelVanishes(f"kernel value {bundle.value} at {z}")
-        ratio, _, bound = map(float, ratio_parts(bundle, z.y, k))
+        ratio, _, bound = map(float, ratio_parts(bundle, k))
         if not bound <= tol * max(abs(ratio), k / (2 * math.pi)):
             raise ErrorBoundExceeded(
                 f"ratio {ratio:.12g} +- {bound:.3g} exceeds tol {tol:g}")
@@ -367,8 +368,9 @@ def _assert_columns_equal_batch_of_one(sources, grid):
             assert t.errors[i] is None
             assert t.ratio[i] == ratio
             assert t.ratio_over_k2[i] == abs(ratio) / (k * k)
+            bundle = kernel_derivatives(src, z)
             assert t.error_bound[i] == bound == float(ratio_parts(
-                kernel_derivatives(src, z), z.y, k)[2])
+                bundle, k)[2])
             assert t.cusp[i] == (z.y >= cusp_threshold(k))
         assert s.flagged == sum(e is not None for e in t.errors)
     return refused
@@ -381,14 +383,17 @@ def test_scan_columns_equal_batch_of_one_on_delta_grid(delta_basis):
 
 
 def test_scan_columns_equal_batch_of_one_with_refused_rows():
-    # y = 2, 6 and 8 take the Fourier table; below it, y = 0.3 and 0.25
-    # are refused by their error bounds at k = 6 and 8, and at y = 0.2
-    # the kernel vanishes at k = 6 and the bound refuses k = 8
+    # y = 2, 6 and 8 take the Fourier table, and so do 0.3i, 0.25i and
+    # 0.2i at their images 3.33i, 4i and 5i (once refused by their
+    # error bounds or a vanishing kernel); 0.375 + 0.15i and 0.35 + 0.1i,
+    # whose images stay below Y_k, are refused by their error bounds at
+    # k = 8, and at 0.1 + 60i the kernel vanishes at both weights
     grid = [UhpPoint(0.0, 1.0), UhpPoint(0.3, 2.0), UhpPoint(0.0, 6.0),
             UhpPoint(0.0, 8.0), UhpPoint(0.0, 0.3), UhpPoint(0.0, 0.25),
-            UhpPoint(0.0, 0.2)]
+            UhpPoint(0.0, 0.2), UhpPoint(0.375, 0.15), UhpPoint(0.35, 0.1),
+            UhpPoint(0.1, 60.0)]
     assert _assert_columns_equal_batch_of_one(
-        [PoincareSource(modular_group(), k) for k in (6, 8)], grid) == 6
+        [PoincareSource(modular_group(), k) for k in (6, 8)], grid) == 4
 
 
 class _StubSource:
@@ -405,7 +410,7 @@ class _StubSource:
         errors[:, 0] = e0
         return KernelColumns(np.array(value), np.zeros(len(grid), complex),
                              np.zeros(len(grid), complex), errors,
-                             list(refusals))
+                             list(refusals), np.array([z.y for z in grid]))
 
 
 def test_scan_refuses_in_order_source_vanishing_then_bound():
@@ -440,7 +445,8 @@ def test_coset_route_error_envelope(k):
     src = PoincareSource(modular_group(), k)
     for y in (0.6, 1.0, 2.3, 4.0, 6.0, 8.0):
         z = UhpPoint(0.314368, y)
-        ratio, _, bound = ratio_parts(kernel_derivatives(src, z), z.y, k)
+        bundle = kernel_derivatives(src, z)
+        ratio, _, bound = ratio_parts(bundle, k)
         assert abs(ratio - k / (2 * math.pi)) <= bound
         if y <= 4.0:
             assert bound < 1e-7
@@ -518,5 +524,5 @@ def test_small_weight_walk_capped_and_bounded():
     assert coset_norm_bound(1.0, 4) == NORM_CAP
     src = PoincareSource(free_product_group(), 4)
     z = UhpPoint(0.1, 1.0)
-    ratio, _, bound = ratio_parts(kernel_derivatives(src, z), z.y, 4)
+    ratio, _, bound = ratio_parts(kernel_derivatives(src, z), 4)
     assert abs(ratio - 4 / (2 * math.pi)) <= bound < 1e-7
