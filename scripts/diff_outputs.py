@@ -5,13 +5,15 @@
 
 Runs a fixed list of commands in each checkout: every README command,
 ``scripts/run_scans.py``, all six ``verify`` suites, modular scans up
-the cusp, far from the fundamental domain and at k = 12 (the Fourier
-table's rows, some taken at the points' images), ``kernel`` on every
-preset, scans and kernels with flagged, budget-cut and refused rows (a
-``sym-scan`` with every tuple refused and ``verify --suite thm10`` at a
-``--tol`` that refuses every row among them) or refused options, forms
-files whose Gram is singular or does not converge, and forms files that
-the verify suites or the requested weights refuse.  Each command runs
+the cusp, far from the fundamental domain, at k = 12 (the Fourier
+table's rows, some taken at the points' images) and at the first and
+last weights with a stored table and the weights beside them,
+``kernel`` on every preset, scans and kernels with flagged, budget-cut
+and refused rows (a ``sym-scan`` with every tuple refused and ``verify
+--suite thm10`` at a ``--tol`` that refuses every row among them) or
+refused options, forms files whose Gram is singular or does not
+converge, and forms files that the verify suites or the requested
+weights refuse.  Each command runs
 in a fresh working directory that holds a link to the checkout's
 ``data/``, the fixed tuple and forms files (``INPUTS``), with
 ``bergman`` imported from the checkout's ``src/``.  For every command
@@ -134,6 +136,10 @@ COMMANDS = [
                         "--grid=0.1,0.1,20,60,1,5"]),
     ("scan-large-weight", ["ratio-scan", "--group", "modular", "--k", "90",
                            "--grid=0,0,1,1,1,1"]),
+    # the first and last weights with a stored Fourier table (k = 6, 85)
+    # and the two beside them without one, above Y_85 = 5.25
+    ("scan-table-edges", ["ratio-scan", "--group", "modular", "--k",
+                          "5,6,85,86", "--grid=0.1,0.1,5.5,5.5,1,1"]),
     ("scan-kernel-vanishes", ["ratio-scan", "--forms", FORMS, "--k", "6",
                               "--grid=-0.2,0.2,1,60,2,2"]),
     ("scan-free2", ["ratio-scan", "--group", "free2", "--k", "6",

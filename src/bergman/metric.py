@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forms import CuspFormBasis, basis_weight0_bundle, basis_weight0_grid
-from .fourier import fourier_bundles, fourier_plan, fourier_table
+from .fourier import fourier_bundles, load_fourier_table
 from .groups import (
     C_GAMMA,
     DEFAULT_BUDGET,
@@ -107,10 +107,10 @@ class PoincareSource:
     alone; a finite-difference stencil sums its centre's coset list.
     PSL(2, Z) sieves them from its coprime bottom rows; any other group
     walks them from its generators.  On PSL(2, Z), points at or above
-    the height Y_k of ``fourier_plan`` take the series' Fourier
-    expansion at the cusp instead, from the weight's table of
-    Petersson's formula (``fourier_table``), which depends on k alone;
-    so does a stencil centred there, and in ``bundles`` a point whose image
+    the height Y_k of the weight's table take the series' Fourier
+    expansion at the cusp instead, from that table of Petersson's
+    formula (``load_fourier_table``, read once per source); so does a
+    stencil centred there, and in ``bundles`` a point whose image
     in F (``reduce_to_fundamental``) lies there, at that image.  A group
     without the unit translation, which has no cusp at i*infinity, is refused.
     """
@@ -123,9 +123,11 @@ class PoincareSource:
         self.group = group
         self.k = k
         self.budget = budget
-        plan = fourier_plan(k) if group.is_modular else None
-        # least height of the Fourier route, inf where it has none
-        self.fourier_height = math.inf if plan is None else plan[0]
+        loaded = load_fourier_table(k) if group.is_modular else None
+        # least height of the Fourier route, inf where it has none, and
+        # its table
+        self.fourier_height, self.table = (
+            (math.inf, None) if loaded is None else loaded)
 
     def cosets(self, z: UhpPoint) -> CosetList:
         """Classes of the series at z; refuses a list the budget cut short."""
@@ -147,8 +149,8 @@ class PoincareSource:
         table = y >= self.fourier_height
         if table.any():
             x, y, delta = x[table], y[table], delta[table]
-            b, dz, d2, errors = fourier_bundles(
-                self.k, fourier_table(self.k), x + 1j * y, delta)
+            b, dz, d2, errors = fourier_bundles(self.k, self.table,
+                                                x + 1j * y, delta)
             # twice y^2's rounding share, (2 + delta/y) delta/y, of d2B
             errors[:, 2] += 2.0 * (2.0 + delta / y) * delta / y * np.abs(d2)
             (cols.value[table], cols.dz[table], cols.dzdzbar[table],
@@ -168,9 +170,8 @@ class PoincareSource:
         """B near z, by z's own height (not its image in F): from the
         table at or above ``fourier_height``, else over z's cosets."""
         if z.y >= self.fourier_height:
-            table = fourier_table(self.k)
             return lambda w: float(
-                fourier_bundles(self.k, table, np.array([w.z]))[0][0])
+                fourier_bundles(self.k, self.table, np.array([w.z]))[0][0])
         cosets = self.cosets(z)
         return lambda w: poincare_weight0_bundle(cosets, w, self.k)[0]
 

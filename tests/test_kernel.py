@@ -1,5 +1,7 @@
 import cmath
+import importlib.util
 import math
+import pathlib
 import warnings
 
 import mpmath
@@ -13,9 +15,8 @@ from bergman.groups import (CosetList, FuchsianGroup,
                             enumerate_group_elements, free_product_group,
                             modular_cosets, modular_group, translation_group,
                             walk_cosets)
-from bergman.fourier import (TABLE_HEIGHT_STEP, TABLE_SIZE, _pair_tails,
-                             _table_scale, bessel_j, fourier_bundles,
-                             fourier_plan, fourier_table)
+from bergman.fourier import (TABLE_SIZE, _pair_tails, _table_scale,
+                             fourier_bundles, load_fourier_table)
 from bergman.kernel import (EPS, NORM_CAP, TWO_PI, _lipschitz_majorant,
                             _log_weights, _series_length, _series_tail,
                             accurate_sum, bergman_kernel_diagonal,
@@ -26,6 +27,13 @@ from bergman.metric import PoincareSource
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, hyp_distance)
 from orbit_oracle import orbit_kernel_diagonal, orbit_rows, term_log_phase
+
+# the generator of the stored Fourier tables, which computes them
+_spec = importlib.util.spec_from_file_location(
+    "make_fourier_tables", pathlib.Path(__file__).resolve().parents[1]
+    / "scripts" / "make_fourier_tables.py")
+tables = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tables)
 
 
 def term_value(gamma, z, k):
@@ -524,7 +532,7 @@ def test_bessel_j_within_its_bound_of_mpmath(nu):
     x = np.array([1e-3, 0.05, 0.3, 1.0, 2.5, edge * (1 - 1e-12),
                   edge * (1 + 1e-12), 0.9 * nu, nu, 1.1 * nu + 1.0, 4 * math.pi,
                   6 * math.pi * math.sqrt(2.0), 50.0, 4 * math.pi * TABLE_SIZE])
-    got, err = bessel_j(nu, x)
+    got, err = tables.bessel_j(nu, x)
     assert got.shape == err.shape == x.shape
     with mpmath.workdps(40):
         for xi, gi, ei in zip(x.tolist(), got.tolist(), err.tolist()):
@@ -539,7 +547,7 @@ def test_bessel_j_within_its_bound_of_mpmath(nu):
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12, 24, 85, 86])
 def test_fourier_plan_height_is_the_least_step_meeting_its_target(k):
     # the target of the docstring, checked at Y_k and one step below
-    plan = fourier_plan(k)
+    plan = tables.fourier_plan(k)
     if k < 6 or k > 85:
         assert plan is None
         return
@@ -552,17 +560,17 @@ def test_fourier_plan_height_is_the_least_step_meeting_its_target(k):
         b, d1, d2 = (float(t) for t in _pair_tails(scale, k, TABLE_SIZE, y))
         return b <= top and d1 <= TWO_PI * top and d2 <= TWO_PI ** 2 * top
 
-    assert height % TABLE_HEIGHT_STEP == 0
-    assert meets(height) and not meets(height - TABLE_HEIGHT_STEP)
+    assert height % tables.TABLE_HEIGHT_STEP == 0
+    assert meets(height) and not meets(height - tables.TABLE_HEIGHT_STEP)
     assert all(meets(height + t) for t in (0.3, 1.0, 4.0, 20.0))
 
 
 def test_plan_heights_of_the_scanned_weights():
     # k = 6 and 8 serve the benchmark's rows at y = 2.3 and 4 from the
     # table and keep z = i on the coset route
-    assert fourier_plan(6) == (1.125, 47)
-    assert fourier_plan(8) == (1.25, 13)
-    assert fourier_plan(12) == (1.375, 4)
+    assert tables.fourier_plan(6) == (1.125, 47)
+    assert tables.fourier_plan(8) == (1.25, 13)
+    assert tables.fourier_plan(12) == (1.375, 4)
 
 
 def _series_product(a, b, n):
@@ -592,7 +600,7 @@ def test_fourier_table_at_k6_is_tau_m_tau_n_over_delta_norm():
     norm = petersson_gram(raw, QuadratureDomain())[0, 0].real
     tau = np.array(ramanujan_tau(TABLE_SIZE), dtype=float)
     exact = np.outer(tau, tau) / norm
-    c, e = fourier_table(6)
+    c, e = tables.fourier_table(6)
     assert (np.abs(c - exact) <= e + 1e-13 * np.abs(exact)).all()
     assert c[0, 0] == pytest.approx(1 / norm, rel=1e-12)
     assert e[0, 0] <= 1e-13 * c[0, 0]
@@ -603,7 +611,7 @@ def test_fourier_table_at_k8_is_delta_e4_times_itself():
     a = np.array(_series_product(_delta_series(TABLE_SIZE + 1),
                                  _eisenstein4(TABLE_SIZE + 1),
                                  TABLE_SIZE + 1)[1:], dtype=float)
-    c, e = fourier_table(8)
+    c, e = tables.fourier_table(8)
     outer = np.outer(a, a)
     assert (np.abs(c - c[0, 0] * outer) <= e + np.abs(outer) * e[0, 0]).all()
     raw = CuspFormBasis(forms=model_basis(16, [a.tolist()],
@@ -625,7 +633,7 @@ def test_fourier_table_at_k12_is_the_orthonormal_basis_gram():
     raw.gram = petersson_gram(raw, QuadratureDomain())
     rows = orthonormal_basis(raw).coefficients[:, :TABLE_SIZE]
     ref = (rows.T @ rows.conj()).real
-    c, e = fourier_table(12)
+    c, e = tables.fourier_table(12)
     assert (np.abs(c - ref) <= e + 1e-12 * np.abs(ref)).all()
 
 
@@ -633,7 +641,7 @@ def test_fourier_table_at_k12_is_the_orthonormal_basis_gram():
 def test_fourier_table_rank_is_the_cusp_form_dimension(k, dim):
     # normalized to unit diagonal, the leading 4 x 4 block has dim S_2k
     # eigenvalues of order one and the rest within its error (Weyl)
-    c, e = (v[:4, :4] for v in fourier_table(k))
+    c, e = (v[:4, :4] for v in tables.fourier_table(k))
     d = np.sqrt(np.diag(c))
     rel = np.diag(e) / (d * d)
     noise = np.linalg.norm(e / np.outer(d, d)
@@ -648,7 +656,7 @@ def test_fourier_table_rank_is_the_cusp_form_dimension(k, dim):
 def test_diagonal_bound_holds_for_the_table_and_for_delta(k):
     # c_mm <= K^2 m^(2k): on the table, and for Delta, c_mm =
     # tau(m)^2/<Delta, Delta>, far beyond it
-    c, e = fourier_table(k)
+    c, e = tables.fourier_table(k)
     _, scale = _table_scale(k)
     m = np.arange(1, TABLE_SIZE + 1)
     assert (np.diag(c) - np.diag(e) <= scale * m ** (2.0 * k)).all()
@@ -677,7 +685,7 @@ def test_pair_tails_bound_the_pairs_off_the_table_for_delta(y):
 @pytest.mark.parametrize("k", [6, 8, 12])
 @pytest.mark.parametrize("y", [1.2, 2.3, 4.0])
 def test_fourier_route_matches_coset_route_within_both_bounds(k, y):
-    table = fourier_table(k)
+    height, table = load_fourier_table(k)
     for x in (0.0, 0.314368, 0.5, -0.5):
         z = UhpPoint(x, y)
         value, dz, dzdzbar, errors = fourier_bundles(k, table,
@@ -689,12 +697,12 @@ def test_fourier_route_matches_coset_route_within_both_bounds(k, y):
                 errors[0].tolist(), coset[3]):
             assert abs(got - want) <= e_got + e_want
         # the bounds are tight where the table serves
-        if y >= fourier_plan(k)[0]:
+        if y >= height:
             assert errors[0, 0] <= 1e-12 * value[0]
 
 
 def test_fourier_row_depends_on_its_point_alone():
-    table = fourier_table(6)
+    table = load_fourier_table(6)[1]
     z = np.array([0.1 + 2.0j, -0.3 + 1.4j, 0.5 + 5.5j, 1.7 + 3.0j])
     together = fourier_bundles(6, table, z)
     for i in range(len(z)):
@@ -712,8 +720,7 @@ def test_fourier_move_term_covers_a_planted_move(k):
     # delta: moved by delta = 1e-6, far above rounding, the change in
     # each of the three stays within the move term plus both points'
     # own bounds, and the move term is not larger than 10 times it
-    table = fourier_table(k)
-    height = fourier_plan(k)[0]
+    height, table = load_fourier_table(k)
     for z in (0.3 + 1j * height, -0.45 + 2.0j, 0.1 + 30.0j):
         delta = np.array([1e-6])
         base = fourier_bundles(k, table, np.array([z]))

@@ -12,7 +12,7 @@ import mpmath
 from bergman.groups import (BudgetExceeded, FuchsianGroup, cusp_threshold,
                             free_product_group, group_by_name, modular_cosets,
                             modular_group, walk_cosets)
-from bergman.fourier import fourier_bundles, fourier_table
+from bergman.fourier import fourier_bundles, load_fourier_table
 from bergman.kernel import NORM_CAP, coset_norm_bound, poincare_weight0_bundle
 from bergman.cli import _basis_ratios, main
 from bergman.metric import (BasisSource, ErrorBoundExceeded, KernelColumns,
@@ -177,7 +177,7 @@ def test_poincare_source_takes_the_table_at_and_above_its_height():
     grid = [UhpPoint(0.2, height - 0.01), UhpPoint(0.2, height),
             UhpPoint(-0.4, 3.0), UhpPoint(0.5, 1.0)]
     cols = src.bundles(grid)
-    table = fourier_table(6)
+    table = load_fourier_table(6)[1]
     for i, z in enumerate(grid):
         if z.y >= height:
             value, dz, d2, errors = (v[0] for v in fourier_bundles(
@@ -191,6 +191,34 @@ def test_poincare_source_takes_the_table_at_and_above_its_height():
         assert tuple(cols.errors[i].tolist()) == errors
     assert math.isinf(PoincareSource(free_product_group(), 6).fourier_height)
     assert math.isinf(PoincareSource(modular_group(), 5).fourier_height)
+
+
+def test_poincare_source_reads_its_table_once(monkeypatch):
+    # the table depends on k alone: a modular source reads it when it is
+    # built and never again, whatever it evaluates; another group reads
+    # none, and weights beyond the stored ones (k = 5, 86) have no height
+    reads = []
+
+    def counted(k):
+        reads.append(k)
+        return load_fourier_table(k)
+
+    monkeypatch.setattr(bergman.metric, "load_fourier_table", counted)
+    src = PoincareSource(modular_group(), 6)
+    grid = [UhpPoint(0.2, 0.6), UhpPoint(0.1, 1.5), UhpPoint(-0.3, 4.0)]
+    for _ in range(3):
+        cols = src.bundles(grid)
+        assert all(r is None for r in cols.refusals)
+    assert fd_log_ratio(src, UhpPoint(0.1, 2.0), 6) == pytest.approx(
+        6 / (2 * math.pi), rel=1e-6)
+    kernel_derivatives(src, UhpPoint(0.1, 2.0))
+    assert reads == [6]
+    PoincareSource(free_product_group(), 6).bundles([UhpPoint(0.1, 2.0)])
+    assert reads == [6]
+    for k in (5, 86):
+        assert math.isinf(PoincareSource(modular_group(), k).fourier_height)
+        assert load_fourier_table(k) is None
+    assert reads == [6, 5, 86]
 
 
 @pytest.mark.parametrize("route", ["modular", "delta"])

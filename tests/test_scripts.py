@@ -1,8 +1,13 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+
+from bergman.fourier import TABLES, load_fourier_table
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -90,3 +95,53 @@ def test_bench_pairs_splits_change_better_by_run_order(tmp_path, monkeypatch):
             assert metric["change_better_second"] == 0
     assert calls[:4] == [str(sides["parent"]), str(sides["change"]),
                          str(sides["change"]), str(sides["parent"])]
+
+
+def test_stored_fourier_tables_equal_the_generated_ones_bit_for_bit():
+    # one line for each weight k <= 85 with a plan, and what the loader
+    # returns for it is what the generator computes, to the last bit
+    tables = _load("make_fourier_tables")
+    weights = [json.loads(line)["k"]
+               for line in TABLES.read_text().splitlines()]
+    assert weights == [k for k in range(1, 86)
+                       if tables.fourier_plan(k) is not None]
+    assert weights == list(range(6, 86))
+    for k in weights:
+        height, (c, e) = load_fourier_table(k)
+        want_c, want_e = tables.fourier_table(k)
+        assert height == tables.fourier_plan(k)[0]
+        assert (c == want_c).all() and (e == want_e).all()
+        assert np.isfinite(c).all() and np.isfinite(e).all()
+
+
+def test_make_fourier_tables_check_passes_on_the_stored_file(tmp_path):
+    script = SCRIPTS / "make_fourier_tables.py"
+    before = TABLES.read_bytes()
+    proc = subprocess.run([sys.executable, str(script), "--check"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert TABLES.read_bytes() == before
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit, k", [("entry", 7), ("drop_last", 85),
+                                     ("extra", 86)])
+def test_make_fourier_tables_check_names_the_first_stale_weight(
+        tmp_path, capsys, edit, k):
+    tables = _load("make_fourier_tables")
+    lines = TABLES.read_text().splitlines(keepends=True)
+    if edit == "entry":
+        row = json.loads(lines[k - 6])
+        row["err"][5] = row["err"][5] * (1 + 2 ** -52)
+        lines[k - 6] = json.dumps(row) + "\n"
+    elif edit == "drop_last":
+        lines.pop()
+    else:
+        lines.append(lines[-1].replace('{"k": 85,', '{"k": 86,'))
+    path = tmp_path / "tables.jsonl"
+    path.write_text("".join(lines))
+    assert tables.main(["--check", "--out", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: weight k = {k} differs from the computed table\n")
+    assert path.read_text() == "".join(lines)
