@@ -151,7 +151,7 @@ class RunConfig:
         that does not converge is an error naming the file."""
         raw = CuspFormBasis(forms=load_forms(self.forms_path()))
         try:
-            raw.gram = petersson_gram(raw, QuadratureDomain())
+            petersson_gram(raw, QuadratureDomain())
         except QuadratureNotConverged as exc:
             raise DomainError(f"{self.forms}: {exc}") from None
         return raw
@@ -238,8 +238,8 @@ def cmd_gram(cfg: RunConfig) -> int:
     _emit("form_i,form_j,re,im\n" + "".join(
         line % (_cell(str(fi.label)), _cell(str(fj.label)),
                 raw.gram[i, j].real, raw.gram[i, j].imag)
-        for i, fi in enumerate(raw.forms) for j, fj in enumerate(raw.forms)),
-        cfg.out)
+        for i, fi in enumerate(raw.forms) for j, fj in enumerate(raw.forms))
+        + "# refinement_change=%.3g\n" % raw.gram_change, cfg.out)
     return 0
 
 
@@ -360,7 +360,7 @@ def _delta_basis(cfg: RunConfig) -> CuspFormBasis:
             raise DomainError("k must be >= 2")
         return basis
     raw = CuspFormBasis(forms=[delta_form()])
-    raw.gram = petersson_gram(raw, QuadratureDomain())
+    petersson_gram(raw, QuadratureDomain())
     return orthonormal_basis(raw)
 
 

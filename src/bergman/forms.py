@@ -1,8 +1,9 @@
 """Cusp forms given by truncated q-expansions.
 
-Evaluation, Petersson Gram matrices by Gauss-Legendre quadrature with
-a closed-form exponential tail, orthonormalization, the basis-side
-Bergman kernel, and JSON-lines ingestion.
+Evaluation, Petersson Gram matrices (the x-integral in closed form, a
+nested Clenshaw-Curtis rule in y and a closed-form exponential tail),
+orthonormalization, the basis-side Bergman kernel, and JSON-lines
+ingestion.
 """
 from __future__ import annotations
 
@@ -68,8 +69,8 @@ def modularity_defect(form: QExpansionForm, gamma: MoebiusTransform,
     return abs(evaluate_q_expansion(form, gz) - jac * evaluate_q_expansion(form, z))
 
 
-# Points per batched evaluation (Gram nodes, scan points): caps the
-# q-power temporary at GRAM_CHUNK x M
+# Points per batched evaluation in ``jets``: caps the q-power
+# temporary at GRAM_CHUNK x M
 GRAM_CHUNK = 256
 # A q-series keeps its leading terms until the dropped rest is at most
 # CUT_RATIO (half an ulp) of the kept absolute sum; the term count is
@@ -90,6 +91,9 @@ class CuspFormBasis:
     forms: list
     gram: Optional[np.ndarray] = None
     orthonormal_flag: bool = False
+    # the refinement change of ``gram`` where ``petersson_gram`` set it:
+    # max |G_ij - G'_ij| / sqrt(G_ii G_jj) against the coarser rule G'
+    gram_change: Optional[float] = None
     # n x M coefficients a_{j,m}, zero-padded, the factors 2 pi i m of one
     # z-derivative and the logs of |a_jm| (2 pi m)^r, r = 0, 1, of the
     # nonzero forms; built from the forms once, when the basis is built
@@ -164,7 +168,7 @@ class CuspFormBasis:
         sharing its count, so its values do not depend on the other
         rows; one q-power array per block of at most GRAM_CHUNK points
         serves both contractions.  This is the only q-series
-        contraction apart from the Gram's block sum.
+        contraction apart from the Gram's sliver rule.
         """
         z = np.asarray(z, dtype=complex)
         t, d = z.shape
@@ -242,19 +246,13 @@ def delta_form(m_max: int = 200) -> QExpansionForm:
 @dataclass(frozen=True)
 class QuadratureDomain:
     """Quadrature rule for the Petersson integral over the modular domain
-    |x| <= 1/2, |z| >= 1.
-
-    Above the cutoff height the domain is a full period, and the
-    integral is completed analytically from the q-expansions
-    (``_tail_gram``); quadrature covers the rest.  The cutoff defaults
-    to 1, the top of the arc, so the quadrature covers only the sliver
-    between |z| = 1 and y = 1: 2 x-panels, 1 y-panel, 12 nodes.
+    |x| <= 1/2, |z| >= 1: the exact tail above y = 1 (``_tail_gram``)
+    and, on the sliver below it, the exact x-integral (``x_integrals``)
+    and the Clenshaw-Curtis rule in theta = arccos(y) on an even number
+    of ``intervals``, checked against the rule on half as many.
     """
 
-    cutoff: float = 1.0
-    x_panels: int = 2
-    y_panels: int = 1
-    nodes: int = 12
+    intervals: int = 32
 
 
 def scaled_upper_gamma(s: int, x: np.ndarray) -> np.ndarray:
@@ -273,27 +271,47 @@ def scaled_upper_gamma(s: int, x: np.ndarray) -> np.ndarray:
     return np.exp(-x) / x * total
 
 
-def gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch.
+def clenshaw_curtis(n: int):
+    """Nodes cos(i pi / n), i = 0..n, and weights of the Clenshaw-Curtis
+    rule on [-1, 1] for an even n; exact for polynomials of degree n.
 
-    The nodes are the eigenvalues of the Jacobi matrix, off-diagonals
-    k / sqrt(4k^2 - 1), polished by one Newton step on P_n and made
-    exactly symmetric; the weights are 2 / ((1 - x^2) P_n'(x)^2), with
-    P_n and P_n' from the three-term recurrence.
+    w_i = (c_i / n) (1 - sum_{j=1}^{n/2} b_j cos(2 j i pi / n) / (4j^2 - 1)),
+    c_i = 1 at the ends and 2 inside, b_j = 1 for j = n/2 and 2 below.
     """
-    k = np.arange(1.0, n)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
-    for newton in (True, False):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        gap = 1.0 - x * x
-        dp = n * (p0 - x * p1) / gap
-        if newton:
-            x = x - p1 / dp
-            x = 0.5 * (x - x[::-1])
-    return x, 2.0 / (gap * dp * dp)
+    i, j = np.arange(n + 1), np.arange(1, n // 2 + 1)
+    b = 2.0 / (4.0 * j * j - 1.0)
+    b[-1] *= 0.5
+    w = (2.0 / n) * (1.0 - np.cos((np.pi / n) * (2 * i[:, None] * j)) @ b)
+    w[[0, -1]] *= 0.5
+    return np.cos(np.pi * i / n), w
+
+
+def sliver_rule(domain: QuadratureDomain):
+    """Angles theta of the sliver rule and its two weight rows.
+
+    y = cos(theta) runs over [sqrt(3)/2, 1] as theta runs over
+    [0, pi/6].  Row 0 holds the weights of ``clenshaw_curtis(n)``
+    mapped to that interval, row 1 those of the rule on n/2 intervals,
+    whose nodes are the even-indexed ones, and zero at the odd ones.
+    """
+    n = domain.intervals
+    x, fine = clenshaw_curtis(n)
+    half = math.pi / 12.0
+    weights = np.zeros((2, n + 1))
+    weights[0] = half * fine
+    weights[1, ::2] = half * clenshaw_curtis(n // 2)[1]
+    return half * (1.0 + x), weights
+
+
+def x_integrals(s: np.ndarray, t: int) -> np.ndarray:
+    """c_j(s), j = 0..t-1: the integral of e^(2 pi i j x) over
+    s <= |x| <= 1/2, that is 1 - 2s for j = 0 and -sin(2 pi j s)/(pi j)
+    for j > 0; one row per s[i]."""
+    j = np.arange(1, t)
+    c = np.empty((len(s), t))
+    c[:, 0] = 1.0 - 2.0 * s
+    c[:, 1:] = np.sin(TWO_PI * s[:, None] * j) / (-math.pi * j)
+    return c
 
 
 def _tail_gram(basis: CuspFormBasis, cutoff: float) -> np.ndarray:
@@ -311,59 +329,38 @@ def _tail_gram(basis: CuspFormBasis, cutoff: float) -> np.ndarray:
     return (mat * integral) @ mat.conj().T
 
 
-def _gram_nodes(domain: QuadratureDomain, k: int):
-    """Gauss-Legendre nodes z and weights w y^(2k-2) of the Gram quadrature.
-
-    Panels of equal width in x and, above each x node, of equal height
-    from the arc |z| = 1 up to the cutoff; x-outer order.
-    """
-    cutoff, x_panels, y_panels = (domain.cutoff, domain.x_panels,
-                                  domain.y_panels)
-    t, w = gauss_legendre(domain.nodes)
-    xe = -0.5 + np.arange(x_panels + 1) / x_panels
-    a, b = xe[:-1, None], xe[1:, None]
-    xs = (0.5 * (b - a) * t + 0.5 * (a + b)).ravel()
-    wx = (w * 0.5 * (b - a)).ravel()
-    ylo = np.sqrt(np.maximum(1.0 - xs * xs, 0.0))
-    keep = ylo < cutoff
-    # axes: x node, y panel, y node
-    xs, wx, ylo = (v[keep, None, None] for v in (xs, wx, ylo))
-    py = np.arange(y_panels)[:, None]
-    ya = ylo + (cutoff - ylo) * py / y_panels
-    yb = ylo + (cutoff - ylo) * (py + 1) / y_panels
-    ys = 0.5 * (yb - ya) * t + 0.5 * (ya + yb)
-    zs = (xs + 1j * ys).ravel()
-    return zs, (wx * (w * 0.5 * (yb - ya)) * ys ** (2 * k - 2)).ravel()
-
-
-def _gram_once(basis: CuspFormBasis, domain: QuadratureDomain) -> np.ndarray:
-    """Quadrature Gram V diag(w) V^H over ``_gram_nodes``, plus the tail."""
-    zs, ws = _gram_nodes(domain, basis.k)
-    gram = np.zeros((basis.size, basis.size), dtype=complex)
-    # blocks of GRAM_CHUNK nodes, each summing the terms a row of
-    # ``jets`` would at its lowest node, found by one term_counts call
-    starts = np.arange(0, len(zs), GRAM_CHUNK)
-    counts = basis.term_counts(np.minimum.reduceat(zs.imag, starts))
-    for lo, m in zip(starts.tolist(), counts.tolist()):
-        v = q_powers(zs[lo:lo + GRAM_CHUNK], m) @ basis.coefficients[:, :m].T
-        gram += v.T @ (ws[lo:lo + GRAM_CHUNK, None] * v.conj())
-    return gram + _tail_gram(basis, domain.cutoff)
-
-
 def petersson_gram(basis: CuspFormBasis,
                    domain: QuadratureDomain) -> np.ndarray:
-    """Petersson Gram matrix with a refinement-based error estimate: the
-    rule with twice the y-panels and 8 more nodes must agree to 1e-8."""
-    coarse = _gram_once(basis, domain)
-    fine = _gram_once(basis, replace(domain, y_panels=2 * domain.y_panels,
-                                     nodes=domain.nodes + 8))
-    scale = max(np.max(np.abs(fine)), 1e-300)
-    err = np.max(np.abs(fine - coarse)) / scale
+    """Petersson Gram matrix of the basis, stored on it with its
+    refinement change (``gram``, ``gram_change``) and returned.
+
+    On the sliver the Gram is A K A^H over the leading T coefficients,
+    T = ``term_counts(sqrt(3)/2)``, where after y = cos(theta)
+    K_mn = int_0^(pi/6) e^(-2 pi (m+n) cos) cos^(2k-2) sin c_(m-n)(sin):
+    per node, V C V^H with V = a_m p^m, p = e^(-2 pi cos(theta)) and the
+    symmetric Toeplitz C = c_|m-n|.  Both rows of ``sliver_rule`` sum
+    the same node products, and ``_tail_gram`` adds the part above
+    y = 1.  The two Grams must agree to 1e-8 in every entry relative to
+    sqrt(G_ii G_jj), or ``QuadratureNotConverged`` is raised.
+    """
+    theta, weights = sliver_rule(domain)
+    y, s = np.cos(theta), np.sin(theta)
+    t = int(basis.term_counts(np.array([math.sqrt(3.0) / 2.0]))[0])
+    v = q_powers(1j * y, t)[:, None, :] * basis.coefficients[:, :t]
+    lag = np.arange(t)
+    toeplitz = x_integrals(s, t)[:, abs(lag[:, None] - lag)]
+    nodes = (v @ toeplitz) @ v.conj().transpose(0, 2, 1)
+    weights *= y ** (2 * basis.k - 2) * s
+    fine, coarse = ((weights @ nodes.reshape(len(y), -1)).reshape(
+        2, basis.size, basis.size) + _tail_gram(basis, 1.0))
+    d = np.sqrt(np.abs(fine.diagonal()))
+    err = np.max(np.abs(fine - coarse) / np.maximum(d[:, None] * d, 1e-300))
     if err > 1e-8:
         raise QuadratureNotConverged(
             f"refinement change {err:.3e} exceeds tolerance {1e-8:.3e}")
     # enforce exact Hermitian symmetry of the numerical result
-    return 0.5 * (fine + fine.conj().T)
+    basis.gram, basis.gram_change = 0.5 * (fine + fine.conj().T), float(err)
+    return basis.gram
 
 
 def orthonormal_basis(basis: CuspFormBasis) -> CuspFormBasis:

@@ -335,6 +335,9 @@ def test_gram_csv(capsys):
     label, _, re, im = lines[1].split(",")
     assert label == "delta"
     assert float(re) == pytest.approx(1.03536205680e-06, rel=1e-9)
+    # the refinement change, max |G_ij - G'_ij| / sqrt(G_ii G_jj)
+    assert len(lines) == 3 and lines[2].startswith("# refinement_change=")
+    assert 0.0 <= float(lines[2].split("=")[1]) <= 1e-14
 
 
 def _gram_failure(tmp_path, capsys, command, rows):
@@ -360,15 +363,24 @@ def test_singular_gram_exits_2(tmp_path, capsys, command):
     assert err == f"error: {forms}: smallest eigenvalue ratio 0.000e+00\n"
 
 
-@pytest.mark.parametrize("command", ["gram", "ratio-scan", "sym-scan",
-                                     "verify"])
-def test_unconverged_gram_exits_2(tmp_path, capsys, command):
-    # a_m = e^(5.44 m): the refined quadrature moves the Gram by 1.3e-5
-    code, err, forms = _gram_failure(
-        tmp_path, capsys, command,
-        [[math.exp(5.44 * m) for m in range(1, 120)]])
+STEEP = [math.exp(5.44 * m) for m in range(1, 120)]
+# Delta and the steep form scaled to 1e-9 of its norm: measured against
+# the largest entry, the steep form's change would pass as 4.1e-10
+SMALL_STEEP = [list(map(float, ramanujan_tau(119))),
+               [1.4e-7 * a for a in STEEP]]
+GRAM_COMMANDS = ["gram", "ratio-scan", "sym-scan", "verify"]
+
+
+@pytest.mark.parametrize("command, rows", [
+    pytest.param(c, [STEEP], id=c) for c in GRAM_COMMANDS] + [
+    pytest.param(c, SMALL_STEEP, id=f"{c}-small-steep-beside-delta")
+    for c in GRAM_COMMANDS])
+def test_unconverged_gram_exits_2(tmp_path, capsys, command, rows):
+    # a_m = e^(5.44 m): the check rule moves the steep form's entries by
+    # 3.8e-6 of sqrt(G_ii G_jj)
+    code, err, forms = _gram_failure(tmp_path, capsys, command, rows)
     assert code == 2
-    assert err == (f"error: {forms}: refinement change 1.295e-05 exceeds "
+    assert err == (f"error: {forms}: refinement change 3.786e-06 exceeds "
                    f"tolerance 1.000e-08\n")
 
 

@@ -1,27 +1,25 @@
 import cmath
 import math
 import warnings
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaincc, gammaln, roots_legendre
 
 from bergman.forms import (CuspFormBasis, GramSingular, QExpansionForm,
-                           QuadratureDomain, _gram_nodes, _gram_once,
-                           _tail_gram,
+                           QuadratureDomain, _tail_gram,
                            GRAM_CHUNK,
-                           basis_weight0_bundle, basis_weight0_grid, delta_form,
-                           evaluate_q_expansion,
-                           gauss_legendre, load_forms,
-                           model_basis, modularity_defect, orthonormal_basis,
-                           petersson_gram, q_powers, ramanujan_tau,
-                           save_forms, scaled_upper_gamma)
+                           basis_weight0_bundle, basis_weight0_grid,
+                           clenshaw_curtis, delta_form, evaluate_q_expansion,
+                           load_forms, model_basis, modularity_defect,
+                           orthonormal_basis, petersson_gram, q_powers,
+                           ramanujan_tau, save_forms, scaled_upper_gamma,
+                           sliver_rule, x_integrals)
 from bergman.groups import modular_group
 from bergman.uhp import DomainError, MoebiusTransform, UhpPoint
+from gram_oracle import monomial_rows, tall_gram
 from orbit_oracle import orbit_kernel_diagonal
 
 
@@ -235,35 +233,10 @@ def test_row_values_do_not_depend_on_batch_mates(make):
         assert all(np.array_equal(a[0], g[t]) for a, g in zip(one, grid))
 
 
-def test_gauss_legendre_matches_leggauss_and_extended_precision():
-    # nodes within 4 ulp of numpy's; weights against 30-digit ones at the
-    # nodes' own precision: a node rounded by one ulp moves its weight by
-    # about EPS / (1 - |x|) relative
-    with mpmath.workdps(30):
-        for n in range(1, 41):
-            x, w = gauss_legendre(n)
-            ref_x, _ = leggauss(n)
-            assert np.all(np.abs(x - ref_x) <= 4 * np.spacing(np.abs(ref_x)))
-            for xi, wi in zip(x, w):
-                t = mpmath.mpf(xi)
-                for _ in range(3):
-                    p0, p1 = mpmath.mpf(1), t
-                    for j in range(2, n + 1):
-                        p0, p1 = p1, ((2 * j - 1) * t * p1
-                                      - (j - 1) * p0) / j
-                    dp = n * (p0 - t * p1) / (1 - t * t)
-                    t -= p1 / dp
-                ref_w = 2 / ((1 - t * t) * dp * dp)
-                bound = 2 * EPS * (4 + 1 / (1 - abs(xi)))
-                assert abs(wi - ref_w) <= bound * ref_w
-
-
-def _node_accumulation(basis, domain):
+def _node_accumulation(basis, cutoff, x_panels, y_panels, nodes):
     """Per-node reference Gram: one outer product per quadrature node."""
     k = basis.k
-    cutoff, x_panels, y_panels = (domain.cutoff, domain.x_panels,
-                                  domain.y_panels)
-    xn, xw = roots_legendre(domain.nodes)
+    xn, xw = roots_legendre(nodes)
     gram = np.zeros((basis.size, basis.size), dtype=complex)
     for px in range(x_panels):
         a = -0.5 + px / x_panels
@@ -288,33 +261,58 @@ def _node_accumulation(basis, domain):
     return gram
 
 
-@pytest.mark.parametrize("domain", [QuadratureDomain(y_panels=3, nodes=6)],
-                         ids=["modular"])
+@pytest.mark.parametrize("rule", [dict(cutoff=1.0, x_panels=2, y_panels=3,
+                                       nodes=6)], ids=["modular"])
 @pytest.mark.parametrize("make", [lambda: CuspFormBasis(forms=[delta_form(200)]),
                                   _three_form_basis], ids=["delta", "three"])
-def test_gram_contraction_matches_node_accumulation(make, domain):
+def test_gram_contraction_matches_node_accumulation(make, rule):
+    # the oracle's blocked contraction (tall_gram) against one outer
+    # product per node, on a small rule
     basis = make()
-    got = _gram_once(basis, domain)
-    ref = _node_accumulation(basis, domain)
+    got = tall_gram(basis, **rule)
+    ref = _node_accumulation(basis, **rule)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("domain", [QuadratureDomain()], ids=["modular"])
-@pytest.mark.parametrize("make", CUT_BASES, ids=["delta", "three", "slow"])
-def test_gram_blocks_equal_per_block_evaluate(make, domain):
-    # one term_counts call for every block keeps each block's own term
-    # count, so the Gram is that of one jets row per block to the bit
-    basis = make()
-    for rule in (domain, replace(domain, y_panels=2 * domain.y_panels,
-                                 nodes=domain.nodes + 8)):
-        zs, ws = _gram_nodes(rule, basis.k)
-        ref = np.zeros((basis.size, basis.size), dtype=complex)
-        for lo in range(0, len(zs), GRAM_CHUNK):
-            v = basis.jets(zs[None, lo:lo + GRAM_CHUNK])[0][0]
-            ref += v.T @ (ws[lo:lo + GRAM_CHUNK, None] * v.conj())
-        ref += _tail_gram(basis, rule.cutoff)
-        assert len(zs) > GRAM_CHUNK
-        assert np.array_equal(_gram_once(basis, rule), ref)
+@pytest.mark.parametrize("n", [2, 16, 32])
+def test_clenshaw_curtis_rule_is_exact_to_degree_n(n):
+    x, w = clenshaw_curtis(n)
+    assert np.array_equal(x, np.cos(np.pi * np.arange(n + 1) / n))
+    assert np.all(w > 0)
+    for p in range(n + 1):
+        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        assert abs(w @ x ** p - exact) <= 4 * EPS
+
+
+def test_sliver_rule_nests_and_integrates_theta_powers():
+    # the check rule is the rule on n/2 intervals at the even-indexed
+    # nodes, bit for bit; both integrate theta^p over [0, pi/6] exactly
+    # up to their degree
+    domain = QuadratureDomain()
+    n = domain.intervals
+    theta, (fine, coarse) = sliver_rule(domain)
+    x, w = clenshaw_curtis(n // 2)
+    half = math.pi / 12.0
+    assert np.array_equal(theta[::2], half * (1.0 + x))
+    assert np.array_equal(coarse[::2], half * w) and not coarse[1::2].any()
+    assert theta[-1] == 0.0 and theta[0] == math.pi / 6.0
+    for rule, degree in ((fine, n), (coarse, n // 2)):
+        for p in range(degree + 1):
+            exact = (math.pi / 6.0) ** (p + 1) / (p + 1)
+            assert abs(rule @ theta ** p - exact) <= 1e-14 * exact
+
+
+def test_x_integrals_match_direct_integration():
+    # c_j(s), the integral of e^(2 pi i j x) over s <= |x| <= 1/2,
+    # against 30-digit quadrature of 2 cos(2 pi j x) over [s, 1/2]
+    s = np.array([0.0, 0.1, 0.37, 0.5])
+    got = x_integrals(s, 12)
+    with mpmath.workdps(30):
+        for si, row in zip(s.tolist(), got):
+            for j, c in enumerate(row.tolist()):
+                ref = 2 * mpmath.quad(lambda x: mpmath.cos(2 * mpmath.pi * j * x),
+                                      [si, 0.5])
+                assert abs(c - ref) <= 2 * EPS
 
 
 @pytest.mark.parametrize("k", [2, 6, 18, 30])
@@ -361,20 +359,25 @@ def test_tail_gram_is_the_integral_above_the_cutoff():
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("make", [lambda: CuspFormBasis(forms=[delta_form(200)]),
-                                  _three_form_basis], ids=["delta", "three"])
+def _monomial_basis(weight):
+    return model_basis(weight, monomial_rows(weight), orthonormal=False)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CuspFormBasis(forms=[delta_form(200)]), _three_form_basis,
+    lambda: _monomial_basis(24), lambda: _monomial_basis(48),
+    lambda: _monomial_basis(96)],
+    ids=["delta", "three", "weight24", "weight48", "weight96"])
 def test_arc_gram_matches_tall_domain(make):
-    # the default modular domain integrates only the sliver below y = 1
-    # and takes the rest from the exact tail; the tall domain integrates
-    # up to max(4, 3k/2pi) on 4 x 8 panels of 16 nodes
+    # the sliver rule and the exact tail above y = 1 against the 2-D
+    # Gauss-Legendre rule up to y = 4 on 4 x 8 panels of 16 nodes, each
+    # entry relative to sqrt(G_ii G_jj)
     basis = make()
-    k = basis.k
-    arc = petersson_gram(basis, QuadratureDomain())
-    tall = petersson_gram(basis, QuadratureDomain(
-        cutoff=max(4.0, 3.0 * k / (2.0 * math.pi)), x_panels=4, y_panels=8,
-        nodes=16))
-    assert QuadratureDomain().cutoff == 1.0
-    assert np.max(np.abs(arc - tall)) <= 1e-13 * np.max(np.abs(tall))
+    gram = petersson_gram(basis, QuadratureDomain())
+    ref = tall_gram(basis)
+    d = np.sqrt(np.diag(ref).real)
+    assert np.max(np.abs(gram - ref) / np.outer(d, d)) <= 1e-14
+    assert basis.gram is gram and 0.0 <= basis.gram_change <= 1e-10
 
 
 def test_empty_basis_evaluates():
