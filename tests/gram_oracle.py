@@ -55,7 +55,8 @@ def tall_gram(basis, cutoff=4.0, x_panels=4, y_panels=8, nodes=16):
     m = np.arange(1, coefficients.shape[1] + 1)
     gram = tail_gram(coefficients, k, cutoff)
     for lo in range(0, len(zs), 256):
-        v = np.exp(2j * math.pi * np.outer(zs[lo:lo + 256], m)) @ coefficients.T
+        q = np.exp(2j * math.pi * np.outer(zs[lo:lo + 256], m))
+        v = q @ coefficients.T
         gram += v.T @ (ws[lo:lo + 256, None] * v.conj())
     return 0.5 * (gram + gram.conj().T)
 

@@ -26,6 +26,7 @@ from bergman.kernel import (EPS, NORM_CAP, TWO_PI, _lipschitz_majorant,
 from bergman.metric import PoincareSource
 from bergman.uhp import (DomainError, MoebiusTransform, UhpPoint,
                          apply_moebius, hyp_distance)
+from gram_oracle import monomial_rows
 from orbit_oracle import orbit_kernel_diagonal, orbit_rows, term_log_phase
 
 # the generator of the stored Fourier tables, which computes them
@@ -573,26 +574,6 @@ def test_plan_heights_of_the_scanned_weights():
     assert tables.fourier_plan(12) == (1.375, 4)
 
 
-def _series_product(a, b, n):
-    """The first n coefficients of the product of two q-series."""
-    out = [0] * n
-    for i, u in enumerate(a[:n]):
-        for j, v in enumerate(b[:n - i]):
-            out[i + j] += u * v
-    return out
-
-
-def _eisenstein4(n):
-    """Coefficients 1, 240 sigma_3(1), ... of E_4, exactly."""
-    return [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
-                  for m in range(1, n)]
-
-
-def _delta_series(n):
-    """Coefficients 0, tau(1), tau(2), ... of Delta, exactly."""
-    return [0] + list(ramanujan_tau(n - 1))
-
-
 def test_fourier_table_at_k6_is_tau_m_tau_n_over_delta_norm():
     # <Delta, Delta> from the code's own Gram, which matches the
     # literature value 1.03536205680432092e-6 to 1e-15
@@ -608,9 +589,7 @@ def test_fourier_table_at_k6_is_tau_m_tau_n_over_delta_norm():
 
 def test_fourier_table_at_k8_is_delta_e4_times_itself():
     # S_16 is spanned by Delta E_4, so c_mn = a(m) a(n) c_11 exactly
-    a = np.array(_series_product(_delta_series(TABLE_SIZE + 1),
-                                 _eisenstein4(TABLE_SIZE + 1),
-                                 TABLE_SIZE + 1)[1:], dtype=float)
+    (a,) = np.array(monomial_rows(16, TABLE_SIZE + 1), dtype=float)
     c, e = tables.fourier_table(8)
     outer = np.outer(a, a)
     assert (np.abs(c - c[0, 0] * outer) <= e + np.abs(outer) * e[0, 0]).all()
@@ -623,12 +602,7 @@ def test_fourier_table_at_k8_is_delta_e4_times_itself():
 def test_fourier_table_at_k12_is_the_orthonormal_basis_gram():
     # S_24 = <Delta E_4^3, Delta^2>: orthonormalized by the code's Gram,
     # c = A A^H over the orthonormal coefficient rows A
-    n = 40
-    delta, e4 = _delta_series(n), _eisenstein4(n)
-    de4 = _series_product(delta, e4, n)
-    de43 = _series_product(_series_product(de4, e4, n), e4, n)
-    d2 = _series_product(delta, delta, n)
-    raw = CuspFormBasis(forms=model_basis(24, [de43[1:], d2[1:]],
+    raw = CuspFormBasis(forms=model_basis(24, monomial_rows(24, 40),
                                           orthonormal=False).forms)
     raw.gram = petersson_gram(raw, QuadratureDomain())
     rows = orthonormal_basis(raw).coefficients[:, :TABLE_SIZE]
