@@ -12,12 +12,13 @@ last weights with a stored table and the weights beside them,
 and refused rows (a ``sym-scan`` with every tuple refused and ``verify
 --suite thm10`` at a ``--tol`` that refuses every row among them) or
 refused options, ``gram`` and ``ratio-scan`` on a four-form weight-48
-basis, forms files whose Gram is singular or does not converge, and
-forms files that the verify suites or the requested
-weights refuse.  Each command runs
-in a fresh working directory that holds a link to the checkout's
-``data/``, the fixed tuple and forms files (``INPUTS``), with
-``bergman`` imported from the checkout's ``src/``.  For every command
+basis, ``ratio-scan`` on the monomial basis of S_48, forms files whose
+Gram is singular or does not converge, and forms files that the verify
+suites or the requested weights refuse.  Each command runs in a fresh
+working directory that holds a link to the checkout's ``data/``, the
+fixed tuple and forms files (``INPUTS``, whose exact q-series come from
+``level_one_series`` in this script's own checkout), with ``bergman``
+imported from the checkout's ``src/``.  For every command
 it compares stdout, stderr, the exit code and each file the command
 wrote there, prints every difference, and exits 1 if there is one (0
 if all are identical).
@@ -33,32 +34,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bergman.forms import level_one_series
+
 FORMS = "data/delta_weight12.jsonl"
-
-
-def delta_power(a: int, m: int) -> list:
-    """Coefficients b_1..b_m of Delta^a = q^a prod (1 - q^n)^(24a), exactly."""
-    e = [1] + [0] * m
-    for n in range(1, m + 1):
-        for _ in range(24 * a):
-            for i in range(m, n - 1, -1):
-                e[i] -= e[i - n]
-    return [0] * (a - 1) + e[:m - a + 1]
-
-
-def weight48_basis(m: int) -> list:
-    """Coefficients b_1..b_m of Delta E4^a E6^b, 4a + 6b = 36, b = 0, 2,
-    4, 6: a basis of S_48, exactly (Gram condition about 1e11)."""
-    e4, e6 = ([1] + [c * sum(d ** p for d in range(1, n + 1) if n % d == 0)
-                     for n in range(1, m)] for c, p in ((240, 3), (-504, 5)))
-    rows = []
-    for b in (0, 2, 4, 6):
-        row = delta_power(1, m)
-        for factor in [e4] * ((36 - 6 * b) // 4) + [e6] * b:
-            row = [sum(row[j] * factor[i - j] for j in range(i + 1))
-                   for i in range(m)]
-        rows.append(row)
-    return rows
 
 
 INPUTS = {
@@ -90,13 +70,21 @@ INPUTS = {
                    % ", ".join(repr(math.exp(5.44 * m)) for m in range(1, 120)),
     # Delta^2, weight 24: its first coefficient is 0
     "delta2.jsonl": '{"label": "delta2", "weight": 24, "coefficients": [%s]}\n'
-                    % ", ".join(map(str, delta_power(2, 30))),
-    # four weight-48 forms: a Gram at dim 4 whose sliver sums about 20
-    # terms, beside Delta's 10
+                    % ", ".join(map(str, level_one_series(2, 0, 0, 31)[1:])),
+    # four weight-48 forms Delta E4^a E6^b, 4a + 6b = 36 (Gram condition
+    # about 1e11): a Gram at dim 4 whose sliver sums about 20 terms,
+    # beside Delta's 10
     "weight48.jsonl": "".join(
         '{"label": "de4^%d_e6^%d", "weight": 48, "coefficients": [%s]}\n'
-        % ((36 - 6 * b) // 4, b, ", ".join(map(str, row)))
-        for b, row in zip((0, 2, 4, 6), weight48_basis(60))),
+        % ((36 - 6 * b) // 4, b, ", ".join(map(str, level_one_series(
+            1, (36 - 6 * b) // 4, b, 61)[1:]))) for b in (0, 2, 4, 6)),
+    # the monomial basis Delta^a E4^(12-3a), a = 1..4, of S_48 with 200
+    # coefficients: its Gram's smallest eigenvalue is 2e-29 of its
+    # largest, the diagonal-scaled Gram's 0.47
+    "monomial48.jsonl": "".join(
+        '{"label": "d^%de4^%d", "weight": 48, "coefficients": [%s]}\n'
+        % (a, 12 - 3 * a, ", ".join(map(str, level_one_series(
+            a, 12 - 3 * a, 0, 200)[1:]))) for a in range(1, 5)),
     # a config file, which only a checkout that still reads --config
     # opens (and refuses for its tol)
     "cfg.json": '{"tol": 0}\n',
@@ -137,6 +125,8 @@ COMMANDS = [
     ("gram-weight48", ["gram", "--forms", "weight48.jsonl"]),
     ("ratio-scan-weight48", ["ratio-scan", "--forms", "weight48.jsonl",
                              "--k", "24", "--grid=-0.45,0.45,0.8,2.4,4,4"]),
+    ("ratio-scan-monomial48", ["ratio-scan", "--forms", "monomial48.jsonl",
+                               "--k", "24", "--grid=-0.45,0.45,0.8,2.4,4,4"]),
     ("scan-singular-gram", ["ratio-scan", "--forms", "twins.jsonl", "--k", "6",
                             "--grid=0,0,1,1,1,1"]),
     ("scan-budget-cut", ["ratio-scan", "--group", "modular", "--k", "6",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate data/delta_weight12.jsonl from the exact tau recurrence."""
+"""Regenerate data/delta_weight12.jsonl from the exact level-one q-series."""
 import argparse
 import pathlib
 import sys

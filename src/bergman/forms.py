@@ -1,9 +1,9 @@
 """Cusp forms given by truncated q-expansions.
 
-Evaluation, Petersson Gram matrices (the x-integral in closed form, a
-nested Clenshaw-Curtis rule in y and a closed-form exponential tail),
-orthonormalization, the basis-side Bergman kernel, and JSON-lines
-ingestion.
+Exact level-one q-series Delta^a E4^b E6^c, evaluation, Petersson Gram
+matrices (the x-integral in closed form, a nested Clenshaw-Curtis rule
+in y and a closed-form exponential tail), orthonormalization, the
+basis-side Bergman kernel, and JSON-lines ingestion.
 """
 from __future__ import annotations
 
@@ -213,21 +213,51 @@ def model_basis(weight: int, coefficient_rows: Sequence[Sequence[complex]],
 
 
 # ---------------------------------------------------------------------------
-# Ramanujan tau coefficients: q * prod(1 - q^n)^24 by exact integer arithmetic
+# Exact level-one q-series: Delta^a E4^b E6^c in Python integers
+
+def _product(a, b, n):
+    """The first n coefficients of the product of two q-series."""
+    out = [0] * n
+    for i, u in enumerate(a[:n]):
+        if u:
+            for j, v in enumerate(b[:n - i]):
+                out[i + j] += u * v
+    return out
+
+
+def _power(a, e, n):
+    """The first n coefficients of a^e, by repeated squaring."""
+    out = [1] + [0] * (n - 1)
+    while e:
+        if e & 1:
+            out = _product(out, a, n)
+        e >>= 1
+        if e:
+            a = _product(a, a, n)
+    return out
+
+
+def level_one_series(a: int, b: int, c: int, n: int) -> list:
+    """Coefficients of q^0..q^(n-1) of Delta^a E4^b E6^c, exactly: Delta^a
+    = q^a prod (1 - q^m)^(24a) by repeated squaring, E4 = 1 + 240 sum
+    sigma_3(m) q^m, E6 = 1 - 504 sum sigma_5(m) q^m."""
+    euler = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        for i in range(n - 1, m - 1, -1):
+            euler[i] -= euler[i - m]
+    series = ([0] * a + _power(euler, 24 * a, n))[:n]
+    for e, p, scale in ((b, 3, 240), (c, 5, -504)):
+        if e:
+            eisenstein = [1] + [scale * sum(d ** p for d in range(1, m + 1)
+                                            if m % d == 0) for m in range(1, n)]
+            series = _product(_power(eisenstein, e, n), series, n)
+    return series
+
 
 @lru_cache(maxsize=None)
 def ramanujan_tau(m_max: int) -> tuple:
-    """tau(1..m_max): Delta = q prod (1 - q^n)^24 = q (prod (1 - q^n)^3)^8."""
-    # coefficients of q^0..q^(m_max-1); each factor 1 - q^n multiplies
-    # in place, high powers first, three times
-    e = [1] + [0] * (m_max - 1)
-    for n in range(1, m_max):
-        for _ in range(3):
-            for i in range(m_max - 1, n - 1, -1):
-                e[i] -= e[i - n]
-    for _ in range(3):  # the eighth power by three squarings
-        e = [sum(e[j] * e[i - j] for j in range(i + 1)) for i in range(m_max)]
-    return tuple(e)
+    """tau(1..m_max), the coefficients of Delta = q prod (1 - q^n)^24."""
+    return tuple(level_one_series(1, 0, 0, m_max + 1)[1:])
 
 
 def delta_form(m_max: int = 200) -> QExpansionForm:
@@ -364,11 +394,14 @@ def petersson_gram(basis: CuspFormBasis,
 
 
 def orthonormal_basis(basis: CuspFormBasis) -> CuspFormBasis:
-    """Coefficient-level change of basis making ``basis.gram`` the identity."""
+    """Coefficient-level change of basis making ``basis.gram`` the identity;
+    ``GramSingular`` if G_ij / sqrt(G_ii G_jj), whose Cholesky factor is
+    that of G up to the same scaling, is singular to 1e-12 relative."""
     if basis.gram is None:
         raise DomainError("gram matrix not computed")
     g = np.asarray(basis.gram, dtype=complex)
-    ev = np.linalg.eigvalsh(g)
+    d = np.sqrt(np.abs(g.diagonal()))
+    ev = np.linalg.eigvalsh(g / np.maximum(np.outer(d, d), 1e-300))
     if ev[0] < 1e-12 * max(ev[-1], 1e-300):
         raise GramSingular(f"smallest eigenvalue ratio {ev[0] / ev[-1]:.3e}")
     # rows of A give the new forms: A G A^H = I for A = L^{-1}, G = L L^H;

@@ -7,14 +7,16 @@ over ``x_panels`` equal panels and, above each x node, y over
 with ``nodes`` Gauss-Legendre nodes; above it the Gram is the exact
 tail sum_m a_m conj(a'_m) Gamma(2k-1, 4 pi m cutoff) / (4 pi m)^(2k-1)
 from mpmath's incomplete gamma function.  Every coefficient is summed
-at every node.  Also here: exact integer q-series of the monomial
-bases Delta^a E4^b E6^c of S_2k.
+at every node.  Also here: the monomial bases Delta^a E4^b E6^c of
+S_2k, their exact series from ``bergman.forms.level_one_series``.
 """
 import math
 
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from bergman.forms import level_one_series
 
 
 def gram_nodes(k, cutoff=4.0, x_panels=4, y_panels=8, nodes=16):
@@ -61,47 +63,14 @@ def tall_gram(basis, cutoff=4.0, x_panels=4, y_panels=8, nodes=16):
     return 0.5 * (gram + gram.conj().T)
 
 
-def _product(a, b, n):
-    """The first n coefficients of the product of two q-series."""
-    out = [0] * n
-    for i, u in enumerate(a[:n]):
-        if u:
-            for j, v in enumerate(b[:n - i]):
-                out[i + j] += u * v
-    return out
-
-
-def _power(a, e, n):
-    """The first n coefficients of a^e, by repeated squaring."""
-    out = [1] + [0] * (n - 1)
-    while e:
-        if e & 1:
-            out = _product(out, a, n)
-        e >>= 1
-        if e:
-            a = _product(a, a, n)
-    return out
-
-
 def monomial_rows(weight, n=200):
     """Coefficients a_1..a_(n-1) of Delta^a E4^b E6^c, a = 1, 2, ...,
     4b + 6c = weight - 12a, c = 0 or 1: a basis of S_weight, exactly."""
-    sigma = [sum(d ** p for d in range(1, m + 1) if m % d == 0)
-             for p in (3, 5) for m in range(1, n)]
-    e4 = [1] + [240 * s for s in sigma[:n - 1]]
-    e6 = [1] + [-504 * s for s in sigma[n - 1:]]
-    euler = [1] + [0] * (n - 1)
-    for m in range(1, n):
-        for i in range(n - 1, m - 1, -1):
-            euler[i] -= euler[i - m]
-    delta = [0] + _power(euler, 24, n)[:n - 1]
     rows = []
     for a in range(1, weight // 12 + 1):
         rest = weight - 12 * a
         c = rest % 4 // 2
         b = (rest - 6 * c) // 4
         if b >= 0:
-            series = _product(_product(_power(delta, a, n), _power(e4, b, n),
-                                       n), _power(e6, c, n), n)
-            rows.append(series[1:])
+            rows.append(level_one_series(a, b, c, n)[1:])
     return rows

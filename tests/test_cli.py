@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 from bergman.cli import FMT, RunConfig, _load_tuples, main
-from bergman.forms import ramanujan_tau
+from bergman.forms import level_one_series, ramanujan_tau
 from bergman.groups import modular_group
 from bergman.metric import BasisSource, PoincareSource, ratio_scan
 from bergman.uhp import UhpPoint
@@ -203,9 +203,7 @@ def test_verify_suites_refuse_weight_2(tmp_path, capsys):
 def test_verify_prop9_refuses_zero_first_coefficient(tmp_path, capsys):
     # Delta^2 (weight 24) starts at q^2: sum |a_(j,1)|^2 over the
     # orthonormalized forms vanishes, so Prop 9's decay has no leading term
-    tau = (0,) + ramanujan_tau(40)
-    square = [sum(tau[i] * tau[m - i] for i in range(m + 1))
-              for m in range(1, 41)]
+    square = level_one_series(2, 0, 0, 41)[1:]
     forms = _forms(tmp_path / "delta2.jsonl", 24, [square])
     assert main(["verify", "--suite", "prop9", "--forms", str(forms)]) == 2
     assert capsys.readouterr() == (

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -145,3 +146,27 @@ def test_make_fourier_tables_check_names_the_first_stale_weight(
     assert capsys.readouterr().err == (
         f"error: {path}: weight k = {k} differs from the computed table\n")
     assert path.read_text() == "".join(lines)
+
+
+def test_stored_delta_file_equals_make_delta_output(tmp_path):
+    # data/delta_weight12.jsonl is what its generator writes, byte for byte
+    out = tmp_path / "delta.jsonl"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "make_delta.py"),
+                           "--out", str(out)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (SCRIPTS.parent / "data"
+                                / "delta_weight12.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("delta2.jsonl",
+     "a16898b5493f05d63504f9ab2502c453c2ad7c63fda12ae6ee75dfa3797dd9bb"),
+    ("weight48.jsonl",
+     "4c676174d5038f680c7c52435cf01389761d39121584780a31888e2efa247403"),
+], ids=["delta2", "weight48"])
+def test_diff_outputs_forms_inputs_are_pinned(name, digest):
+    # the exact forms files that diff_outputs.py writes for both
+    # checkouts: a change to the generator that moves a byte shows here
+    text = _load("diff_outputs").INPUTS[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
