@@ -11,17 +11,18 @@ last weights with a stored table and the weights beside them,
 ``kernel`` on every preset, scans and kernels with flagged, budget-cut
 and refused rows (a ``sym-scan`` with every tuple refused and ``verify
 --suite thm10`` at a ``--tol`` that refuses every row among them) or
-refused options, ``gram`` and ``ratio-scan`` on a four-form weight-48
-basis, ``ratio-scan`` on the monomial basis of S_48, forms files whose
-Gram is singular or does not converge, and forms files that the verify
-suites or the requested weights refuse.  Each command runs in a fresh
-working directory that holds a link to the checkout's ``data/``, the
-fixed tuple and forms files (``INPUTS``, whose exact q-series come from
-``level_one_series`` in this script's own checkout), with ``bergman``
-imported from the checkout's ``src/``.  For every command
-it compares stdout, stderr, the exit code and each file the command
-wrote there, prints every difference, and exits 1 if there is one (0
-if all are identical).
+refused options (among them the removed ``--threads``, ``--config``,
+``--c-gamma`` and ``--c-x`` flags), ``gram`` and ``ratio-scan`` on a
+four-form weight-48 basis, ``ratio-scan`` on the monomial basis of
+S_48, forms files whose Gram is singular or does not converge, and
+forms files that the verify suites or the requested weights refuse.
+Each command runs in a fresh working directory that holds a link to
+the checkout's ``data/``, the fixed tuple and forms files (``INPUTS``,
+whose exact q-series come from ``level_one_series`` in this script's
+own checkout), with ``bergman`` imported from the checkout's ``src/``.
+For every command it compares stdout, stderr, the exit code and each
+file the command wrote there, prints every difference, and exits 1 if
+there is one (0 if all are identical).
 """
 from __future__ import annotations
 

@@ -47,7 +47,6 @@ class RunConfig:
     grid: str = "-0.45,0.45,0.5,4.0,8,8"
     tuples: Optional[str] = None
     d: int = 1
-    c_x: float = 0.0
     budget: int = DEFAULT_BUDGET
     z: str = "0.0,1.0"
     suite: Optional[str] = None
@@ -99,9 +98,6 @@ class RunConfig:
         if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
             raise ConfigError(
                 f"--tol must be positive and finite, got {cfg.tol}")
-        if not (math.isfinite(cfg.c_x) and cfg.c_x >= 0.0):
-            raise ConfigError(
-                f"--c-x must be at least 0 and finite, got {cfg.c_x}")
         return command, cfg
 
     def k_values(self):
@@ -254,7 +250,7 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         route = "poincare"
         sources = [PoincareSource(group, k, cfg.budget)
                    for k in cfg.k_values()]
-    tables, summaries = ratio_scan(sources, grid, cfg.c_x, tol=cfg.tol)
+    tables, summaries = ratio_scan(sources, grid, tol=cfg.tol)
     xs, ys = [z.x for z in grid], [z.y for z in grid]
     regions = ("CompactPart", "CuspNeighborhood")
     text = ("k,x,y,region,route,ratio,err,ratio_over_k2,bound,bound_ok,"
@@ -396,7 +392,7 @@ def suite_lemma4(cfg: RunConfig):
     grid = grid_points(-0.4, 0.4, 0.8, 2.4, 5, 5)
     worst = 0.0
     for z, r1 in zip(grid, _basis_ratios(basis, grid)[0]):
-        r2 = fd_log_ratio(src, z, basis.k)
+        r2 = fd_log_ratio(src, z)
         worst = max(worst, abs(r1 - r2) / max(abs(r1), 1e-12))
     return worst <= cfg.tol, {"max_two_route_rel": worst}, {"rel": cfg.tol}
 
@@ -435,7 +431,7 @@ def suite_prop9(cfg: RunConfig):
 def suite_thm10(cfg: RunConfig):
     grid = grid_points(-0.45, 0.45, 0.4, 5.0, 20, 20)
     _, summaries = ratio_scan([BasisSource(_delta_basis(cfg))], grid,
-                              cfg.c_x, tol=cfg.tol)
+                              tol=cfg.tol)
     s = summaries[0]
     at = None if s.sup_index is None else grid[s.sup_index]
     return s.within_limit, \

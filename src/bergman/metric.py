@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import CuspFormBasis, basis_weight0_bundle, basis_weight0_grid
+from .forms import CuspFormBasis, basis_weight0_grid
 from .fourier import fourier_bundles, load_fourier_table
 from .groups import (
     C_GAMMA,
@@ -95,24 +95,19 @@ class BasisSource:
         return KernelColumns(value, d1, d2, np.zeros((len(grid), 3)),
                              [None] * len(grid), np.array([z.y for z in grid]))
 
-    def value_near(self, z: UhpPoint):
-        """B as a function of points near z, for finite-difference stencils."""
-        return lambda w: basis_weight0_bundle(self.basis, w)[0]
-
 
 class PoincareSource:
     """Weight-0 kernel from the Poincare series over Gamma_inf\\Gamma.
 
     Each point lists its own cosets, so a value depends on the point
-    alone; a finite-difference stencil sums its centre's coset list.
-    PSL(2, Z) sieves them from its coprime bottom rows; any other group
-    walks them from its generators.  On PSL(2, Z), points at or above
-    the height Y_k of the weight's table take the series' Fourier
-    expansion at the cusp instead, from that table of Petersson's
-    formula (``load_fourier_table``, read once per source); so does a
-    stencil centred there, and in ``bundles`` a point whose image
-    in F (``reduce_to_fundamental``) lies there, at that image.  A group
-    without the unit translation, which has no cusp at i*infinity, is refused.
+    alone.  PSL(2, Z) sieves them from its coprime bottom rows; any other
+    group walks them from its generators.  On PSL(2, Z), ``bundles``
+    takes a point whose image in F (``reduce_to_fundamental``) lies at or
+    above the height Y_k of the weight's table from the series' Fourier
+    expansion at the cusp instead, at that image, from that table of
+    Petersson's formula (``load_fourier_table``, read once per source).
+    A group without the unit translation, which has no cusp at
+    i*infinity, is refused.
     """
 
     def __init__(self, group: FuchsianGroup, k: int,
@@ -166,15 +161,6 @@ class PoincareSource:
             cols.value[i], cols.dz[i], cols.dzdzbar[i], cols.errors[i] = row
         return cols
 
-    def value_near(self, z: UhpPoint):
-        """B near z, by z's own height (not its image in F): from the
-        table at or above ``fourier_height``, else over z's cosets."""
-        if z.y >= self.fourier_height:
-            return lambda w: float(
-                fourier_bundles(self.k, self.table, np.array([w.z]))[0][0])
-        cosets = self.cosets(z)
-        return lambda w: poincare_weight0_bundle(cosets, w, self.k)[0]
-
 
 # ---------------------------------------------------------------------------
 # Derivatives
@@ -224,28 +210,34 @@ def ratio_parts(bundle, k: int):
     return ratio, corr, bound
 
 
-def fd_log_ratio(source, z: UhpPoint, k: int) -> float:
+def fd_log_ratio(source, z: UhpPoint) -> float:
     """Independent route: -(y^2 / 4 pi) Laplacian of log(y^(2k) B(z)).
 
     Five-point finite-difference Laplacian of the log of the diagonal
-    Petersson norm, Richardson-extrapolated once.
+    Petersson norm, Richardson-extrapolated once, k = ``source.k``.  Its
+    nine points take one ``source.bundles`` call, each paired with the
+    height its value was taken at: y^(2k) B is Gamma-invariant, B alone
+    is not.  Raises the first point's refusal, or ``KernelVanishes``
+    where B <= 1e-300, as the scan refuses that row.
     """
-    f = source.value_near(z)
-
-    def g(x, y):
-        return 2 * k * math.log(y) + math.log(f(UhpPoint(x, y)))
-
-    def lap(h):
-        return (
-            g(z.x + h, z.y) + g(z.x - h, z.y)
-            + g(z.x, z.y + h) + g(z.x, z.y - h)
-            - 4 * g(z.x, z.y)
-        ) / (h * h)
-
     # step large enough that series-evaluation noise, amplified by
     # 1/h^2 in the Laplacian, stays below the two-route tolerance
     h = max(1e-3, 1e-3 * z.y)
-    val = (4 * lap(h / 2) - lap(h)) / 3
+    points = [z] + [w for s in (h, h / 2) for w in (
+        UhpPoint(z.x + s, z.y), UhpPoint(z.x - s, z.y),
+        UhpPoint(z.x, z.y + s), UhpPoint(z.x, z.y - s))]
+    cols = source.bundles(points)
+    g = []
+    for w, exc, b, y in zip(points, cols.refusals, cols.value.tolist(),
+                            cols.height.tolist()):
+        if exc is not None:
+            raise exc
+        if b <= 1e-300:
+            raise KernelVanishes(f"kernel value {b} at {w}")
+        g.append(2 * source.k * math.log(y) + math.log(b))
+    lap_h, lap_h2 = ((sum(g[i:i + 4]) - 4 * g[0]) / (s * s)
+                     for i, s in ((1, h), (5, h / 2)))
+    val = (4 * lap_h2 - lap_h) / 3
     return -(z.y ** 2 / (4.0 * math.pi)) * val
 
 
@@ -349,8 +341,7 @@ def grid_points(x0: float, x1: float, y0: float, y1: float,
     return [UhpPoint(x, y) for y in ys for x in xs]
 
 
-def ratio_scan(sources, grid: Sequence[UhpPoint], c_x: float = 0.0,
-               tol: float = 1e-5):
+def ratio_scan(sources, grid: Sequence[UhpPoint], tol: float = 1e-5):
     """Per-weight ratio columns plus per-k sup |ratio|/k^2 summaries.
 
     Each kernel source, of weight ``source.k``, gives the columns of the
@@ -391,7 +382,8 @@ def ratio_scan(sources, grid: Sequence[UhpPoint], c_x: float = 0.0,
         over = np.abs(ratio) / (k * k)
         klower = kernel_lower_surrogate(
             k, float(norms[ok].min()) if ok.any() else 0.0)
-        bound = prop8_bound(k, klower, c_x) if k >= 3 else math.inf
+        # C_X = 0: no group supplies the r_X that Prop 8 needs
+        bound = prop8_bound(k, klower, 0.0) if k >= 3 else math.inf
         tables.append(ScanColumns(
             k=k, cusp=y >= threshold, ratio=np.where(ok, ratio, np.nan),
             ratio_over_k2=np.where(ok, over, np.nan),

@@ -47,15 +47,11 @@ def run_cli(args, capsys=None):
      "--tol must be positive and finite, got inf"),
     ("verify", ["--tol", "nan"], "--tol must be positive and finite, got nan"),
     ("ratio-scan", ["--k="], "--k '' lists no weight"),
-    ("ratio-scan", ["--c-x", "-1"],
-     "--c-x must be at least 0 and finite, got -1.0"),
-    ("verify", ["--c-x", "nan"], "--c-x must be at least 0 and finite, got nan"),
     ("sym-scan", ["--k", "8,6,8"], "--k '8,6,8' repeats weight 8"),
 ], ids=["grid-nx-0", "config-grid-ny-0", "grid-fractional-count",
         "grid-nan-count", "grid-inf-count", "budget-0",
         "config-budget-negative", "tol-negative", "config-tol-0", "tol-inf",
-        "tol-nan", "config-k-empty", "config-c-x-negative", "c-x-nan",
-        "config-k-repeated"])
+        "tol-nan", "config-k-empty", "config-k-repeated"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, flags, message):
     # "config" is the run's configuration, which flags alone set
     out = tmp_path / "scan.csv"
@@ -122,7 +118,8 @@ def test_flag_forms_and_values():
     (["ratio-scan", "--k=,", "--grid=0,0,1,1,1,1"], "--k ',' lists no weight"),
     # c_Gamma is the constant groups.C_GAMMA
     (["ratio-scan", "--c-gamma", "nan"], "unknown flag --c-gamma"),
-    (["ratio-scan", "--c-x", "-1"], "--c-x must be at least 0 and finite, got -1.0"),
+    # no caller set C_X, and the scan's Prop-8 bound takes it as 0
+    (["ratio-scan", "--c-x", "1"], "unknown flag --c-x"),
     # a repeated weight would print its rows and summary twice
     (["ratio-scan", "--group", "modular", "--k", "6,6", "--grid=0,0,1,1,1,1"],
      "--k '6,6' repeats weight 6"),
@@ -130,7 +127,7 @@ def test_flag_forms_and_values():
         "d-string", "d-float", "tol-string", "domain", "threads", "bound",
         "config", "no-command", "empty",
         "unknown-command", "two-commands", "extra-positional", "k-empty",
-        "c-gamma-nan", "c-x-negative", "k-repeated"])
+        "c-gamma-nan", "c-x", "k-repeated"])
 def test_bad_command_line_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
     code = main(argv + ["--forms", str(DATA), "--out", str(out)])
